@@ -70,20 +70,26 @@ def confusion_score(past_gen_real_features, current_fake_features, cfg):
     return s, normalize_score(s, cfg.normalizer)
 
 
-def _subsample(pool, cap, rng):
-    if len(pool) <= cap:
-        return list(pool)
-    idx = rng.choice(len(pool), size=cap, replace=False)
-    return [pool[i] for i in idx]
+def _subsample(rows, cap, rng):
+    if len(rows) <= cap:
+        return rows
+    return rows[rng.choice(len(rows), size=cap, replace=False)]
 
 
 def compute_alpha(model, past_gen_real, current_fakes, cfg, rng, task_index=0, epoch=0):
-    """Alpha from model features of (subsampled) sample pools."""
-    if not past_gen_real or not current_fakes:
+    """Alpha from model features of (subsampled) input rows.
+
+    past_gen_real is an (n_real, input_dim) array of generated-real rows and
+    current_fakes an (n_fake, input_dim) array of the current task's fake
+    rows. Each pool is cut to cfg.probe_cap rows by a draw without
+    replacement, then both are fed through the model and compared by their
+    feature centroids.
+    """
+    if len(past_gen_real) == 0 or len(current_fakes) == 0:
         raise ValueError("both sample pools must be non-empty")
-    real_pool = _subsample(past_gen_real, cfg.probe_cap, rng.fork("gen-real"))
-    fake_pool = _subsample(current_fakes, cfg.probe_cap, rng.fork("cur-fake"))
-    f_real = model.forward(np.stack([s.features for s in real_pool])).features
-    f_fake = model.forward(np.stack([s.features for s in fake_pool])).features
+    real_pool = _subsample(np.asarray(past_gen_real, dtype=float), cfg.probe_cap, rng.fork("gen-real"))
+    fake_pool = _subsample(np.asarray(current_fakes, dtype=float), cfg.probe_cap, rng.fork("cur-fake"))
+    f_real = model.forward(real_pool).features
+    f_fake = model.forward(fake_pool).features
     s, alpha = confusion_score(f_real, f_fake, cfg)
     return DcsRecord(task_index=task_index, epoch=epoch, s=s, alpha=alpha)

@@ -93,6 +93,36 @@ def _dist_with_grads(f, c):
     return dist, d_f, -d_f
 
 
+def _cos_rows_with_grads(fake, c, eps):
+    """_cos_with_grads for every row of fake (m, d) against one c, bit for bit.
+
+    np.vecdot and a per-element scalar square round exactly like the 1-d
+    helper's f @ c, norm and (nf + eps) ** 2; fake @ c, einsum and an array
+    ** 2 do not.
+    """
+    nf = np.sqrt(np.vecdot(fake, fake))
+    nc = np.linalg.norm(c)
+    nf_eps = nf + eps
+    nc_eps = nc + eps
+    denom = nf_eps * nc_eps
+    dot = np.vecdot(fake, c)
+    f_unit = np.zeros_like(fake)
+    np.divide(fake, nf[:, None], out=f_unit, where=nf[:, None] > 0)
+    c_unit = c / nc if nc > 0 else np.zeros_like(c)
+    nf_eps_sq = np.array([v**2 for v in nf_eps])
+    d_f = c / denom[:, None] - dot[:, None] * f_unit / (nf_eps_sq * nc_eps)[:, None]
+    d_c = fake / denom[:, None] - dot[:, None] * c_unit / (nf_eps * nc_eps**2)[:, None]
+    return dot / denom, d_f, d_c
+
+
+def _dist_rows_with_grads(fake, c):
+    """_dist_with_grads for every row of fake (m, d) against one c, bit for bit."""
+    diff = fake - c
+    dist = np.sqrt(np.vecdot(diff, diff) + _L2_SMOOTH)
+    d_f = diff / dist[:, None]
+    return dist, d_f, -d_f
+
+
 def rs_loss(fake_features, real_centroid, cfg):
     """Relative separation value only (see rs_loss_with_grads)."""
     value, _, _ = rs_loss_with_grads(fake_features, real_centroid, None, cfg)
@@ -120,7 +150,6 @@ def rs_loss_with_grads(fake_features, real_centroid, real_count, cfg):
         raise ValueError("degenerate geometry: real centroid has ~zero norm under cosine metric")
 
     m = fake.shape[0]
-    d_fake = np.zeros_like(fake)
     if cfg.rs_granularity == "centroid_based":
         cf = fake.mean(axis=0)
         if cfg.rs_metric == "cosine":
@@ -128,19 +157,20 @@ def rs_loss_with_grads(fake_features, real_centroid, real_count, cfg):
         else:
             dist, d_cf, d_c = _dist_with_grads(cf, c)
             value, d_cf, d_c = -dist, -d_cf, -d_c
-        d_fake[:] = d_cf / m
+        d_fake = np.tile(d_cf / m, (m, 1))
     else:
+        if cfg.rs_metric == "cosine":
+            vals, d_f, d_c_rows = _cos_rows_with_grads(fake, c, cfg.eps_cos)
+        else:
+            dist, d_f, d_c_rows = _dist_rows_with_grads(fake, c)
+            vals, d_f, d_c_rows = -dist, -d_f, -d_c_rows
+        # sums run in row order, as a per-row loop adds them; pairwise
+        # summation would round differently
         value = 0.0
-        d_c = np.zeros_like(c)
-        for j in range(m):
-            if cfg.rs_metric == "cosine":
-                v, d_f, d_cj = _cos_with_grads(fake[j], c, cfg.eps_cos)
-            else:
-                dist, d_f, d_cj = _dist_with_grads(fake[j], c)
-                v, d_f, d_cj = -dist, -d_f, -d_cj
-            value += v / m
-            d_fake[j] = d_f / m
-            d_c += d_cj / m
+        for v in vals / m:
+            value += v
+        d_fake = d_f / m
+        d_c = np.add.accumulate(d_c_rows / m, axis=0)[-1]
 
     d_real = d_c if real_count is None else d_c / real_count
     return float(value), d_fake, d_real

@@ -9,17 +9,26 @@ class Rng:
     """Deterministic random source with labeled substreams.
 
     The same (seed, fork path) always yields the same stream, independent of
-    what other substreams were consumed. Forks are cheap; an Rng instance must
-    not be shared across concurrent consumers -- fork instead.
+    what other substreams were consumed. Forks are cheap: the numpy Generator
+    is only built on the first draw, and many forks are never drawn from. An
+    Rng instance must not be shared across concurrent consumers -- fork
+    instead.
     """
 
     def __init__(self, seed, _path=()):
         self.seed = int(seed)
         self._path = tuple(_path)
-        material = repr(self.seed) + "\x00" + "\x00".join(self._path)
-        digest = hashlib.sha256(material.encode("utf-8")).digest()
-        words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
-        self.gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+        self._gen = None
+
+    @property
+    def gen(self):
+        """The substream's numpy Generator, seeded from (seed, fork path)."""
+        if self._gen is None:
+            material = repr(self.seed) + "\x00" + "\x00".join(self._path)
+            digest = hashlib.sha256(material.encode("utf-8")).digest()
+            words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
+            self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+        return self._gen
 
     def fork(self, label):
         return Rng(self.seed, self._path + (str(label),))

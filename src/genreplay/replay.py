@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .samples import LABEL_FAKE, LABEL_REAL, Sample
-
 VAR_FLOOR = 1e-6
 EM_MAX_ITERS = 200
 EM_TOL = 1e-7
@@ -59,6 +57,9 @@ class GeneratorModel:
             raise ValueError("variances below the jitter floor")
         self.kind = kind
         self.weights = weights
+        # Generator.choice(p=weights)'s own table, built once instead of per draw
+        cumulative = weights.cumsum()
+        self.cdf = cumulative / cumulative[-1]
         self.means = means
         self.variances = variances
         self.signature = signature
@@ -72,7 +73,9 @@ class GeneratorModel:
         """Draw n vectors, shifted by signature.vector * signature.strength."""
         if n == 0:
             return np.empty((0, self.dim))
-        comps = rng.gen.choice(len(self.weights), size=n, p=self.weights)
+        # the same uniforms and lookup as rng.gen.choice(k, size=n, p=weights),
+        # without re-checking p on every call
+        comps = self.cdf.searchsorted(rng.gen.random(n), side="right")
         noise = rng.normal(size=(n, self.dim))
         out = self.means[comps] + noise * np.sqrt(self.variances[comps])
         return out + self.signature.vector * self.signature.strength
@@ -193,17 +196,16 @@ def fit_generator(samples, kind, n_components, replay_signature, rng):
 
 
 def sample_replay(pair, n_real, n_fake, rng):
-    """Draw labeled replay samples from a fitted pair."""
+    """Draw replay rows from a fitted pair: (gen-real rows, gen-fake rows).
+
+    The arrays have shapes (n_real, dim) and (n_fake, dim); gen-real rows carry
+    the real label and gen-fake rows the fake label.
+    """
     if n_real < 0 or n_fake < 0:
         raise ValueError("replay counts must be >= 0")
-    out = []
     reals = pair.g_real.sample(n_real, rng.fork("real"))
     fakes = pair.g_fake.sample(n_fake, rng.fork("fake"))
-    for row in reals:
-        out.append(Sample(row, LABEL_REAL, "gen_real", pair.task_index))
-    for row in fakes:
-        out.append(Sample(row, LABEL_FAKE, "gen_fake", pair.task_index))
-    return out
+    return reals, fakes
 
 
 def _write_model(fh, name, model):

@@ -1,4 +1,4 @@
-"""The atomic training/eval unit shared by the stream and replay machinery."""
+"""One labeled row where data enters or leaves the package: stream draws and ingested files."""
 
 from dataclasses import dataclass
 
@@ -7,7 +7,7 @@ import numpy as np
 LABEL_REAL = 0
 LABEL_FAKE = 1
 
-ORIGINS = ("current_real", "current_fake", "gen_real", "gen_fake")
+ORIGINS = ("current_real", "current_fake")
 
 
 @dataclass(frozen=True)
@@ -20,7 +20,3 @@ class Sample:
     def __post_init__(self):
         if self.origin not in ORIGINS:
             raise ValueError(f"unknown origin {self.origin!r}")
-        if self.origin == "gen_real" and self.label != LABEL_REAL:
-            raise ValueError("gen_real samples must carry the real label")
-        if self.origin == "gen_fake" and self.label != LABEL_FAKE:
-            raise ValueError("gen_fake samples must carry the fake label")

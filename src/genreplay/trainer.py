@@ -8,6 +8,7 @@ blended between the two with a fixed or confusion-driven weight.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .metrics import TaskEval, accuracy, auc, build_table
 from .model import MLP
 from .numerics import AdamState, Rng, adam_step
 from .replay import GeneratorPair, fit_generator, sample_replay
-from .samples import LABEL_FAKE, LABEL_REAL, Sample
+from .samples import LABEL_FAKE, LABEL_REAL
 from .streams import draw_stream_data
 
 STRATEGY_KINDS = (
@@ -87,8 +88,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if min(self.batch_current, self.batch_gen_real, self.batch_gen_fake) < 0:
-            raise ValueError("batch sizes must be >= 0")
+        if self.batch_current < 1:
+            raise ValueError("batch_current must be >= 1")
+        if min(self.batch_gen_real, self.batch_gen_fake) < 0:
+            raise ValueError("replay batch sizes must be >= 0")
         if self.generator_kind not in ("gaussian", "gmm"):
             raise ValueError(f"unknown generator kind {self.generator_kind!r}")
 
@@ -109,35 +112,55 @@ def split_round_robin(n, k):
     return [base + (1 if i < extra else 0) for i in range(k)]
 
 
-def assemble_batch(current, pairs, cfg, rng, include_gen_real=True, pools=None):
-    """Current chunk plus replay draws split round-robin over stored pairs."""
-    batch = list(current)
-    if not pairs:
-        return batch
-    n_real = cfg.batch_gen_real if include_gen_real else 0
-    n_fake = cfg.batch_gen_fake
-    real_counts = split_round_robin(n_real, len(pairs))
-    fake_counts = split_round_robin(n_fake, len(pairs))
-    for i, pair in enumerate(pairs):
-        if pools is not None and pair.task_index in pools:
-            batch += _draw_from_pool(
-                pools[pair.task_index], pair.task_index, real_counts[i], fake_counts[i], rng.fork(f"pool{i}")
-            )
-        else:
-            batch += sample_replay(pair, real_counts[i], fake_counts[i], rng.fork(f"pair{i}"))
-    return batch
+# Batch.role codes: which part of the objective a row feeds
+ROLE_CURRENT = 0
+ROLE_GEN_REAL = 1
+ROLE_GEN_FAKE = 2
 
 
-def _draw_from_pool(pool, task_index, n_real, n_fake, rng):
+class Batch(NamedTuple):
+    """One assembled training batch of n rows.
+
+    x is (n, input_dim), labels (n,) with 1 for fake, and role (n,) ROLE_*
+    codes. Rows run: current rows, then gen-real rows of pair 0, gen-fake rows
+    of pair 0, gen-real rows of pair 1, and so on.
+    """
+
+    x: np.ndarray
+    labels: np.ndarray
+    role: np.ndarray
+
+
+def assemble_batch(x, labels, pairs, cfg, rng, include_gen_real=True, pools=None):
+    """Current rows plus replay draws split round-robin over stored pairs.
+
+    x (n_current, input_dim) and labels (n_current,) are the current chunk.
+    Each pair adds its gen-real then its gen-fake rows (see Batch), drawn from
+    the pair's generators or, for a task in pools, from its fixed pool.
+    """
+    xs = [x]
+    counts = [len(x)]
+    if pairs:
+        n_real = cfg.batch_gen_real if include_gen_real else 0
+        real_counts = split_round_robin(n_real, len(pairs))
+        fake_counts = split_round_robin(cfg.batch_gen_fake, len(pairs))
+        for i, pair in enumerate(pairs):
+            if pools is not None and pair.task_index in pools:
+                xs += _draw_from_pool(pools[pair.task_index], real_counts[i], fake_counts[i], rng.fork(f"pool{i}"))
+            else:
+                xs += sample_replay(pair, real_counts[i], fake_counts[i], rng.fork(f"pair{i}"))
+            counts += [real_counts[i], fake_counts[i]]
+    role = np.repeat([ROLE_CURRENT] + [ROLE_GEN_REAL, ROLE_GEN_FAKE] * len(pairs), counts)
+    replay_labels = np.where(role[len(x):] == ROLE_GEN_FAKE, LABEL_FAKE, LABEL_REAL)
+    return Batch(np.concatenate(xs), np.concatenate([labels, replay_labels]), role)
+
+
+def _draw_from_pool(pool, n_real, n_fake, rng):
+    """(gen-real rows, gen-fake rows) drawn with replacement from a fixed pool."""
     real_arr, fake_arr = pool
-    out = []
-    if n_real:
-        idx = rng.integers(0, len(real_arr), size=n_real)
-        out += [Sample(real_arr[i], LABEL_REAL, "gen_real", task_index) for i in idx]
-    if n_fake:
-        idx = rng.integers(0, len(fake_arr), size=n_fake)
-        out += [Sample(fake_arr[i], LABEL_FAKE, "gen_fake", task_index) for i in idx]
-    return out
+    reals = real_arr[rng.integers(0, len(real_arr), size=n_real)] if n_real else real_arr[:0]
+    fakes = fake_arr[rng.integers(0, len(fake_arr), size=n_fake)] if n_fake else fake_arr[:0]
+    return reals, fakes
 
 
 def _strategy_weights(strategy, alpha):
@@ -154,20 +177,21 @@ def _strategy_weights(strategy, alpha):
 
 
 def batch_objective(model, batch, strategy, alpha, loss_cfg):
-    """Loss breakdown and flat parameter gradient for one assembled batch."""
-    x = np.stack([s.features for s in batch])
-    labels = np.array([s.label for s in batch])
-    origins = [s.origin for s in batch]
-    rec = model.forward(x)
+    """Loss breakdown and flat parameter gradient for one assembled Batch.
 
-    cf_idx = np.array(
-        [i for i, o in enumerate(origins) if o in ("current_real", "current_fake", "gen_fake")],
-        dtype=int,
-    )
-    gr_idx = np.array([i for i, o in enumerate(origins) if o == "gen_real"], dtype=int)
-    gf_idx = np.array([i for i, o in enumerate(origins) if o == "gen_fake"], dtype=int)
+    batch.x is (n, input_dim) and batch.labels and batch.role are (n,), in
+    the row order of assemble_batch. Current and gen-fake rows feed the
+    label-supervised l_cf; gen-real rows feed the gen-real CE and, with the
+    gen-fake rows, the RS term, weighted per strategy and alpha. The gradient
+    is a flat (model.n_params,) vector.
+    """
+    rec = model.forward(batch.x)
+    labels = batch.labels
+    cf_idx = np.flatnonzero(batch.role != ROLE_GEN_REAL)
+    gr_idx = np.flatnonzero(batch.role == ROLE_GEN_REAL)
+    gf_idx = np.flatnonzero(batch.role == ROLE_GEN_FAKE)
 
-    d_yp = np.zeros(len(batch))
+    d_yp = np.zeros(len(labels))
     d_feat = np.zeros_like(rec.features)
 
     l_cf, g_cf = ce_loss_batch(rec.y_p[cf_idx], labels[cf_idx])
@@ -200,12 +224,11 @@ def batch_objective(model, batch, strategy, alpha, loss_cfg):
 
 
 def _alpha_pool(pairs, probe_cap, rng):
-    # an even share of fresh gen-real draws per past task
+    # an even share of fresh gen-real draws per past task, as one array
     per = max(1, math.ceil(probe_cap / len(pairs)))
-    pool = []
-    for i, pair in enumerate(pairs):
-        pool += sample_replay(pair, per, 0, rng.fork(f"pair{i}"))
-    return pool
+    return np.concatenate(
+        [sample_replay(pair, per, 0, rng.fork(f"pair{i}"))[0] for i, pair in enumerate(pairs)]
+    )
 
 
 def _resolve_alpha(state, strategy, current_fakes, dcs_cfg, rng, task_index, epoch):
@@ -238,11 +261,18 @@ def train_task(
     """Train the model on one task, then fit and freeze its generator pair."""
     if not train_samples:
         raise ValueError("task has no training data")
+    if len(train_samples) < cfg.batch_current:
+        raise ValueError(
+            f"task {task_index} has {len(train_samples)} training rows, "
+            f"fewer than batch_current={cfg.batch_current}"
+        )
     loss_cfg = loss_cfg or LossConfig()
     dcs_cfg = dcs_cfg or DcsConfig()
     pairs = state.generator_pairs if strategy.uses_replay else []
     pools = state.replay_pools if cfg.replay_pool_size else None
-    current_fakes = [s for s in train_samples if s.label == LABEL_FAKE]
+    x_train = np.stack([s.features for s in train_samples])
+    y_train = np.array([s.label for s in train_samples])
+    current_fakes = x_train[y_train == LABEL_FAKE]
     last_alpha = None
 
     for epoch in range(cfg.epochs):
@@ -256,14 +286,14 @@ def train_task(
         elif strategy.fixed_alpha is not None:
             last_alpha = strategy.fixed_alpha
 
-        order = np.arange(len(train_samples))
+        order = np.arange(len(x_train))
         epoch_rng.fork("shuffle").shuffle(order)
         replay_rng = epoch_rng.fork("replay")
         n_batches = len(order) // cfg.batch_current
         for b in range(n_batches):
-            chunk = [train_samples[i] for i in order[b * cfg.batch_current : (b + 1) * cfg.batch_current]]
+            rows = order[b * cfg.batch_current : (b + 1) * cfg.batch_current]
             batch = assemble_batch(
-                chunk, pairs, cfg, replay_rng.fork(f"b{b}"),
+                x_train[rows], y_train[rows], pairs, cfg, replay_rng.fork(f"b{b}"),
                 include_gen_real=strategy.keeps_gen_real, pools=pools,
             )
             breakdown, grad = batch_objective(state.model, batch, strategy, alpha, loss_cfg)
@@ -274,15 +304,15 @@ def train_task(
             )
             state.model.set_flat(flat)
 
-    _fit_task_generators(state, task_index, train_samples, replay_signature, cfg, rng.fork("fit"))
+    _fit_task_generators(state, task_index, x_train, y_train, replay_signature, cfg, rng.fork("fit"))
     return last_alpha
 
 
-def _fit_task_generators(state, task_index, train_samples, replay_signature, cfg, rng):
+def _fit_task_generators(state, task_index, x_train, y_train, replay_signature, cfg, rng):
     if any(p.task_index == task_index for p in state.generator_pairs):
         raise ValueError(f"generators for task {task_index} already fitted")
-    reals = np.stack([s.features for s in train_samples if s.label == LABEL_REAL])
-    fakes = np.stack([s.features for s in train_samples if s.label == LABEL_FAKE])
+    reals = x_train[y_train == LABEL_REAL]
+    fakes = x_train[y_train == LABEL_FAKE]
     n_comp = 1 if cfg.generator_kind == "gaussian" else cfg.gmm_components
     g_real = fit_generator(reals, cfg.generator_kind, n_comp, replay_signature, rng.fork("real"))
     g_fake = fit_generator(fakes, cfg.generator_kind, n_comp, replay_signature, rng.fork("fake"))

@@ -185,8 +185,6 @@ def test_c01_gradient_correctness(capsys):
             worst = max(worst, rel_err(d_fake, fd_fake), rel_err(d_c, fd_c))
 
     # the composed per-batch objective under adaptive and fixed weighting
-    from genreplay.samples import Sample
-
     def build_batch(rng):
         model = MLP([6, 10, 8], rng.fork("init"))
         sig = Signature(np.zeros(6), 0.0)
@@ -197,15 +195,11 @@ def test_c01_gradient_correctness(capsys):
             fit_generator(reals, "gaussian", 1, sig, rng.fork("fr")),
             fit_generator(fakes, "gaussian", 1, sig, rng.fork("ff")),
         )
-        chunk = [
-            Sample(rng.fork(f"s{i}").normal(size=6), i % 2,
-                   "current_fake" if i % 2 else "current_real", 1)
-            for i in range(8)
-        ]
+        x = np.stack([rng.fork(f"s{i}").normal(size=6) for i in range(8)])
         batch = assemble_batch(
-            chunk, [pair], TrainConfig(batch_gen_real=6, batch_gen_fake=6), rng.fork("b")
+            x, np.arange(8) % 2, [pair], TrainConfig(batch_gen_real=6, batch_gen_fake=6), rng.fork("b")
         )
-        return model, np.stack([s.features for s in batch]), batch
+        return model, batch.x, batch
 
     for strategy, alpha in ((Strategy("adaptive"), 0.37), (Strategy("fixed_alpha", 0.5), 0.5)):
         for model, _, batch in valid_states(3000, build_batch):

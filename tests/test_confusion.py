@@ -12,7 +12,6 @@ from genreplay.confusion import (
 )
 from genreplay.model import MLP
 from genreplay.numerics import Rng
-from genreplay.samples import Sample
 
 
 def pools(gap, dim=4, n=8):
@@ -105,11 +104,8 @@ class TestScore:
 
 class TestComputeAlpha:
     @staticmethod
-    def _samples(mean, n, origin, label, dim=4):
-        return [
-            Sample(np.full(dim, float(mean)), label, origin, 0)
-            for _ in range(n)
-        ]
+    def _rows(mean, n, dim=4):
+        return np.full((n, dim), float(mean))
 
     def _identity_model(self, dim=4):
         # weights = identity, zero bias: with non-negative inputs features == inputs
@@ -119,8 +115,8 @@ class TestComputeAlpha:
 
     def test_alpha_from_injected_geometry(self):
         model = self._identity_model()
-        real = self._samples(0.0, 10, "gen_real", 0)
-        fake = self._samples(1.0, 10, "current_fake", 1)
+        real = self._rows(0.0, 10)
+        fake = self._rows(1.0, 10)
         rec = compute_alpha(model, real, fake, DcsConfig(), Rng(3), task_index=2, epoch=1)
         assert rec.s == pytest.approx(2.0)  # ||(1,1,1,1) - 0|| = 2
         assert rec.alpha == pytest.approx(np.tanh(2.0))
@@ -128,18 +124,15 @@ class TestComputeAlpha:
 
     def test_empty_pool_raises(self):
         model = self._identity_model()
-        fake = self._samples(1.0, 3, "current_fake", 1)
+        fake = self._rows(1.0, 3)
         with pytest.raises(ValueError, match="non-empty"):
-            compute_alpha(model, [], fake, DcsConfig(), Rng(0))
+            compute_alpha(model, np.empty((0, 4)), fake, DcsConfig(), Rng(0))
 
     def test_probe_cap_subsampling_is_deterministic(self):
         model = self._identity_model()
         rng_data = Rng(5)
-        real = [
-            Sample(np.abs(rng_data.fork(f"r{i}").normal(size=4)), 0, "gen_real", 0)
-            for i in range(40)
-        ]
-        fake = self._samples(1.0, 40, "current_fake", 1)
+        real = np.stack([np.abs(rng_data.fork(f"r{i}").normal(size=4)) for i in range(40)])
+        fake = self._rows(1.0, 40)
         cfg = DcsConfig(probe_cap=8)
         a = compute_alpha(model, real, fake, cfg, Rng(7))
         b = compute_alpha(model, real, fake, cfg, Rng(7))

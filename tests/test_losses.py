@@ -5,6 +5,8 @@ import pytest
 
 from genreplay.losses import (
     LossConfig,
+    _cos_with_grads,
+    _dist_with_grads,
     ce_loss,
     ce_loss_batch,
     centroid,
@@ -147,6 +149,46 @@ class TestRsGradients:
         _, _, d_c = rs_loss_with_grads(fake, c, None, cfg)
         _, _, d_per_real = rs_loss_with_grads(fake, c, 6, cfg)
         assert np.allclose(d_per_real, d_c / 6.0)
+
+
+class TestSampleWiseRsMatchesPerRowLoop:
+    """The vectorised sample-wise branch reproduces a per-row loop bit for bit."""
+
+    @staticmethod
+    def per_row(fake, c, real_count, cfg):
+        m = fake.shape[0]
+        value = 0.0
+        d_fake = np.zeros_like(fake)
+        d_c = np.zeros_like(c)
+        for j in range(m):
+            if cfg.rs_metric == "cosine":
+                v, d_f, d_cj = _cos_with_grads(fake[j], c, cfg.eps_cos)
+            else:
+                dist, d_f, d_cj = _dist_with_grads(fake[j], c)
+                v, d_f, d_cj = -dist, -d_f, -d_cj
+            value += v / m
+            d_fake[j] = d_f / m
+            d_c += d_cj / m
+        return float(value), d_fake, d_c / real_count
+
+    @pytest.mark.parametrize("metric", ["cosine", "l2"])
+    def test_bit_identical_including_zero_norm_rows(self, metric):
+        cfg = LossConfig(rs_metric=metric, rs_granularity="sample_wise")
+        for trial in range(300):
+            rng = Rng(4000 + trial)
+            m = int(rng.fork("m").integers(1, 20))
+            fake = rng.fork("f").normal(size=(m, 16))
+            c = rng.fork("c").normal(size=16) + 0.5
+            if trial % 2:
+                # post-ReLU features: exact zeros in rows and in the centroid
+                fake = np.maximum(fake, 0.0)
+                c = np.maximum(c, 0.0)
+            fake[trial % m] = 0.0  # one zero-norm fake row
+            value, d_fake, d_real = rs_loss_with_grads(fake, c, 6, cfg)
+            want_value, want_fake, want_real = self.per_row(fake, c, 6, cfg)
+            assert value == want_value
+            assert np.array_equal(d_fake, want_fake)
+            assert np.array_equal(d_real, want_real)
 
 
 class TestCombine:

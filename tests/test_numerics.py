@@ -28,6 +28,34 @@ class TestRng:
         y = Rng(5).fork("b").normal(size=8)
         assert np.array_equal(x, y)
 
+    def test_fork_stream_independent_of_sibling_draws(self):
+        def stream_of_b(draw_siblings):
+            root = Rng(5)
+            a, b, c = root.fork("a"), root.fork("b"), root.fork("c")
+            if draw_siblings:
+                a.normal(size=100)
+                c.integers(0, 9, size=5)
+                root.uniform()
+            return b.normal(size=8)
+
+        assert np.array_equal(stream_of_b(True), stream_of_b(False))
+
+    def test_generator_built_on_first_draw_only(self, monkeypatch):
+        built = []
+        pcg64 = np.random.PCG64
+
+        def counting_pcg64(seed):
+            built.append(seed)
+            return pcg64(seed)
+
+        monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
+        child = Rng(4).fork("a")
+        child.fork("b")
+        assert built == []
+        child.normal(size=2)
+        child.normal(size=2)
+        assert len(built) == 1
+
     def test_distinct_labels_distinct_streams(self):
         r = Rng(11)
         assert not np.array_equal(r.fork("x").normal(size=8), r.fork("y").normal(size=8))

@@ -5,6 +5,7 @@ import pytest
 
 from genreplay.numerics import Rng
 from genreplay.replay import (
+    GeneratorModel,
     GeneratorPair,
     Signature,
     fit_generator,
@@ -128,6 +129,22 @@ class TestSampling:
         assert np.array_equal(a, b)
 
 
+    @pytest.mark.parametrize(
+        "weights", [[1.0], [0.2, 0.5, 0.3]], ids=["k1", "k3"]
+    )
+    def test_sample_matches_choice_reference(self, weights):
+        k = len(weights)
+        means = np.arange(k * DIM, dtype=float).reshape(k, DIM)
+        variances = np.linspace(0.5, 2.0, k * DIM).reshape(k, DIM)
+        g = GeneratorModel("gmm", weights, means, variances, Signature(np.eye(DIM)[1], 0.7))
+        for n in (1, 7, 300):
+            ref = Rng(67).fork(f"n{n}")
+            comps = ref.gen.choice(k, size=n, p=g.weights)
+            noise = ref.normal(size=(n, DIM))
+            want = means[comps] + noise * np.sqrt(variances[comps]) + g.signature.vector * 0.7
+            assert np.array_equal(g.sample(n, Rng(67).fork(f"n{n}")), want)
+
+
 class TestPair:
     def _pair(self, seed=47, strength=1.0):
         rng = Rng(seed)
@@ -147,11 +164,12 @@ class TestPair:
             GeneratorPair(0, a, b)
 
     def test_sample_replay_labels_and_origins(self):
-        out = sample_replay(self._pair(), 3, 4, Rng(2))
-        assert len(out) == 7
-        assert [s.origin for s in out] == ["gen_real"] * 3 + ["gen_fake"] * 4
-        assert [s.label for s in out] == [0] * 3 + [1] * 4
-        assert all(s.task_index == 0 for s in out)
+        # gen-real rows (real label) come from g_real, gen-fake rows from g_fake
+        pair = self._pair()
+        reals, fakes = sample_replay(pair, 3, 4, Rng(2))
+        assert reals.shape == (3, DIM) and fakes.shape == (4, DIM)
+        assert np.array_equal(reals, pair.g_real.sample(3, Rng(2).fork("real")))
+        assert np.array_equal(fakes, pair.g_fake.sample(4, Rng(2).fork("fake")))
 
     def test_negative_counts_raise(self):
         with pytest.raises(ValueError, match="counts"):
@@ -171,7 +189,7 @@ class TestPair:
             assert orig.signature.strength == back.signature.strength
         a = sample_replay(pair, 5, 5, Rng(3))
         b = sample_replay(loaded, 5, 5, Rng(3))
-        assert all(np.array_equal(x.features, y.features) for x, y in zip(a, b))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_load_bad_header_raises(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -7,10 +7,13 @@ from genreplay.confusion import DcsConfig
 from genreplay.losses import LossConfig
 from genreplay.model import MLP
 from genreplay.numerics import AdamState, Rng, finite_diff_grad
-from genreplay.replay import Signature, fit_generator, GeneratorPair
+from genreplay.replay import Signature, fit_generator, GeneratorPair, sample_replay
 from genreplay.samples import Sample
-from genreplay.streams import make_scenario
+from genreplay.streams import make_scenario, stream_from_samples
 from genreplay.trainer import (
+    ROLE_CURRENT,
+    ROLE_GEN_FAKE,
+    ROLE_GEN_REAL,
     RunState,
     Strategy,
     TrainConfig,
@@ -50,13 +53,10 @@ def make_pair(task_index, seed, dim=DIM):
 
 
 def current_chunk(n=8, dim=DIM, seed=1):
+    """(x, labels) of n current rows, alternating real and fake."""
     rng = Rng(seed)
-    out = []
-    for i in range(n):
-        label = i % 2
-        origin = "current_fake" if label else "current_real"
-        out.append(Sample(rng.fork(f"s{i}").normal(size=dim), label, origin, 3))
-    return out
+    x = np.stack([rng.fork(f"s{i}").normal(size=dim) for i in range(n)])
+    return x, np.arange(n) % 2
 
 
 class TestStrategy:
@@ -88,35 +88,43 @@ class TestBatching:
         assert split_round_robin(2, 5) == [1, 1, 0, 0, 0]
 
     def test_no_pairs_returns_current_only(self):
-        chunk = current_chunk()
-        assert assemble_batch(chunk, [], tiny_cfg(), Rng(0)) == chunk
+        x, labels = current_chunk()
+        batch = assemble_batch(x, labels, [], tiny_cfg(), Rng(0))
+        assert np.array_equal(batch.x, x)
+        assert np.array_equal(batch.labels, labels)
+        assert (batch.role == ROLE_CURRENT).all()
 
     def test_replay_counts_two_pairs(self):
-        chunk = current_chunk()
+        x, labels = current_chunk()
         pairs = [make_pair(0, 10), make_pair(1, 11)]
         cfg = TrainConfig(batch_gen_real=12, batch_gen_fake=12)
-        batch = assemble_batch(chunk, pairs, cfg, Rng(2))
-        origins = [s.origin for s in batch]
-        assert origins.count("gen_real") == 12
-        assert origins.count("gen_fake") == 12
-        assert {s.task_index for s in batch if s.origin == "gen_real"} == {0, 1}
+        batch = assemble_batch(x, labels, pairs, cfg, Rng(2))
+        assert (batch.role == ROLE_GEN_REAL).sum() == 12
+        assert (batch.role == ROLE_GEN_FAKE).sum() == 12
+        # current rows, then each pair's gen-real and gen-fake draws in turn
+        parts = [x]
+        for i, pair in enumerate(pairs):
+            parts += sample_replay(pair, 6, 6, Rng(2).fork(f"pair{i}"))
+        assert np.array_equal(batch.x, np.concatenate(parts))
+        roles = [ROLE_CURRENT] * 8 + ([ROLE_GEN_REAL] * 6 + [ROLE_GEN_FAKE] * 6) * 2
+        assert batch.role.tolist() == roles
+        assert batch.labels.tolist() == labels.tolist() + ([0] * 6 + [1] * 6) * 2
 
     def test_gen_real_excluded_on_request(self):
         batch = assemble_batch(
-            current_chunk(), [make_pair(0, 10)], tiny_cfg(), Rng(2), include_gen_real=False
+            *current_chunk(), [make_pair(0, 10)], tiny_cfg(), Rng(2), include_gen_real=False
         )
-        origins = [s.origin for s in batch]
-        assert origins.count("gen_real") == 0
-        assert origins.count("gen_fake") == 12
+        assert (batch.role == ROLE_GEN_REAL).sum() == 0
+        assert (batch.role == ROLE_GEN_FAKE).sum() == 12
 
     def test_fixed_pool_draws_come_from_pool(self):
         pair = make_pair(0, 10)
         pool_rows = pair.g_real.sample(5, Rng(3).fork("pr"))
         pool = {0: (pool_rows, pair.g_fake.sample(5, Rng(3).fork("pf")))}
-        batch = assemble_batch(current_chunk(), [pair], tiny_cfg(), Rng(4), pools=pool)
-        gen_reals = [s for s in batch if s.origin == "gen_real"]
+        batch = assemble_batch(*current_chunk(), [pair], tiny_cfg(), Rng(4), pools=pool)
+        gen_reals = batch.x[batch.role == ROLE_GEN_REAL]
         known = {tuple(r) for r in pool_rows}
-        assert gen_reals and all(tuple(s.features) in known for s in gen_reals)
+        assert len(gen_reals) and all(tuple(r) in known for r in gen_reals)
 
 
 class TestBatchObjective:
@@ -124,7 +132,7 @@ class TestBatchObjective:
         rng = Rng(seed)
         model = MLP([DIM, 10, 8], rng.fork("init"))
         batch = assemble_batch(
-            current_chunk(seed=seed), [make_pair(0, seed + 50)],
+            *current_chunk(seed=seed), [make_pair(0, seed + 50)],
             TrainConfig(batch_gen_real=6, batch_gen_fake=6), rng.fork("batch"),
             include_gen_real=strategy.keeps_gen_real,
         )
@@ -165,7 +173,7 @@ class TestBatchObjective:
     def test_breakdown_arithmetic(self):
         model = MLP([DIM, 8], Rng(1).fork("init"))
         batch = assemble_batch(
-            current_chunk(), [make_pair(0, 70)], TrainConfig(), Rng(2)
+            *current_chunk(), [make_pair(0, 70)], TrainConfig(), Rng(2)
         )
         b, _ = batch_objective(model, batch, Strategy("adaptive"), 0.3, LossConfig())
         assert b.l_c == pytest.approx(0.3 * b.l_ce_gen_real + 0.7 * b.l_rs)
@@ -173,7 +181,8 @@ class TestBatchObjective:
 
     def test_no_gen_real_batch_reduces_to_cf(self):
         model = MLP([DIM, 8], Rng(1).fork("init"))
-        b, _ = batch_objective(model, current_chunk(), Strategy("lower_bound"), 1.0, LossConfig())
+        batch = assemble_batch(*current_chunk(), [], tiny_cfg(), Rng(0))
+        b, _ = batch_objective(model, batch, Strategy("lower_bound"), 1.0, LossConfig())
         assert b.l_ce_gen_real == 0.0 and b.l_rs == 0.0
         assert b.l_overall == pytest.approx(b.l_cf)
 
@@ -201,6 +210,21 @@ class TestTrainTask:
         state = self._state(stream, cfg)
         with pytest.raises(ValueError, match="no training data"):
             train_task(state, 0, [], stream.replay_signatures[0], Strategy("adaptive"), cfg, Rng(0))
+
+    def test_batch_current_below_one_raises(self):
+        with pytest.raises(ValueError, match="batch_current"):
+            TrainConfig(batch_current=0)
+
+    def test_task_smaller_than_batch_raises(self):
+        rng = Rng(12)
+        samples = [
+            Sample(rng.fork(f"{t}-{i}").normal(size=4), i % 2, "current_fake" if i % 2 else "current_real", t)
+            for t in range(2)
+            for i in range(20)
+        ]
+        stream = stream_from_samples(samples, Rng(1), test_fraction=0.25)
+        with pytest.raises(ValueError, match="task 0 has 15 training rows, fewer than batch_current=32"):
+            run_incremental(stream, Strategy("adaptive"), TrainConfig(epochs=1))
 
     def test_alpha_recomputed_every_epoch(self):
         stream = tiny_stream(n_tasks=2)
