@@ -7,23 +7,24 @@ separation objective according to how confusable they are with current fakes.
 """
 
 from .confusion import DcsConfig, DcsRecord, compute_alpha, confusion_distance, confusion_score, normalize_score
-from .losses import BatchLossBreakdown, LossConfig, ce_loss, centroid, combine_losses, rs_loss
+from .losses import BatchLossBreakdown, LossConfig, centroid, combine_losses, rs_loss
 from .metrics import MetricsTable, accuracy, auc, build_table, performance_drop
-from .model import MLP, init_model
+from .model import MLP
 from .numerics import AdamState, Rng, adam_step, finite_diff_grad
 from .replay import GeneratorModel, GeneratorPair, Signature, fit_generator, sample_replay, signature_similarity
 from .samples import Sample
-from .streams import DatasetStream, DomainSpec, TaskStream, draw_task_data, load_feature_dataset, make_scenario
+from .streams import DatasetStream, DomainSpec, TaskStream, load_feature_dataset, make_scenario
 from .trainer import RunState, Strategy, TrainConfig, assemble_batch, run_incremental, train_task
 
 __all__ = [
-    "AdamState", "BatchLossBreakdown", "DatasetStream", "DcsConfig", "DcsRecord",
-    "DomainSpec", "GeneratorModel", "GeneratorPair", "LossConfig", "MLP",
-    "MetricsTable", "Rng", "RunState", "Sample", "Signature", "Strategy",
-    "TaskStream", "TrainConfig", "accuracy", "adam_step", "assemble_batch",
-    "auc", "build_table", "ce_loss", "centroid", "combine_losses",
-    "compute_alpha", "confusion_distance", "confusion_score", "draw_task_data",
-    "finite_diff_grad", "fit_generator", "init_model", "load_feature_dataset",
-    "make_scenario", "normalize_score", "performance_drop", "rs_loss",
-    "run_incremental", "sample_replay", "signature_similarity", "train_task",
+    "AdamState", "BatchLossBreakdown", "DatasetStream", "DcsConfig",
+    "DcsRecord", "DomainSpec", "GeneratorModel", "GeneratorPair",
+    "LossConfig", "MLP", "MetricsTable", "Rng", "RunState", "Sample",
+    "Signature", "Strategy", "TaskStream", "TrainConfig", "accuracy",
+    "adam_step", "assemble_batch", "auc", "build_table", "centroid",
+    "combine_losses", "compute_alpha", "confusion_distance",
+    "confusion_score", "finite_diff_grad", "fit_generator",
+    "load_feature_dataset", "make_scenario", "normalize_score",
+    "performance_drop", "rs_loss", "run_incremental", "sample_replay",
+    "signature_similarity", "train_task",
 ]

@@ -1,7 +1,8 @@
 """Config-driven experiment runner.
 
 Verbs: run (one strategy), compare (several strategies on identical streams),
-ablate (cartesian grid over loss/score variants), validate (config check only).
+ablate (cartesian grid over loss/score variants), validate (the config checks
+of the other verbs, without running).
 Configs are JSON with strictly validated keys; outputs are one directory per
 run with a subdirectory per seed and a seed-median summary at the top level.
 All files are written via write-then-rename, and identical configs produce
@@ -13,22 +14,18 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import product
 
 import numpy as np
 
-from .confusion import DISTANCE_METRICS, NORMALIZERS, DcsConfig
-from .losses import RS_GRANULARITIES, RS_METRICS, LossConfig
+from .confusion import DcsConfig
+from .losses import LossConfig
 from .metrics import table_columns, table_row_values, table_to_dict
 from .numerics import Rng
-from .streams import (
-    SCENARIO_KINDS,
-    DatasetStream,
-    load_feature_dataset,
-    make_scenario,
-    stream_from_samples,
-)
-from .trainer import STRATEGY_KINDS, Strategy, TrainConfig, run_incremental
+from .streams import load_feature_dataset, make_scenario, stream_from_samples
+from .trainer import Strategy, TrainConfig, run_incremental
 
 
 class ConfigError(Exception):
@@ -49,7 +46,13 @@ _TRAIN_KEYS = {
 _LOSS_KEYS = {"rs_metric", "rs_granularity", "eps_cos"}
 _DCS_KEYS = {"distance_metric", "normalizer", "probe_cap"}
 _STRATEGY_KEYS = {"kind", "fixed_alpha"}
-_GRID_KEYS = {"rs_metric", "dcs_metric", "normalizer", "rs_granularity", "strategy"}
+# grid axes in cell order, with the value an absent axis takes
+_GRID_DEFAULTS = {
+    "strategy": "adaptive", "rs_metric": "cosine", "dcs_metric": "l2",
+    "normalizer": "tanh", "rs_granularity": "sample_wise",
+}
+# the config section each verb runs from
+_VERB_KEYS = {"run": "strategy", "compare": "strategies", "ablate": "grid"}
 _TOP_KEYS = {
     "scenario", "dataset", "strategy", "strategies", "grid",
     "train", "loss", "dcs", "seeds", "out_dir",
@@ -64,22 +67,61 @@ def _check_keys(section, mapping, allowed):
             raise ConfigError(f"unknown key {section}.{key}" if section else f"unknown key {key}")
 
 
+def _section(raw, name, allowed):
+    value = raw.get(name, {})
+    _check_keys(name, value, allowed)
+    return dict(value)
+
+
+def _build(where, factory, *args, **kwargs):
+    """factory(*args, **kwargs); its ValueError or TypeError becomes a ConfigError naming where."""
+    try:
+        return factory(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _parse_strategy(raw, where="strategy"):
     if isinstance(raw, str):
         raw = {"kind": raw}
     _check_keys(where, raw, _STRATEGY_KEYS)
     if "kind" not in raw:
         raise ConfigError(f"{where}: missing required field 'kind'")
-    if raw["kind"] not in STRATEGY_KINDS:
-        raise ConfigError(f"{where}.kind: unknown strategy {raw['kind']!r}")
-    try:
-        return Strategy(kind=raw["kind"], fixed_alpha=raw.get("fixed_alpha"))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return _build(where, Strategy, kind=raw["kind"], fixed_alpha=raw.get("fixed_alpha"))
+
+
+def _scenario_stream(sc, rng):
+    extras = {k: sc[k] for k in sc if k not in ("kind", "n_tasks", "dim")}
+    return make_scenario(sc["kind"], sc["n_tasks"], sc["dim"], rng, **extras)
+
+
+def _grid_cells(grid, loss_cfg, dcs_cfg):
+    """Distinct (Strategy, LossConfig, DcsConfig) cells of an ablation grid, and the duplicate count."""
+    axes = {key: grid.get(key, [default]) for key, default in _GRID_DEFAULTS.items()}
+    for key, values in axes.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"grid.{key}: need a non-empty list")
+    axes["strategy"] = [
+        _parse_strategy(s, where=f"grid.strategy[{i}]") for i, s in enumerate(axes["strategy"])
+    ]
+    combos = list(product(*axes.values()))
+    cells = {}
+    for strategy, rs, dcs, norm, gran in combos:
+        cell_loss = _build("grid", replace, loss_cfg, rs_metric=rs, rs_granularity=gran)
+        cell_dcs = _build("grid", replace, dcs_cfg, distance_metric=dcs, normalizer=norm)
+        cells.setdefault((strategy.name, cell_loss, cell_dcs), (strategy, cell_loss, cell_dcs))
+    return list(cells.values()), len(combos) - len(cells)
 
 
 def load_config(path, verb, seeds_override=None, out_override=None):
-    """Parse and validate a config file for the given verb."""
+    """Parse and validate a config file for the given verb.
+
+    The verb "validate" checks the config for every verb it has a section
+    for. The train, loss, dcs, scenario, strategy and grid values get every
+    check a run makes on them, so a config that loads does not fail on them
+    once training has started. A dataset section is checked for its keys
+    only: the file and test_fraction are checked when a run reads them.
+    """
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -94,42 +136,22 @@ def load_config(path, verb, seeds_override=None, out_override=None):
     if ("scenario" in raw) == ("dataset" in raw):
         raise ConfigError("exactly one of 'scenario' or 'dataset' is required")
     if "scenario" in raw:
-        sc = dict(raw["scenario"])
-        _check_keys("scenario", sc, _SCENARIO_KEYS)
+        sc = _section(raw, "scenario", _SCENARIO_KEYS)
         for key in ("kind", "n_tasks", "dim"):
             if key not in sc:
                 raise ConfigError(f"scenario: missing required field '{key}'")
-        if sc["kind"] not in SCENARIO_KINDS:
-            raise ConfigError(f"scenario.kind: unknown kind {sc['kind']!r}")
+        # the stream itself is drawn per seed at run time
+        _build("scenario", _scenario_stream, sc, Rng(0))
         cfg["scenario"] = sc
     else:
-        ds = dict(raw["dataset"])
-        _check_keys("dataset", ds, _DATASET_KEYS)
+        ds = _section(raw, "dataset", _DATASET_KEYS)
         if "path" not in ds:
             raise ConfigError("dataset: missing required field 'path'")
         cfg["dataset"] = ds
 
-    train_raw = dict(raw.get("train", {}))
-    _check_keys("train", train_raw, _TRAIN_KEYS)
-    if "arch" in train_raw:
-        train_raw["arch"] = tuple(train_raw["arch"])
-    cfg["train"] = train_raw
-
-    loss_raw = dict(raw.get("loss", {}))
-    _check_keys("loss", loss_raw, _LOSS_KEYS)
-    if loss_raw.get("rs_metric", "cosine") not in RS_METRICS:
-        raise ConfigError(f"loss.rs_metric: unknown value {loss_raw['rs_metric']!r}")
-    if loss_raw.get("rs_granularity", "sample_wise") not in RS_GRANULARITIES:
-        raise ConfigError(f"loss.rs_granularity: unknown value {loss_raw['rs_granularity']!r}")
-    cfg["loss"] = loss_raw
-
-    dcs_raw = dict(raw.get("dcs", {}))
-    _check_keys("dcs", dcs_raw, _DCS_KEYS)
-    if dcs_raw.get("distance_metric", "l2") not in DISTANCE_METRICS:
-        raise ConfigError(f"dcs.distance_metric: unknown value {dcs_raw['distance_metric']!r}")
-    if dcs_raw.get("normalizer", "tanh") not in NORMALIZERS:
-        raise ConfigError(f"dcs.normalizer: unknown value {dcs_raw['normalizer']!r}")
-    cfg["dcs"] = dcs_raw
+    cfg["train"] = _build("train", TrainConfig, **_section(raw, "train", _TRAIN_KEYS))
+    cfg["loss"] = _build("loss", LossConfig, **_section(raw, "loss", _LOSS_KEYS))
+    cfg["dcs"] = _build("dcs", DcsConfig, **_section(raw, "dcs", _DCS_KEYS))
 
     seeds = seeds_override if seeds_override is not None else raw.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
@@ -141,42 +163,34 @@ def load_config(path, verb, seeds_override=None, out_override=None):
         raise ConfigError("out_dir: missing required field 'out_dir'")
     cfg["out_dir"] = out_dir
 
-    if verb == "run":
+    if verb == "validate":
+        # check the config for every verb whose section it has
+        verbs = {v for v, key in _VERB_KEYS.items() if key in raw} or {"run"}
+    else:
+        verbs = {verb}
+    if "run" in verbs:
         if "strategy" not in raw:
             raise ConfigError("missing required field 'strategy'")
         cfg["strategy"] = _parse_strategy(raw["strategy"])
-    elif verb == "compare":
+    if "compare" in verbs:
         strategies = raw.get("strategies")
         if not isinstance(strategies, list) or len(strategies) < 2:
             raise ConfigError("strategies: compare needs a list of >= 2 strategies")
         cfg["strategies"] = [
             _parse_strategy(s, where=f"strategies[{i}]") for i, s in enumerate(strategies)
         ]
-    elif verb == "ablate":
+    if "ablate" in verbs:
         grid = raw.get("grid")
         if not isinstance(grid, dict):
             raise ConfigError("missing required field 'grid'")
-        _check_keys("grid", grid, _GRID_KEYS)
-        cfg["grid"] = {
-            "rs_metric": list(grid.get("rs_metric", ["cosine"])),
-            "dcs_metric": list(grid.get("dcs_metric", ["l2"])),
-            "normalizer": list(grid.get("normalizer", ["tanh"])),
-            "rs_granularity": list(grid.get("rs_granularity", ["sample_wise"])),
-            "strategy": [
-                _parse_strategy(s, where=f"grid.strategy[{i}]")
-                for i, s in enumerate(grid.get("strategy", ["adaptive"]))
-            ],
-        }
+        _check_keys("grid", grid, _GRID_DEFAULTS)
+        cfg["grid"] = _grid_cells(grid, cfg["loss"], cfg["dcs"])
     return cfg
 
 
 def _build_stream(cfg, seed):
     if "scenario" in cfg:
-        sc = cfg["scenario"]
-        extras = {k: sc[k] for k in sc if k not in ("kind", "n_tasks", "dim")}
-        return make_scenario(
-            sc["kind"], sc["n_tasks"], sc["dim"], Rng(seed).fork("scenario"), **extras
-        )
+        return _scenario_stream(cfg["scenario"], Rng(seed).fork("scenario"))
     ds = cfg["dataset"]
     samples = load_feature_dataset(ds["path"])
     return stream_from_samples(
@@ -227,11 +241,9 @@ def _pca_2d(features):
 def _run_one_seed(cfg, strategy, seed, out_dir):
     """Execute one (strategy, seed) run and write its artifact files."""
     stream = _build_stream(cfg, seed)
-    train_cfg = TrainConfig(seed=seed, **cfg["train"])
-    loss_cfg = LossConfig(**cfg["loss"])
-    dcs_cfg = DcsConfig(**cfg["dcs"])
     table, state = run_incremental(
-        stream, strategy, train_cfg, loss_cfg=loss_cfg, dcs_cfg=dcs_cfg, return_state=True
+        stream, strategy, replace(cfg["train"], seed=seed),
+        loss_cfg=cfg["loss"], dcs_cfg=cfg["dcs"], return_state=True,
     )
     os.makedirs(out_dir, exist_ok=True)
 
@@ -250,12 +262,7 @@ def _run_one_seed(cfg, strategy, seed, out_dir):
         [(r.task_index, r.epoch, r.s, r.alpha) for r in state.dcs_history],
     )
 
-    if isinstance(stream, DatasetStream):
-        final_test = stream.tasks_data[-1][1]
-    else:
-        from .streams import draw_stream_data
-
-        final_test = draw_stream_data(stream, Rng(seed).fork("data"))[-1][1]
+    final_test = state.stream_data[-1][1]
     feats = state.model.forward(np.stack([s.features for s in final_test])).features
     proj = _pca_2d(feats)
     _write_csv(
@@ -361,38 +368,18 @@ def cmd_compare(cfg, jobs=1):
     return 0
 
 
-def _grid_cells(grid):
-    cells = []
-    seen = set()
-    duplicates = 0
-    for strategy in grid["strategy"]:
-        for rs in grid["rs_metric"]:
-            for dcs in grid["dcs_metric"]:
-                for norm in grid["normalizer"]:
-                    for gran in grid["rs_granularity"]:
-                        key = (strategy.name, rs, dcs, norm, gran)
-                        if key in seen:
-                            duplicates += 1
-                            continue
-                        seen.add(key)
-                        cells.append(key)
-    return cells, duplicates
-
-
 def cmd_ablate(cfg, jobs=1):
     os.makedirs(cfg["out_dir"], exist_ok=True)
-    cells, duplicates = _grid_cells(cfg["grid"])
+    cells, duplicates = cfg["grid"]
     if duplicates:
         print(f"warning: {duplicates} duplicate grid cells skipped", file=sys.stderr)
 
-    strategies = {s.name: s for s in cfg["grid"]["strategy"]}
     rows = []
-    for name, rs, dcs, norm, gran in cells:
-        cell_cfg = dict(cfg)
-        cell_cfg["loss"] = dict(cfg["loss"], rs_metric=rs, rs_granularity=gran)
-        cell_cfg["dcs"] = dict(cfg["dcs"], distance_metric=dcs, normalizer=norm)
+    for strategy, loss_cfg, dcs_cfg in cells:
+        name, rs, gran = strategy.name, loss_cfg.rs_metric, loss_cfg.rs_granularity
+        dcs, norm = dcs_cfg.distance_metric, dcs_cfg.normalizer
         cell_dir = os.path.join(cfg["out_dir"], f"{name}__rs-{rs}__dcs-{dcs}__norm-{norm}__{gran}")
-        summary = _execute_strategy(cell_cfg, strategies[name], cell_dir, jobs)
+        summary = _execute_strategy(dict(cfg, loss=loss_cfg, dcs=dcs_cfg), strategy, cell_dir, jobs)
         final = summary["steps"][-1]
         rows.append(
             [name, rs, dcs, norm, gran, final["avg_auc"], final["pre_avg_auc"],
@@ -425,23 +412,9 @@ def main(argv=None):
         p.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
-    verb = "run" if args.verb == "validate" else args.verb
     try:
         seeds = _parse_seeds(args.seeds) if args.seeds else None
-        try:
-            cfg = load_config(args.config, verb, seeds_override=seeds, out_override=args.out)
-        except ConfigError:
-            if args.verb != "validate":
-                raise
-            # a compare/ablate config is also valid for the validate verb
-            for alt in ("compare", "ablate"):
-                try:
-                    cfg = load_config(args.config, alt, seeds_override=seeds, out_override=args.out)
-                    break
-                except ConfigError:
-                    pass
-            else:
-                raise
+        cfg = load_config(args.config, args.verb, seeds_override=seeds, out_override=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -42,14 +42,6 @@ class BatchLossBreakdown:
     l_overall: float
 
 
-def ce_loss(y_p, label):
-    """Binary cross-entropy for a clamped probability; label 1 means fake."""
-    if not 0.0 < y_p < 1.0:
-        raise ValueError(f"y_p must lie strictly inside (0,1), got {y_p}")
-    y = float(label)
-    return -(y * np.log(y_p) + (1.0 - y) * np.log(1.0 - y_p))
-
-
 def ce_loss_batch(y_p, labels):
     """Mean CE over a batch plus d(mean CE)/d y_p per sample."""
     y_p = np.asarray(y_p, dtype=float)

@@ -139,45 +139,3 @@ class MLP:
         parts.append(g_head_w)
         parts.append(np.array([g_head_b]))
         return np.concatenate(parts)
-
-    def save(self, path):
-        """Text checkpoint: widths header + hex floats, bit-exact round trip."""
-        arrays = []
-        for w, b in zip(self.weights, self.biases):
-            arrays.append(w.ravel())
-            arrays.append(b)
-        arrays.append(self.head_w)
-        arrays.append(np.array([self.head_b]))
-        with open(path, "w") as fh:
-            fh.write("widths " + " ".join(str(w) for w in self.widths) + "\n")
-            for arr in arrays:
-                fh.write(" ".join(float(v).hex() for v in arr) + "\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            header = fh.readline().split()
-            if not header or header[0] != "widths":
-                raise ValueError(f"bad checkpoint header in {path}")
-            widths = [int(w) for w in header[1:]]
-            model = cls.__new__(cls)
-            model.widths = widths
-            model.weights = []
-            model.biases = []
-
-            def read_row(n):
-                row = [float.fromhex(t) for t in fh.readline().split()]
-                if len(row) != n:
-                    raise ValueError(f"truncated checkpoint {path}")
-                return np.array(row)
-
-            for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-                model.weights.append(read_row(fan_in * fan_out).reshape(fan_in, fan_out))
-                model.biases.append(read_row(fan_out))
-            model.head_w = read_row(widths[-1])
-            model.head_b = float(read_row(1)[0])
-        return model
-
-
-def init_model(widths, rng, scale=1.0):
-    return MLP(widths, rng, scale)

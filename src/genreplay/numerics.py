@@ -100,19 +100,3 @@ def finite_diff_grad(loss_fn, params, h=1e-4):
             raise FloatingPointError(f"non-finite loss at probe of coordinate {i}")
         grad[i] = (f_hi - f_lo) / (2.0 * h)
     return grad
-
-
-def matvec(a, v):
-    a = np.asarray(a, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if a.ndim != 2 or v.ndim != 1 or a.shape[1] != v.shape[0]:
-        raise ValueError(f"matvec shape mismatch: {a.shape} x {v.shape}")
-    return a @ v
-
-
-def matmul(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b

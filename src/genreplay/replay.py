@@ -206,56 +206,3 @@ def sample_replay(pair, n_real, n_fake, rng):
     reals = pair.g_real.sample(n_real, rng.fork("real"))
     fakes = pair.g_fake.sample(n_fake, rng.fork("fake"))
     return reals, fakes
-
-
-def _write_model(fh, name, model):
-    fh.write(f"model {name} {model.kind} {len(model.weights)} {model.dim}\n")
-    fh.write("weights " + " ".join(float(w).hex() for w in model.weights) + "\n")
-    for c in range(len(model.weights)):
-        fh.write("mean " + " ".join(float(v).hex() for v in model.means[c]) + "\n")
-        fh.write("var " + " ".join(float(v).hex() for v in model.variances[c]) + "\n")
-    fh.write("sig_vector " + " ".join(float(v).hex() for v in model.signature.vector) + "\n")
-    fh.write("sig_strength " + float(model.signature.strength).hex() + "\n")
-
-
-def _read_floats(fh, tag):
-    toks = fh.readline().split()
-    if not toks or toks[0] != tag:
-        raise ValueError(f"expected {tag!r} line in generator file")
-    return np.array([float.fromhex(t) for t in toks[1:]])
-
-
-def _read_model(fh):
-    head = fh.readline().split()
-    if len(head) != 5 or head[0] != "model":
-        raise ValueError("bad generator model header")
-    _, _, kind, k, _ = head
-    k = int(k)
-    weights = _read_floats(fh, "weights")
-    means, variances = [], []
-    for _ in range(k):
-        means.append(_read_floats(fh, "mean"))
-        variances.append(_read_floats(fh, "var"))
-    sig_vec = _read_floats(fh, "sig_vector")
-    sig_strength = float(_read_floats(fh, "sig_strength")[0])
-    return GeneratorModel(
-        kind, weights, np.stack(means), np.stack(variances), Signature(sig_vec, sig_strength)
-    )
-
-
-def save_pair(pair, path):
-    with open(path, "w") as fh:
-        fh.write(f"generator_pair task {pair.task_index}\n")
-        _write_model(fh, "g_real", pair.g_real)
-        _write_model(fh, "g_fake", pair.g_fake)
-
-
-def load_pair(path):
-    with open(path) as fh:
-        head = fh.readline().split()
-        if len(head) != 3 or head[0] != "generator_pair":
-            raise ValueError(f"bad generator pair header in {path}")
-        task_index = int(head[2])
-        g_real = _read_model(fh)
-        g_fake = _read_model(fh)
-    return GeneratorPair(task_index, g_real, g_fake)

@@ -105,6 +105,8 @@ def make_scenario(
         raise ValueError(
             f"dim={dim} too small to host {n_tasks} forgery plus {n_tasks} orthogonal replay signatures"
         )
+    if n_train_per_class < 1 or n_test_per_class < 1:
+        raise ValueError("n_train_per_class and n_test_per_class must be >= 1")
 
     tasks = []
     base = np.zeros(dim)
@@ -174,25 +176,16 @@ def _draw_class(spec, mean, n, task_index, label, origin, rng):
     return [Sample(row, label, origin, task_index) for row in x]
 
 
-def draw_task_data(spec, n_per_class, rng, task_index=0):
-    """Balanced train and test draws; test uses an independent substream."""
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1")
-    train_rng = rng.fork("train")
-    test_rng = rng.fork("test")
-    train = _draw_class(spec, spec.real_mean, n_per_class, task_index, LABEL_REAL, "current_real", train_rng.fork("real"))
-    train += _draw_class(spec, spec.fake_mean, n_per_class, task_index, LABEL_FAKE, "current_fake", train_rng.fork("fake"))
-    test = _draw_class(spec, spec.real_mean, n_per_class, task_index, LABEL_REAL, "current_real", test_rng.fork("real"))
-    test += _draw_class(spec, spec.fake_mean, n_per_class, task_index, LABEL_FAKE, "current_fake", test_rng.fork("fake"))
-    return train, test
-
-
 @dataclass(frozen=True)
 class DatasetStream:
     """Pre-materialized stream built from an ingested feature file."""
 
     tasks_data: list  # per task: (train samples, test samples)
     replay_signatures: list
+
+    def __post_init__(self):
+        if len(self.tasks_data) < 2:
+            raise ValueError("a stream needs at least 2 tasks")
 
     @property
     def n_tasks(self):
@@ -215,6 +208,8 @@ def stream_from_samples(samples, rng, test_fraction=0.25):
     tasks_data = []
     for t in sorted(by_task):
         group = by_task[t]
+        if len({s.label for s in group}) < 2:
+            raise ValueError(f"task {t} has only one class")
         order = np.arange(len(group))
         rng.fork(f"task{t}").shuffle(order)
         n_test = max(1, int(round(len(group) * test_fraction)))
@@ -254,7 +249,8 @@ def load_feature_dataset(path, dim=None):
     """Read samples from a CSV file: f0..f{d-1}, label, optional task column.
 
     The header names the columns; label must be 0 (real) or 1 (fake). Rows that
-    fail to parse raise with their 1-based row number.
+    fail to parse or hold a NaN or inf feature raise with their 1-based row
+    number.
     """
     samples = []
     with open(path, newline="") as fh:
@@ -287,6 +283,8 @@ def load_feature_dataset(path, dim=None):
                 raise ValueError(f"{path}: row {row_no}: label must be 0 or 1, got {label}")
             if len(feats) != len(feat_cols):
                 raise ValueError(f"{path}: row {row_no}: inconsistent dimension")
+            if not np.isfinite(feats).all():
+                raise ValueError(f"{path}: row {row_no}: non-finite feature")
             origin = "current_fake" if label == LABEL_FAKE else "current_real"
             samples.append(Sample(feats, label, origin, task))
     return samples

@@ -1,4 +1,4 @@
-"""Incremental training engine and the strategy/ablation registry.
+"""Incremental training engine and the strategy table.
 
 Per batch, current samples plus generated fakes are always label-supervised
 (the confusion-free part). Generated-real replays are handled per strategy:
@@ -21,20 +21,35 @@ from .replay import GeneratorPair, fit_generator, sample_replay
 from .samples import LABEL_FAKE, LABEL_REAL
 from .streams import draw_stream_data
 
-STRATEGY_KINDS = (
-    "adaptive",
-    "lower_bound",
-    "full_replay",
-    "fake_only_replay",
-    "fixed_alpha",
-    "no_gen_real_sup",
-    "no_rs",
-)
 
-# strategies that consume replay samples at all
-_REPLAY_KINDS = tuple(k for k in STRATEGY_KINDS if k != "lower_bound")
-# strategies whose alpha comes from the confusion score unless overridden
-_DYNAMIC_ALPHA_KINDS = ("adaptive", "no_gen_real_sup")
+class StrategyRow(NamedTuple):
+    """What one strategy kind does with replay.
+
+    uses_replay: replay is drawn at all. keeps_gen_real: gen-real rows enter
+    the batch. supervised: gen-real rows get CE weighted by alpha. alpha:
+    "dcs" probes the confusion score every epoch unless a fixed_alpha
+    overrides it, "fixed" requires a fixed_alpha, and None means alpha is 1
+    and the table reports none. Per batch the gen-real CE weight is alpha if
+    supervised, else 0, and the RS weight is 1 - alpha.
+    """
+
+    uses_replay: bool
+    keeps_gen_real: bool
+    supervised: bool
+    alpha: str | None
+
+
+# full_replay and no_rs share a row, and fixed_alpha 1.0 trains like them
+STRATEGY_TABLE = {
+    "adaptive":         StrategyRow(True, True, True, "dcs"),
+    "lower_bound":      StrategyRow(False, False, False, None),
+    "full_replay":      StrategyRow(True, True, True, None),
+    "fake_only_replay": StrategyRow(True, False, False, None),
+    "fixed_alpha":      StrategyRow(True, True, True, "fixed"),
+    "no_gen_real_sup":  StrategyRow(True, True, False, "dcs"),
+    "no_rs":            StrategyRow(True, True, True, None),
+}
+STRATEGY_KINDS = tuple(STRATEGY_TABLE)
 
 
 @dataclass(frozen=True)
@@ -43,23 +58,27 @@ class Strategy:
     fixed_alpha: float | None = None
 
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
+        if self.kind not in STRATEGY_TABLE:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == "fixed_alpha":
-            if self.fixed_alpha is None:
+        if self.fixed_alpha is None:
+            if self.row.alpha == "fixed":
                 raise ValueError("fixed_alpha strategy needs a fixed_alpha value")
-        elif self.fixed_alpha is not None and self.kind not in _DYNAMIC_ALPHA_KINDS:
+        elif self.row.alpha is None:
             raise ValueError(f"{self.kind} does not take a fixed_alpha override")
-        if self.fixed_alpha is not None and not 0.0 <= self.fixed_alpha <= 1.0:
+        elif not 0.0 <= self.fixed_alpha <= 1.0:
             raise ValueError("fixed_alpha must lie in [0,1]")
 
     @property
+    def row(self):
+        return STRATEGY_TABLE[self.kind]
+
+    @property
     def uses_replay(self):
-        return self.kind in _REPLAY_KINDS
+        return self.row.uses_replay
 
     @property
     def keeps_gen_real(self):
-        return self.uses_replay and self.kind != "fake_only_replay"
+        return self.row.keeps_gen_real
 
     @property
     def name(self):
@@ -94,6 +113,9 @@ class TrainConfig:
             raise ValueError("replay batch sizes must be >= 0")
         if self.generator_kind not in ("gaussian", "gmm"):
             raise ValueError(f"unknown generator kind {self.generator_kind!r}")
+        object.__setattr__(self, "arch", tuple(self.arch))
+        if not self.arch or min(self.arch) < 1:
+            raise ValueError("arch needs at least one hidden width, each >= 1")
 
 
 @dataclass
@@ -104,6 +126,8 @@ class RunState:
     dcs_history: list = field(default_factory=list)
     loss_trace: list = field(default_factory=list)
     replay_pools: dict = field(default_factory=dict)
+    # per task: (train samples, test samples), as the run drew them
+    stream_data: list = field(default_factory=list)
 
 
 def split_round_robin(n, k):
@@ -163,27 +187,14 @@ def _draw_from_pool(pool, n_real, n_fake, rng):
     return reals, fakes
 
 
-def _strategy_weights(strategy, alpha):
-    """(gen-real CE weight, RS weight, alpha and CE value used in the breakdown)."""
-    kind = strategy.kind
-    if kind in ("lower_bound", "fake_only_replay"):
-        return 0.0, 0.0, 1.0, False
-    if kind in ("full_replay", "no_rs"):
-        return 1.0, 0.0, 1.0, True
-    if kind == "no_gen_real_sup":
-        return 0.0, 1.0 - alpha, alpha, False
-    # adaptive / fixed_alpha
-    return alpha, 1.0 - alpha, alpha, True
-
-
 def batch_objective(model, batch, strategy, alpha, loss_cfg):
     """Loss breakdown and flat parameter gradient for one assembled Batch.
 
     batch.x is (n, input_dim) and batch.labels and batch.role are (n,), in
     the row order of assemble_batch. Current and gen-fake rows feed the
     label-supervised l_cf; gen-real rows feed the gen-real CE and, with the
-    gen-fake rows, the RS term, weighted per strategy and alpha. The gradient
-    is a flat (model.n_params,) vector.
+    gen-fake rows, the RS term, weighted by alpha as the strategy's row says.
+    The gradient is a flat (model.n_params,) vector.
     """
     rec = model.forward(batch.x)
     labels = batch.labels
@@ -197,7 +208,9 @@ def batch_objective(model, batch, strategy, alpha, loss_cfg):
     l_cf, g_cf = ce_loss_batch(rec.y_p[cf_idx], labels[cf_idx])
     d_yp[cf_idx] += g_cf
 
-    w_ce, w_rs, alpha_eff, ce_counts = _strategy_weights(strategy, alpha)
+    supervised = strategy.row.supervised
+    w_ce = alpha if supervised else 0.0
+    w_rs = 1.0 - alpha
 
     l_ce_gr = 0.0
     if gr_idx.size:
@@ -219,7 +232,7 @@ def batch_objective(model, batch, strategy, alpha, loss_cfg):
         # degenerate batch: no gen-real part, the combination reduces to l_cf
         breakdown = combine_losses(0.0, 0.0, l_cf, 1.0)
     else:
-        breakdown = combine_losses(l_ce_gr if ce_counts else 0.0, l_rs, l_cf, alpha_eff)
+        breakdown = combine_losses(l_ce_gr if supervised else 0.0, l_rs, l_cf, alpha)
     return breakdown, grad
 
 
@@ -232,19 +245,15 @@ def _alpha_pool(pairs, probe_cap, rng):
 
 
 def _resolve_alpha(state, strategy, current_fakes, dcs_cfg, rng, task_index, epoch):
-    """Alpha for the coming epoch, plus a confusion record when one was computed."""
-    if strategy.kind in _DYNAMIC_ALPHA_KINDS and strategy.fixed_alpha is None:
-        if not state.generator_pairs:
-            return 1.0, None
-        pool = _alpha_pool(state.generator_pairs, dcs_cfg.probe_cap, rng.fork("pool"))
-        record = compute_alpha(
-            state.model, pool, current_fakes, dcs_cfg, rng.fork("probe"),
-            task_index=task_index, epoch=epoch,
-        )
-        return record.alpha, record
-    if strategy.fixed_alpha is not None:
+    """Alpha for the coming epoch (None when none applies), plus its confusion record."""
+    if strategy.fixed_alpha is not None or strategy.row.alpha != "dcs" or not state.generator_pairs:
         return strategy.fixed_alpha, None
-    return 1.0, None
+    pool = _alpha_pool(state.generator_pairs, dcs_cfg.probe_cap, rng.fork("pool"))
+    record = compute_alpha(
+        state.model, pool, current_fakes, dcs_cfg, rng.fork("probe"),
+        task_index=task_index, epoch=epoch,
+    )
+    return record.alpha, record
 
 
 def train_task(
@@ -258,7 +267,10 @@ def train_task(
     loss_cfg=None,
     dcs_cfg=None,
 ):
-    """Train the model on one task, then fit and freeze its generator pair."""
+    """Train the model on one task, then fit and freeze its generator pair.
+
+    Returns the last epoch's alpha, or None when no alpha applied.
+    """
     if not train_samples:
         raise ValueError("task has no training data")
     if len(train_samples) < cfg.batch_current:
@@ -273,7 +285,6 @@ def train_task(
     x_train = np.stack([s.features for s in train_samples])
     y_train = np.array([s.label for s in train_samples])
     current_fakes = x_train[y_train == LABEL_FAKE]
-    last_alpha = None
 
     for epoch in range(cfg.epochs):
         epoch_rng = rng.fork(f"epoch{epoch}")
@@ -282,9 +293,6 @@ def train_task(
         )
         if record is not None:
             state.dcs_history.append(record)
-            last_alpha = record.alpha
-        elif strategy.fixed_alpha is not None:
-            last_alpha = strategy.fixed_alpha
 
         order = np.arange(len(x_train))
         epoch_rng.fork("shuffle").shuffle(order)
@@ -296,7 +304,9 @@ def train_task(
                 x_train[rows], y_train[rows], pairs, cfg, replay_rng.fork(f"b{b}"),
                 include_gen_real=strategy.keeps_gen_real, pools=pools,
             )
-            breakdown, grad = batch_objective(state.model, batch, strategy, alpha, loss_cfg)
+            breakdown, grad = batch_objective(
+                state.model, batch, strategy, 1.0 if alpha is None else alpha, loss_cfg
+            )
             state.loss_trace.append(breakdown.l_overall)
             flat = adam_step(
                 state.model.get_flat(), grad, state.adam,
@@ -305,7 +315,7 @@ def train_task(
             state.model.set_flat(flat)
 
     _fit_task_generators(state, task_index, x_train, y_train, replay_signature, cfg, rng.fork("fit"))
-    return last_alpha
+    return alpha
 
 
 def _fit_task_generators(state, task_index, x_train, y_train, replay_signature, cfg, rng):
@@ -341,7 +351,7 @@ def run_incremental(stream, strategy, cfg, loss_cfg=None, dcs_cfg=None, return_s
     rng = Rng(cfg.seed)
     data = draw_stream_data(stream, rng.fork("data"))
     model = MLP([stream.dim] + list(cfg.arch), rng.fork("init"), cfg.init_scale)
-    state = RunState(model=model, adam=AdamState(model.n_params))
+    state = RunState(model=model, adam=AdamState(model.n_params), stream_data=data)
 
     per_step = []
     alphas = []

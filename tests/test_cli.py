@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+import genreplay.streams
+import genreplay.trainer
 from genreplay.cli import ConfigError, load_config, main
 
 TINY_SCENARIO = {
@@ -104,6 +106,28 @@ class TestValidateVerb:
         assert main(["validate", "--config", path]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides,section",
+        [
+            ({"train": dict(TINY_TRAIN, epochs=0)}, "train"),
+            ({"scenario": dict(TINY_SCENARIO, dim=6, n_tasks=4)}, "scenario"),
+            ({"dcs": {"probe_cap": 0}}, "dcs"),
+            ({"loss": {"eps_cos": -1}}, "loss"),
+            ({"grid": {"rs_metric": ["manhattan"]}}, "grid"),
+            ({"grid": {"rs_metric": "l2"}}, "grid.rs_metric"),
+            ({"grid": {"normalizer": []}}, "grid.normalizer"),
+        ],
+        ids=[
+            "epochs_0", "dim_too_small", "probe_cap_0", "eps_cos_negative", "grid_rs_metric",
+            "grid_axis_not_a_list", "grid_axis_empty",
+        ],
+    )
+    def test_checks_run_would_fail_exit_2(self, tmp_path, capsys, overrides, section):
+        # a grid config also holds a valid strategy: validate checks every verb's section
+        path = write_config(tmp_path, **overrides)
+        assert main(["validate", "--config", path]) == 2
+        assert f"config error: {section}" in capsys.readouterr().err
+
 
 class TestRunVerb:
     def test_artifacts_written(self, tmp_path):
@@ -156,6 +180,19 @@ class TestRunVerb:
         assert os.path.exists(os.path.join(out2, "seed_4", "table.csv"))
         summary = json.load(open(os.path.join(out2, "median_summary.json")))
         assert summary["n_seeds"] == 2
+
+    def test_stream_drawn_once_per_seed(self, tmp_path, monkeypatch):
+        calls = []
+        inner = genreplay.streams.draw_stream_data
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(genreplay.streams, "draw_stream_data", counting)
+        monkeypatch.setattr(genreplay.trainer, "draw_stream_data", counting)
+        assert main(["run", "--config", write_config(tmp_path), "--seeds", "0,1"]) == 0
+        assert len(calls) == 2
 
     def test_dataset_ingestion(self, tmp_path):
         rows = ["f0,f1,label,task"]

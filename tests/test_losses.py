@@ -7,7 +7,6 @@ from genreplay.losses import (
     LossConfig,
     _cos_with_grads,
     _dist_with_grads,
-    ce_loss,
     ce_loss_batch,
     centroid,
     combine_losses,
@@ -41,16 +40,18 @@ class TestConfig:
 
 class TestCrossEntropy:
     def test_hand_values(self):
-        assert ce_loss(0.5, 1) == pytest.approx(np.log(2.0))
-        assert ce_loss(0.5, 0) == pytest.approx(np.log(2.0))
-        assert ce_loss(0.9, 1) == pytest.approx(-np.log(0.9))
-        assert ce_loss(0.9, 0) == pytest.approx(-np.log(0.1))
+        assert ce_loss_batch([0.5], [1])[0] == pytest.approx(np.log(2.0))
+        assert ce_loss_batch([0.5], [0])[0] == pytest.approx(np.log(2.0))
+        assert ce_loss_batch([0.9], [1])[0] == pytest.approx(-np.log(0.9))
+        assert ce_loss_batch([0.9], [0])[0] == pytest.approx(-np.log(0.1))
 
     def test_boundary_rejected(self):
         with pytest.raises(ValueError):
-            ce_loss(0.0, 1)
+            ce_loss_batch([0.0], [1])
         with pytest.raises(ValueError):
-            ce_loss(1.0, 0)
+            ce_loss_batch([1.0], [0])
+        with pytest.raises(ValueError):
+            ce_loss_batch([0.5, 1.0], [1, 0])
 
     def test_batch_mean_and_gradient(self):
         y_p = np.array([0.5, 0.8])

@@ -1,10 +1,10 @@
-"""Detector network: shapes, manual backprop vs finite differences, checkpoints."""
+"""Detector network: shapes and manual backprop vs finite differences."""
 
 import numpy as np
 import pytest
 
 from genreplay.losses import ce_loss_batch
-from genreplay.model import MLP, PROB_CLAMP, init_model
+from genreplay.model import MLP, PROB_CLAMP
 from genreplay.numerics import Rng, finite_diff_grad
 
 
@@ -29,11 +29,6 @@ class TestConstruction:
             MLP([4, 0], Rng(0))
         with pytest.raises(ValueError):
             MLP([4, 8], Rng(0), scale=-1.0)
-
-    def test_init_model_alias(self):
-        a = init_model([3, 5], Rng(1).fork("init"))
-        b = MLP([3, 5], Rng(1).fork("init"))
-        assert np.array_equal(a.get_flat(), b.get_flat())
 
 
 class TestForward:
@@ -126,30 +121,3 @@ class TestBackward:
             m.backward(rec, d_yp=np.zeros(2))
         with pytest.raises(ValueError, match="d_features"):
             m.backward(rec, d_features=np.zeros((3, 7)))
-
-
-class TestCheckpoint:
-    def test_save_load_bit_exact(self, tmp_path):
-        m = small_model(seed=9)
-        path = tmp_path / "model.txt"
-        m.save(str(path))
-        m2 = MLP.load(str(path))
-        assert m2.widths == m.widths
-        assert np.array_equal(m2.get_flat(), m.get_flat())
-        x = Rng(1).normal(size=(4, 4))
-        assert np.array_equal(m.forward(x).y_p, m2.forward(x).y_p)
-
-    def test_bad_header_raises(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("nonsense\n")
-        with pytest.raises(ValueError, match="header"):
-            MLP.load(str(path))
-
-    def test_truncated_file_raises(self, tmp_path):
-        m = small_model()
-        path = tmp_path / "model.txt"
-        m.save(str(path))
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-2]) + "\n")
-        with pytest.raises(ValueError, match="truncated"):
-            MLP.load(str(path))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from genreplay.numerics import AdamState, Rng, adam_step, finite_diff_grad, matmul, matvec
+from genreplay.numerics import AdamState, Rng, adam_step, finite_diff_grad
 
 
 class TestRng:
@@ -133,15 +133,3 @@ class TestFiniteDiff:
     def test_non_finite_loss_raises(self):
         with pytest.raises(FloatingPointError, match="coordinate 0"):
             finite_diff_grad(lambda p: np.nan, np.zeros(1))
-
-
-class TestLinalgHelpers:
-    def test_matvec(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matvec(a, np.array([1.0, 1.0])), [3.0, 7.0])
-
-    def test_matmul_shape_check(self):
-        with pytest.raises(ValueError, match="shape"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="shape"):
-            matvec(np.zeros((2, 3)), np.zeros(2))

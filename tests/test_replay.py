@@ -1,4 +1,4 @@
-"""Replay generators: fitting, sampling, signatures, persistence."""
+"""Replay generators: fitting, sampling, signatures."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,7 @@ from genreplay.replay import (
     GeneratorPair,
     Signature,
     fit_generator,
-    load_pair,
     sample_replay,
-    save_pair,
     signature_similarity,
 )
 
@@ -174,25 +172,3 @@ class TestPair:
     def test_negative_counts_raise(self):
         with pytest.raises(ValueError, match="counts"):
             sample_replay(self._pair(), -1, 0, Rng(0))
-
-    def test_save_load_roundtrip(self, tmp_path):
-        pair = self._pair(59)
-        path = str(tmp_path / "pair.txt")
-        save_pair(pair, path)
-        loaded = load_pair(path)
-        assert loaded.task_index == 0
-        for orig, back in ((pair.g_real, loaded.g_real), (pair.g_fake, loaded.g_fake)):
-            assert np.array_equal(orig.means, back.means)
-            assert np.array_equal(orig.variances, back.variances)
-            assert np.array_equal(orig.weights, back.weights)
-            assert np.array_equal(orig.signature.vector, back.signature.vector)
-            assert orig.signature.strength == back.signature.strength
-        a = sample_replay(pair, 5, 5, Rng(3))
-        b = sample_replay(loaded, 5, 5, Rng(3))
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-    def test_load_bad_header_raises(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("junk\n")
-        with pytest.raises(ValueError, match="header"):
-            load_pair(str(path))

@@ -8,7 +8,6 @@ from genreplay.samples import Sample
 from genreplay.streams import (
     TaskStream,
     draw_stream_data,
-    draw_task_data,
     load_feature_dataset,
     make_scenario,
     max_cross_similarity,
@@ -88,18 +87,19 @@ class TestScenarioGeometry:
 
 
 class TestDataDraws:
-    def test_draw_task_data_balanced_and_disjoint(self):
-        stream = scenario("domain_safe")
-        train, test = draw_task_data(stream.tasks[0], 20, Rng(1).fork("d"), task_index=0)
+    def test_draw_stream_data_balanced_and_disjoint(self):
+        stream = scenario("domain_safe", n_train_per_class=20, n_test_per_class=20)
+        train, test = draw_stream_data(stream, Rng(1).fork("d"))[0]
         assert len(train) == 40 and len(test) == 40
         assert sum(s.label for s in train) == 20
         train_rows = {tuple(s.features) for s in train}
         assert all(tuple(s.features) not in train_rows for s in test)
 
-    def test_draw_task_data_bad_count(self):
-        stream = scenario("domain_safe")
-        with pytest.raises(ValueError, match="n_per_class"):
-            draw_task_data(stream.tasks[0], 0, Rng(0))
+    def test_scenario_bad_count(self):
+        with pytest.raises(ValueError, match="per_class"):
+            scenario("domain_safe", n_train_per_class=0)
+        with pytest.raises(ValueError, match="per_class"):
+            scenario("domain_safe", n_test_per_class=0)
 
     def test_draw_stream_data_shapes_and_determinism(self):
         stream = scenario("mixed", n_tasks=3, n_train_per_class=15, n_test_per_class=7)
@@ -170,6 +170,12 @@ class TestIngestion:
         path = self._write_csv(tmp_path / "d.csv", "")
         assert load_feature_dataset(path) == []
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_reports_row(self, tmp_path, value):
+        path = self._write_csv(tmp_path / "d.csv", f"f0,f1,label\n1.0,2.0,0\n1.0,{value},1\n")
+        with pytest.raises(ValueError, match="row 3: non-finite feature"):
+            load_feature_dataset(path)
+
 
 class TestStreamFromSamples:
     def _samples(self, n_per_task=12, n_tasks=2):
@@ -197,6 +203,16 @@ class TestStreamFromSamples:
             stream_from_samples([], Rng(0))
         with pytest.raises(ValueError, match="test_fraction"):
             stream_from_samples(self._samples(), Rng(0), test_fraction=1.0)
+
+    def test_single_class_task_named(self):
+        samples = [s for s in self._samples() if s.task_index == 0 or s.label == 1]
+        with pytest.raises(ValueError, match="task 1 has only one class"):
+            stream_from_samples(samples, Rng(1))
+
+    def test_single_task_rejected(self):
+        samples = [s for s in self._samples() if s.task_index == 0]
+        with pytest.raises(ValueError, match="at least 2 tasks"):
+            stream_from_samples(samples, Rng(1))
 
     def test_draw_stream_data_passthrough(self):
         stream = stream_from_samples(self._samples(), Rng(1))

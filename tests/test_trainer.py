@@ -5,6 +5,7 @@ import pytest
 
 from genreplay.confusion import DcsConfig
 from genreplay.losses import LossConfig
+from genreplay.metrics import table_to_dict
 from genreplay.model import MLP
 from genreplay.numerics import AdamState, Rng, finite_diff_grad
 from genreplay.replay import Signature, fit_generator, GeneratorPair, sample_replay
@@ -241,6 +242,10 @@ class TestEquivalences:
         _, state = run_incremental(stream, strategy, cfg, return_state=True)
         return state.loss_trace
 
+    def _run(self, stream, strategy, cfg):
+        table, state = run_incremental(stream, strategy, cfg, return_state=True)
+        return state.loss_trace, table_to_dict(table)
+
     def test_fixed_alpha_one_matches_no_rs(self):
         stream = tiny_stream(n_tasks=2, seed=3)
         cfg = tiny_cfg(seed=3)
@@ -262,6 +267,25 @@ class TestEquivalences:
             stream, Strategy("no_rs"), cfg
         )
 
+
+    def test_adaptive_override_matches_fixed_alpha(self):
+        stream = tiny_stream(n_tasks=2, seed=10)
+        cfg = tiny_cfg(seed=10)
+        trace_a, table_a = self._run(stream, Strategy("adaptive", fixed_alpha=0.3), cfg)
+        trace_b, table_b = self._run(stream, Strategy("fixed_alpha", 0.3), cfg)
+        assert trace_a == trace_b
+        assert table_a == table_b
+
+    def test_full_replay_matches_fixed_alpha_one(self):
+        stream = tiny_stream(n_tasks=2, seed=11)
+        cfg = tiny_cfg(seed=11)
+        trace_a, table_a = self._run(stream, Strategy("full_replay"), cfg)
+        trace_b, table_b = self._run(stream, Strategy("fixed_alpha", 1.0), cfg)
+        assert trace_a == trace_b
+        # only the reported alpha differs: none for full_replay, 1.0 for fixed_alpha
+        assert [r.pop("alpha") for r in table_a["rows"]] == [None, None]
+        assert [r.pop("alpha") for r in table_b["rows"]] == [1.0, 1.0]
+        assert table_a == table_b
 
 class TestRunIncremental:
     def test_table_shape_and_alpha_column(self):
