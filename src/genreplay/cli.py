@@ -24,7 +24,7 @@ from .confusion import DcsConfig
 from .losses import LossConfig
 from .metrics import table_columns, table_row_values, table_to_dict
 from .numerics import Rng
-from .streams import load_feature_dataset, make_scenario, stream_from_samples
+from .streams import load_feature_dataset, make_scenario, stream_from_samples, train_sizes
 from .trainer import Strategy, TrainConfig, run_incremental
 
 
@@ -95,6 +95,22 @@ def _scenario_stream(sc, rng):
     return make_scenario(sc["kind"], sc["n_tasks"], sc["dim"], rng, **extras)
 
 
+def _load_dataset(ds, train_cfg):
+    """The dataset's samples, parsed once, after every check that holds for all seeds."""
+    try:
+        samples = _build("dataset", load_feature_dataset, ds["path"])
+    except OSError as exc:
+        raise ConfigError(f"dataset: {exc}") from exc
+    sizes = _build("dataset", train_sizes, samples, ds["test_fraction"])
+    for t, n_train in sizes.items():
+        if n_train < train_cfg.batch_current:
+            raise ConfigError(
+                f"dataset: task {t} has {n_train} training rows, "
+                f"fewer than train.batch_current={train_cfg.batch_current}"
+            )
+    return samples
+
+
 def _grid_cells(grid, loss_cfg, dcs_cfg):
     """Distinct (Strategy, LossConfig, DcsConfig) cells of an ablation grid, and the duplicate count."""
     axes = {key: grid.get(key, [default]) for key, default in _GRID_DEFAULTS.items()}
@@ -119,8 +135,10 @@ def load_config(path, verb, seeds_override=None, out_override=None):
     The verb "validate" checks the config for every verb it has a section
     for. The train, loss, dcs, scenario, strategy and grid values get every
     check a run makes on them, so a config that loads does not fail on them
-    once training has started. A dataset section is checked for its keys
-    only: the file and test_fraction are checked when a run reads them.
+    once training has started. A dataset is read here, once: its file, its
+    test_fraction and each task's training rows against batch_current are
+    checked, and the samples are kept in cfg["samples"]; only the per-seed
+    split is left to the run, which rejects a split that holds one class.
     """
     try:
         with open(path) as fh:
@@ -145,11 +163,14 @@ def load_config(path, verb, seeds_override=None, out_override=None):
         cfg["scenario"] = sc
     else:
         ds = _section(raw, "dataset", _DATASET_KEYS)
-        if "path" not in ds:
-            raise ConfigError("dataset: missing required field 'path'")
+        if not isinstance(ds.get("path"), str):
+            raise ConfigError("dataset: 'path' must be given as a string")
+        ds.setdefault("test_fraction", 0.25)
         cfg["dataset"] = ds
 
     cfg["train"] = _build("train", TrainConfig, **_section(raw, "train", _TRAIN_KEYS))
+    if "dataset" in cfg:
+        cfg["samples"] = _load_dataset(cfg["dataset"], cfg["train"])
     cfg["loss"] = _build("loss", LossConfig, **_section(raw, "loss", _LOSS_KEYS))
     cfg["dcs"] = _build("dcs", DcsConfig, **_section(raw, "dcs", _DCS_KEYS))
 
@@ -179,6 +200,10 @@ def load_config(path, verb, seeds_override=None, out_override=None):
         cfg["strategies"] = [
             _parse_strategy(s, where=f"strategies[{i}]") for i, s in enumerate(strategies)
         ]
+        names = [s.name for s in cfg["strategies"]]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ConfigError(f"strategies[{i}]: {name} is listed twice")
     if "ablate" in verbs:
         grid = raw.get("grid")
         if not isinstance(grid, dict):
@@ -191,10 +216,8 @@ def load_config(path, verb, seeds_override=None, out_override=None):
 def _build_stream(cfg, seed):
     if "scenario" in cfg:
         return _scenario_stream(cfg["scenario"], Rng(seed).fork("scenario"))
-    ds = cfg["dataset"]
-    samples = load_feature_dataset(ds["path"])
     return stream_from_samples(
-        samples, Rng(seed).fork("split"), test_fraction=ds.get("test_fraction", 0.25)
+        cfg["samples"], Rng(seed).fork("split"), test_fraction=cfg["dataset"]["test_fraction"]
     )
 
 

@@ -26,7 +26,10 @@ class MLP:
     """Feature extractor plus scalar logistic head.
 
     widths is [input_dim, hidden1, ..., hiddenL]; the feature dimension is
-    widths[-1] and the head adds widths[-1] + 1 parameters.
+    widths[-1] and the head adds widths[-1] + 1 parameters. All parameters
+    live in one flat array, params, laid out per layer as weights (row-major)
+    then biases, then head_w, then head_b; weights, biases and head_w are
+    views into it, so an in-place update of params is what forward sees.
     """
 
     def __init__(self, widths, rng, scale=1.0):
@@ -35,15 +38,33 @@ class MLP:
         if scale < 0:
             raise ValueError("scale must be >= 0")
         self.widths = list(widths)
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        n = sum(a * b + b for a, b in zip(widths[:-1], widths[1:])) + widths[-1] + 1
+        self.params = np.zeros(n)
+        self.weights, self.biases, self.head_w = self._views(self.params)
+        for fan_in, w in zip(widths[:-1], self.weights):
             half = scale / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-half, half, (fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+            w[...] = rng.uniform(-half, half, w.shape)
         half = scale / np.sqrt(widths[-1])
-        self.head_w = rng.uniform(-half, half, widths[-1])
-        self.head_b = 0.0
+        self.head_w[...] = rng.uniform(-half, half, widths[-1])
+
+    def _views(self, flat):
+        """Per-layer weight and bias views, and the head_w view, of a flat buffer."""
+        weights, biases = [], []
+        i = 0
+        for fan_in, fan_out in zip(self.widths[:-1], self.widths[1:]):
+            weights.append(flat[i : i + fan_in * fan_out].reshape(fan_in, fan_out))
+            i += fan_in * fan_out
+            biases.append(flat[i : i + fan_out])
+            i += fan_out
+        return tuple(weights), tuple(biases), flat[i : i + self.widths[-1]]
+
+    @property
+    def head_b(self):
+        return self.params[-1]
+
+    @head_b.setter
+    def head_b(self, value):
+        self.params[-1] = value
 
     @property
     def input_dim(self):
@@ -55,31 +76,16 @@ class MLP:
 
     @property
     def n_params(self):
-        n = sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-        return n + self.head_w.size + 1
+        return self.params.size
 
     def get_flat(self):
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        parts.append(self.head_w)
-        parts.append(np.array([self.head_b]))
-        return np.concatenate(parts)
+        return self.params.copy()
 
     def set_flat(self, flat):
         flat = np.asarray(flat, dtype=float)
         if flat.size != self.n_params:
             raise ValueError(f"expected {self.n_params} params, got {flat.size}")
-        i = 0
-        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[li] = flat[i : i + w.size].reshape(w.shape).copy()
-            i += w.size
-            self.biases[li] = flat[i : i + b.size].copy()
-            i += b.size
-        self.head_w = flat[i : i + self.head_w.size].copy()
-        i += self.head_w.size
-        self.head_b = float(flat[i])
+        self.params[...] = flat
 
     def forward(self, x):
         """Forward a batch (n, input_dim) or single vector (input_dim,)."""
@@ -113,9 +119,11 @@ class MLP:
         d_yp = np.asarray(d_yp, dtype=float)
         if d_yp.shape != (n,):
             raise ValueError("d_yp length must match the batch size")
+        grad = np.empty(self.n_params)
+        g_ws, g_bs, g_head_w = self._views(grad)
         du = d_yp * record.y_p * (1.0 - record.y_p)
-        g_head_w = record.features.T @ du
-        g_head_b = du.sum()
+        np.matmul(record.features.T, du, out=g_head_w)
+        grad[-1] = du.sum()
         da = np.outer(du, self.head_w)
         if d_features is not None:
             d_features = np.asarray(d_features, dtype=float)
@@ -123,19 +131,10 @@ class MLP:
                 raise ValueError("d_features shape must match features")
             da = da + d_features
 
-        g_ws = [None] * len(self.weights)
-        g_bs = [None] * len(self.biases)
         for li in range(len(self.weights) - 1, -1, -1):
             dz = da * (record.pre_acts[li] > 0)
             a_prev = record.x if li == 0 else record.acts[li - 1]
-            g_ws[li] = a_prev.T @ dz
-            g_bs[li] = dz.sum(axis=0)
+            np.matmul(a_prev.T, dz, out=g_ws[li])
+            dz.sum(axis=0, out=g_bs[li])
             da = dz @ self.weights[li].T
-
-        parts = []
-        for gw, gb in zip(g_ws, g_bs):
-            parts.append(gw.ravel())
-            parts.append(gb)
-        parts.append(g_head_w)
-        parts.append(np.array([g_head_b]))
-        return np.concatenate(parts)
+        return grad

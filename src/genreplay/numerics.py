@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 
+_ZERO_WORD = bytes(4)
+
 
 class Rng:
     """Deterministic random source with labeled substreams.
@@ -26,8 +28,15 @@ class Rng:
         if self._gen is None:
             material = repr(self.seed) + "\x00" + "\x00".join(self._path)
             digest = hashlib.sha256(material.encode("utf-8")).digest()
-            words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
-            self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+            if _ZERO_WORD in (digest[4:8], digest[12:16], digest[20:24], digest[28:32]):
+                entropy = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
+            else:
+                # SeedSequence splits each of those four 64-bit ints into its
+                # low and high 32-bit words, dropping a zero high word; with
+                # no zero high word, that is the digest read as <u4, which it
+                # takes without converting Python ints
+                entropy = np.frombuffer(digest, dtype="<u4")
+            self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
         return self._gen
 
     def fork(self, label):
@@ -59,7 +68,12 @@ class AdamState:
 
 
 def adam_step(params, grads, state, lr=2e-4, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected Adam update. Returns new params; mutates state."""
+    """One bias-corrected Adam update; params, state.m and state.v change in place.
+
+    Returns params (a float array is updated in place, anything else is
+    converted first). The arithmetic runs in the order of the out-of-place
+    formula in the comments, so both round alike.
+    """
     params = np.asarray(params, dtype=float)
     grads = np.asarray(grads, dtype=float)
     if params.shape != grads.shape:
@@ -70,17 +84,29 @@ def adam_step(params, grads, state, lr=2e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         raise ValueError("beta1 and beta2 must lie in [0, 1)")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    bad = np.flatnonzero(~np.isfinite(grads))
-    if bad.size:
+    if not np.isfinite(grads).all():
+        bad = np.flatnonzero(~np.isfinite(grads))
         raise FloatingPointError(f"non-finite gradient at index {bad[0]}")
 
     state.step_count += 1
     t = state.step_count
-    state.m = beta1 * state.m + (1.0 - beta1) * grads
-    state.v = beta2 * state.v + (1.0 - beta2) * grads * grads
-    m_hat = state.m / (1.0 - beta1**t)
-    v_hat = state.v / (1.0 - beta2**t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v = state.m, state.v
+    # m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    g2 = (1.0 - beta2) * grads
+    g2 *= grads
+    v *= beta2
+    v += g2
+    # params -= lr * m_hat / (sqrt(v_hat) + eps)
+    step = m / (1.0 - beta1**t)
+    step *= lr
+    denom = np.divide(v, 1.0 - beta2**t, out=g2)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    params -= step
+    return params
 
 
 def finite_diff_grad(loss_fn, params, h=1e-4):

@@ -62,6 +62,7 @@ class GeneratorModel:
         self.cdf = cumulative / cumulative[-1]
         self.means = means
         self.variances = variances
+        self.std = np.sqrt(variances)
         self.signature = signature
         self.loglik_trace = loglik_trace or []
 
@@ -77,7 +78,7 @@ class GeneratorModel:
         # without re-checking p on every call
         comps = self.cdf.searchsorted(rng.gen.random(n), side="right")
         noise = rng.normal(size=(n, self.dim))
-        out = self.means[comps] + noise * np.sqrt(self.variances[comps])
+        out = self.means[comps] + noise * self.std[comps]
         return out + self.signature.vector * self.signature.strength
 
 
@@ -91,13 +92,6 @@ class GeneratorPair:
         sr, sf = self.g_real.signature, self.g_fake.signature
         if not (np.array_equal(sr.vector, sf.vector) and sr.strength == sf.strength):
             raise ValueError("both generators of a pair must share one signature")
-
-
-def _log_gauss_diag(x, mean, var):
-    # (n,) log density of diagonal gaussian for rows of x
-    return -0.5 * (
-        np.sum(np.log(2.0 * np.pi * var)) + np.sum((x - mean) ** 2 / var, axis=1)
-    )
 
 
 def _kmeanspp_means(x, k, rng):
@@ -158,6 +152,7 @@ def fit_generator(samples, kind, n_components, replay_signature, rng):
 
     n, d = x.shape
     k = n_components
+    x2 = x**2
     means, variances, weights = _hard_assignment_init(x, _kmeanspp_means(x, k, rng))
     trace = []
     prev_ll = -np.inf
@@ -165,11 +160,19 @@ def fit_generator(samples, kind, n_components, replay_signature, rng):
     it = 0
     while it < EM_MAX_ITERS:
         it += 1
-        log_resp = np.stack(
-            [np.log(weights[c]) + _log_gauss_diag(x, means[c], variances[c]) for c in range(k)],
-            axis=1,
+        # (n, k) log of weight times diagonal gaussian density; the quadratic
+        # form sum((x - mean)**2 / var) expanded into three matrix products
+        quad = (
+            x2 @ (1.0 / variances).T
+            - 2.0 * (x @ (means / variances).T)
+            + np.sum(means**2 / variances, axis=1)
         )
-        log_norm = np.logaddexp.reduce(log_resp, axis=1)
+        log_resp = np.log(weights) - 0.5 * (np.sum(np.log(2.0 * np.pi * variances), axis=1) + quad)
+        # a chain of logaddexp over the k columns rounds as logaddexp.reduce
+        # (axis=1) does, without its slow strided inner loop
+        log_norm = log_resp[:, 0]
+        for c in range(1, k):
+            log_norm = np.logaddexp(log_norm, log_resp[:, c])
         ll = float(log_norm.sum())
         trace.append(ll)
         resp = np.exp(log_resp - log_norm[:, None])
@@ -187,7 +190,7 @@ def fit_generator(samples, kind, n_components, replay_signature, rng):
             continue
         weights = nk / n
         means = (resp.T @ x) / nk[:, None]
-        sq = resp.T @ (x**2) / nk[:, None] - means**2
+        sq = resp.T @ x2 / nk[:, None] - means**2
         variances = np.maximum(sq, VAR_FLOOR)
         if np.isfinite(prev_ll) and abs(ll - prev_ll) <= EM_TOL * (abs(prev_ll) + 1.0):
             break

@@ -196,8 +196,8 @@ class DatasetStream:
         return self.tasks_data[0][0][0].features.shape[0]
 
 
-def stream_from_samples(samples, rng, test_fraction=0.25):
-    """Group ingested samples by task id and split each task train/test."""
+def _group_by_task(samples, test_fraction):
+    """{task id: (its samples, test rows)} in id order, after the checks no split can fix."""
     if not samples:
         raise ValueError("no samples to build a stream from")
     if not 0.0 < test_fraction < 1.0:
@@ -205,18 +205,45 @@ def stream_from_samples(samples, rng, test_fraction=0.25):
     by_task = {}
     for s in samples:
         by_task.setdefault(s.task_index, []).append(s)
-    tasks_data = []
+    groups = {}
     for t in sorted(by_task):
         group = by_task[t]
         if len({s.label for s in group}) < 2:
             raise ValueError(f"task {t} has only one class")
+        n_test = max(1, int(round(len(group) * test_fraction)))
+        if n_test >= len(group):
+            raise ValueError(f"task {t} has too few samples to split")
+        groups[t] = (group, n_test)
+    if len(groups) < 2:
+        raise ValueError("a stream needs at least 2 tasks")
+    return groups
+
+
+def train_sizes(samples, test_fraction=0.25):
+    """{task id: training rows} of the split stream_from_samples makes, for any rng.
+
+    Raises what stream_from_samples raises before it splits.
+    """
+    return {t: len(group) - n_test for t, (group, n_test) in _group_by_task(samples, test_fraction).items()}
+
+
+def stream_from_samples(samples, rng, test_fraction=0.25):
+    """Group ingested samples by task id and split each task train/test.
+
+    Raises ValueError naming the task when a split holds one class.
+    """
+    tasks_data = []
+    for t, (group, n_test) in _group_by_task(samples, test_fraction).items():
         order = np.arange(len(group))
         rng.fork(f"task{t}").shuffle(order)
-        n_test = max(1, int(round(len(group) * test_fraction)))
         test = [group[i] for i in order[:n_test]]
         train = [group[i] for i in order[n_test:]]
-        if not train:
-            raise ValueError(f"task {t} has too few samples to split")
+        for split, rows in (("train", train), ("test", test)):
+            if len({s.label for s in rows}) < 2:
+                raise ValueError(
+                    f"task {t}: the {split} split of {len(rows)} rows holds one class; "
+                    "add rows or change test_fraction"
+                )
         tasks_data.append((train, test))
     dim = tasks_data[0][0][0].features.shape[0]
     # ingested data carries no known generator artifact

@@ -82,8 +82,11 @@ class Strategy:
 
     @property
     def name(self):
+        """The kind, plus the fixed_alpha value when one is given."""
         if self.kind == "fixed_alpha":
             return f"fixed_alpha_{self.fixed_alpha:g}"
+        if self.fixed_alpha is not None:
+            return f"{self.kind}_fixed_alpha_{self.fixed_alpha:g}"
         return self.kind
 
 
@@ -308,11 +311,10 @@ def train_task(
                 state.model, batch, strategy, 1.0 if alpha is None else alpha, loss_cfg
             )
             state.loss_trace.append(breakdown.l_overall)
-            flat = adam_step(
-                state.model.get_flat(), grad, state.adam,
+            adam_step(
+                state.model.params, grad, state.adam,
                 lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
             )
-            state.model.set_flat(flat)
 
     _fit_task_generators(state, task_index, x_train, y_train, replay_signature, cfg, rng.fork("fit"))
     return alpha

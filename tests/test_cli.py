@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import genreplay.cli
 import genreplay.streams
 import genreplay.trainer
 from genreplay.cli import ConfigError, load_config, main
@@ -33,6 +34,30 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return str(path)
 
 
+def write_dataset_config(tmp_path, rows_per_task=24, test_fraction=0.25, **overrides):
+    """A two-task CSV of alternating labels and a run config reading it."""
+    rows = ["f0,f1,label,task"]
+    for t in range(2):
+        for i in range(rows_per_task):
+            label = i % 2
+            rows.append(f"{t + 0.1 * i},{label + 0.05 * i},{label},{t}")
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(rows) + "\n")
+    cfg = {
+        "dataset": {"path": str(data), "test_fraction": test_fraction},
+        "train": dict(TINY_TRAIN, arch=[4]),
+        "strategy": "lower_bound",
+        "seeds": [0],
+        "out_dir": str(tmp_path / "out"),
+    }
+    cfg.update(overrides)
+    if "strategies" in overrides:
+        del cfg["strategy"]
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
 class TestConfigValidation:
     def test_valid_run_config(self, tmp_path):
         cfg = load_config(write_config(tmp_path), "run")
@@ -52,6 +77,12 @@ class TestConfigValidation:
     def test_scenario_and_dataset_exclusive(self, tmp_path):
         path = write_config(tmp_path, dataset={"path": "x.csv"})
         with pytest.raises(ConfigError, match="exactly one"):
+            load_config(path, "run")
+
+    @pytest.mark.parametrize("dataset", [{}, {"path": 5}])
+    def test_dataset_path_must_be_a_string(self, tmp_path, dataset):
+        path = write_dataset_config(tmp_path, dataset=dataset)
+        with pytest.raises(ConfigError, match="'path' must be given as a string"):
             load_config(path, "run")
 
     def test_missing_strategy_for_run(self, tmp_path):
@@ -195,36 +226,50 @@ class TestRunVerb:
         assert len(calls) == 2
 
     def test_dataset_ingestion(self, tmp_path):
-        rows = ["f0,f1,label,task"]
-        for t in range(2):
-            for i in range(24):
-                label = i % 2
-                rows.append(f"{t + 0.1 * i},{label + 0.05 * i},{label},{t}")
-        data = tmp_path / "data.csv"
-        data.write_text("\n".join(rows) + "\n")
-        cfg = {
-            "dataset": {"path": str(data), "test_fraction": 0.25},
-            "train": dict(TINY_TRAIN, arch=[4]),
-            "strategy": "lower_bound",
-            "seeds": [0],
-            "out_dir": str(tmp_path / "out"),
-        }
-        path = tmp_path / "ds.json"
-        path.write_text(json.dumps(cfg))
-        assert main(["run", "--config", str(path)]) == 0
+        assert main(["run", "--config", write_dataset_config(tmp_path)]) == 0
         assert os.path.exists(tmp_path / "out" / "seed_0" / "table.csv")
 
     def test_runtime_error_exits_1(self, tmp_path, capsys):
-        cfg = {
-            "dataset": {"path": str(tmp_path / "missing.csv")},
-            "strategy": "adaptive",
-            "seeds": [0],
-            "out_dir": str(tmp_path / "out"),
-        }
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        assert main(["run", "--config", str(path)]) == 1
-        assert "error:" in capsys.readouterr().err
+        # seed 1 splits task 0 into a one-class test split; seed 0 splits it well
+        path = write_dataset_config(tmp_path, rows_per_task=49, test_fraction=0.05)
+        assert main(["validate", "--config", path]) == 0
+        assert main(["run", "--config", path, "--seeds", "1"]) == 1
+        assert "error: task 0: the test split of 2 rows holds one class" in capsys.readouterr().err
+
+    # rows replace the CSV's lines; None deletes the file; "keep" keeps it
+    @pytest.mark.parametrize("rows, fraction, message", [
+        (None, 0.25, "No such file"),
+        (["f0,label,task", "x,0,0"], 0.25, "malformed row 2"),
+        (["f0,label,task", "0.1,0,0", "0.2,1,0", "0.3,0,0"], 0.25, "at least 2 tasks"),
+        ("keep", 1.5, "test_fraction"),
+        ("keep", 0.5, "task 0 has 12 training rows, fewer than train.batch_current=16"),
+    ])
+    def test_dataset_errors_exit_2_at_validate(self, tmp_path, capsys, rows, fraction, message):
+        path = write_dataset_config(tmp_path, rows_per_task=24, test_fraction=fraction)
+        data = tmp_path / "data.csv"
+        if rows is None:
+            data.unlink()
+        elif rows != "keep":
+            data.write_text("\n".join(rows) + "\n")
+        for verb in ("validate", "run"):
+            assert main([verb, "--config", path]) == 2
+            assert message in capsys.readouterr().err
+
+    def test_dataset_parsed_once(self, tmp_path, monkeypatch):
+        calls = []
+        inner = genreplay.cli.load_feature_dataset
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(genreplay.cli, "load_feature_dataset", counting)
+        path = write_dataset_config(
+            tmp_path, strategies=["lower_bound", "fake_only_replay"], seeds=[0, 5],
+        )
+        assert main(["compare", "--config", path]) == 0
+        assert len(calls) == 1
+        assert os.path.exists(tmp_path / "out" / "fake_only_replay" / "seed_5" / "table.csv")
 
 
 class TestCompareVerb:
@@ -243,6 +288,32 @@ class TestCompareVerb:
         assert winners["best_final_avg_auc"] in ("adaptive", "lower_bound")
         assert os.path.exists(os.path.join(out, "adaptive", "median_summary.json"))
         assert os.path.exists(os.path.join(out, "lower_bound", "seed_0", "table.csv"))
+
+    def test_fixed_alpha_override_is_its_own_strategy(self, tmp_path):
+        cfg = json.loads(open(write_config(tmp_path)).read())
+        del cfg["strategy"]
+        cfg["strategies"] = ["adaptive", {"kind": "adaptive", "fixed_alpha": 0.3}]
+        path = tmp_path / "cmp.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["compare", "--config", str(path)]) == 0
+        out = cfg["out_dir"]
+        alphas = []
+        for name in ("adaptive", "adaptive_fixed_alpha_0.3"):
+            summary = json.load(open(os.path.join(out, name, "median_summary.json")))
+            assert summary["strategy"] == name
+            alphas.append(summary["steps"][-1]["alpha"])
+        assert alphas[0] != 0.3 and alphas[1] == 0.3
+        rows = open(os.path.join(out, "comparison.csv")).read().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["adaptive"] * 2 + ["adaptive_fixed_alpha_0.3"] * 2
+
+    def test_strategy_listed_twice_exits_2(self, tmp_path, capsys):
+        cfg = json.loads(open(write_config(tmp_path)).read())
+        del cfg["strategy"]
+        cfg["strategies"] = ["adaptive", "lower_bound", {"kind": "adaptive"}]
+        path = tmp_path / "cmp.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["compare", "--config", str(path)]) == 2
+        assert "strategies[2]: adaptive is listed twice" in capsys.readouterr().err
 
 
 class TestAblateVerb:
@@ -266,6 +337,17 @@ class TestAblateVerb:
         assert os.path.isdir(
             os.path.join(out, "adaptive__rs-l2__dcs-l2__norm-tanh__sample_wise")
         )
+
+    def test_fixed_alpha_override_is_its_own_cell(self, tmp_path, capsys):
+        cfg = json.loads(open(write_config(tmp_path)).read())
+        del cfg["strategy"]
+        cfg["grid"] = {"strategy": ["adaptive", {"kind": "adaptive", "fixed_alpha": 0.3}]}
+        path = tmp_path / "abl.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["ablate", "--config", str(path)]) == 0
+        assert "duplicate" not in capsys.readouterr().err
+        rows = open(os.path.join(cfg["out_dir"], "ablation.csv")).read().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["adaptive", "adaptive_fixed_alpha_0.3"]
 
     def test_duplicate_cells_warn_once(self, tmp_path, capsys):
         cfg = json.loads(open(write_config(tmp_path)).read())

@@ -110,7 +110,7 @@ class TestComputeAlpha:
     def _identity_model(self, dim=4):
         # weights = identity, zero bias: with non-negative inputs features == inputs
         m = MLP([dim, dim], Rng(0), scale=0.0)
-        m.weights[0] = np.eye(dim)
+        m.weights[0][...] = np.eye(dim)
         return m
 
     def test_alpha_from_injected_geometry(self):

@@ -5,7 +5,7 @@ import pytest
 
 from genreplay.losses import ce_loss_batch
 from genreplay.model import MLP, PROB_CLAMP
-from genreplay.numerics import Rng, finite_diff_grad
+from genreplay.numerics import AdamState, Rng, adam_step, finite_diff_grad
 
 
 def small_model(widths=(4, 8, 8), seed=0):
@@ -67,6 +67,49 @@ class TestFlatParams:
     def test_wrong_size_raises(self):
         with pytest.raises(ValueError, match="121"):
             small_model().set_flat(np.zeros(120))
+
+    def test_init_draws_layer_by_layer(self):
+        rng = Rng(0).fork("init")
+        h8 = 1.0 / np.sqrt(8)
+        expected = np.concatenate([
+            rng.uniform(-0.5, 0.5, (4, 8)).ravel(), np.zeros(8),
+            rng.uniform(-h8, h8, (8, 8)).ravel(), np.zeros(8),
+            rng.uniform(-h8, h8, 8), [0.0],
+        ])
+        assert np.array_equal(small_model().params, expected)
+
+    def test_layout_and_views(self):
+        m = small_model(seed=3)
+        flat = np.concatenate(
+            [np.concatenate([w.ravel(), b]) for w, b in zip(m.weights, m.biases)]
+            + [m.head_w, [m.head_b]]
+        )
+        assert np.array_equal(flat, m.params)
+        for part in m.weights + m.biases + (m.head_w,):
+            assert np.shares_memory(part, m.params)
+        m.head_b = 2.5
+        assert m.params[-1] == 2.5
+
+    def test_forward_sees_set_flat_and_in_place_updates(self):
+        x = Rng(1).fork("x").normal(size=(5, 4))
+        m, other = small_model(seed=3), small_model(seed=4)
+        m.set_flat(other.get_flat())
+        assert np.array_equal(m.forward(x).y_p, other.forward(x).y_p)
+
+        grad = m.backward(m.forward(x), d_yp=np.ones(5))
+        before = m.forward(x).y_p
+        adam_step(m.params, grad, AdamState(m.n_params), lr=0.1)
+        fresh = small_model(seed=0)
+        fresh.set_flat(m.params)
+        after = m.forward(x).y_p
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, fresh.forward(x).y_p)
+
+    def test_get_flat_is_a_copy(self):
+        m = small_model()
+        flat = m.get_flat()
+        flat[:] = 0.0
+        assert m.params.any()
 
 
 class TestBackward:

@@ -1,5 +1,7 @@
 """Seeded RNG substreams, Adam updates, and finite-difference probes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,69 @@ class TestRng:
         assert sorted(x.tolist()) == list(range(50))
 
 
+    @staticmethod
+    def _list_seeded(digest):
+        # the reference seeding: the digest as four 64-bit little-endian ints
+        words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+
+    def test_seeding_matches_list_of_ints(self):
+        for seed, path in [(0, ()), (7, ("task0", "epoch1")), (2**40, ("x",)), (-3, ("a", "b", "c"))]:
+            rng = Rng(seed, path)
+            material = repr(rng.seed) + "\x00" + "\x00".join(rng._path)
+            digest = hashlib.sha256(material.encode("utf-8")).digest()
+            assert np.array_equal(rng.normal(size=64), self._list_seeded(digest).normal(size=64))
+
+    @pytest.mark.parametrize("zero_word", [0, 1, 3])
+    def test_seeding_with_a_zero_high_word(self, monkeypatch, zero_word):
+        # numpy drops the zero high half of a 64-bit int, so reading the digest
+        # as eight 32-bit words would seed a different stream
+        digest = bytearray(hashlib.sha256(b"any").digest())
+        digest[8 * zero_word + 4 : 8 * zero_word + 8] = bytes(4)
+        digest = bytes(digest)
+        direct = np.random.SeedSequence(np.frombuffer(digest, dtype="<u4"))
+        words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
+        assert not np.array_equal(direct.generate_state(4), np.random.SeedSequence(words).generate_state(4))
+
+        class FixedDigest:
+            def __init__(self, data):
+                pass
+
+            def digest(self):
+                return digest
+
+        monkeypatch.setattr(hashlib, "sha256", FixedDigest)
+        assert np.array_equal(Rng(1).normal(size=64), self._list_seeded(digest).normal(size=64))
+
+
 class TestAdam:
+    @staticmethod
+    def _out_of_place(params, grads, m, v, t, lr, beta1, beta2, eps):
+        # the textbook update, allocating every intermediate
+        m = beta1 * m + (1.0 - beta1) * grads
+        v = beta2 * v + (1.0 - beta2) * grads * grads
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        return params - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+    @pytest.mark.parametrize("lr, beta1, beta2, eps", [(2e-4, 0.9, 0.999, 1e-8), (0.05, 0.5, 0.9, 1e-3)])
+    def test_in_place_matches_out_of_place_bit_for_bit(self, lr, beta1, beta2, eps):
+        rng = Rng(12)
+        params = rng.fork("p").normal(size=257)
+        ref, m, v = params.copy(), np.zeros(257), np.zeros(257)
+        state = AdamState(257)
+        for t in range(1, 60):
+            grads = rng.fork(f"g{t}").normal(size=257) * 10.0 ** rng.fork(f"s{t}").uniform(-6, 2)
+            out = adam_step(params, grads, state, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+            ref, m, v = self._out_of_place(ref, grads, m, v, t, lr, beta1, beta2, eps)
+            assert out is params
+            assert np.array_equal(params, ref)
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+    def test_non_array_params_are_converted(self):
+        out = adam_step([1.0], np.array([0.5]), AdamState(1), lr=0.1, eps=1e-12)
+        assert out[0] == pytest.approx(0.9, abs=1e-9)
+
     def test_hand_computed_first_step(self):
         # p=1, g=0.5: m_hat = g, v_hat = g^2, update = lr * g/|g| = lr
         state = AdamState(1)

@@ -5,9 +5,14 @@ import pytest
 
 from genreplay.numerics import Rng
 from genreplay.replay import (
+    EM_MAX_ITERS,
+    EM_TOL,
+    VAR_FLOOR,
     GeneratorModel,
     GeneratorPair,
     Signature,
+    _hard_assignment_init,
+    _kmeanspp_means,
     fit_generator,
     sample_replay,
     signature_similarity,
@@ -91,6 +96,55 @@ class TestGmmFit:
         trace = np.array(g.loglik_trace)
         assert trace.size >= 2
         assert np.all(np.diff(trace) >= -1e-7 * (np.abs(trace[:-1]) + 1.0))
+
+
+def _log_gauss_diag(x, mean, var):
+    # (n,) log density of a diagonal gaussian for the rows of x
+    return -0.5 * (
+        np.sum(np.log(2.0 * np.pi * var)) + np.sum((x - mean) ** 2 / var, axis=1)
+    )
+
+
+def _reference_em(x, k, rng):
+    """fit_generator's EM with a per-component E-step and logaddexp.reduce."""
+    means, variances, weights = _hard_assignment_init(x, _kmeanspp_means(x, k, rng))
+    trace, prev_ll = [], -np.inf
+    for _ in range(EM_MAX_ITERS):
+        log_resp = np.stack(
+            [np.log(weights[c]) + _log_gauss_diag(x, means[c], variances[c]) for c in range(k)],
+            axis=1,
+        )
+        log_norm = np.logaddexp.reduce(log_resp, axis=1)
+        ll = float(log_norm.sum())
+        trace.append(ll)
+        resp = np.exp(log_resp - log_norm[:, None])
+        nk = resp.sum(axis=0)
+        assert (nk >= 1e-10).all(), "reference data must not need a re-seed"
+        weights = nk / len(x)
+        means = (resp.T @ x) / nk[:, None]
+        variances = np.maximum(resp.T @ (x**2) / nk[:, None] - means**2, VAR_FLOOR)
+        if np.isfinite(prev_ll) and abs(ll - prev_ll) <= EM_TOL * (abs(prev_ll) + 1.0):
+            break
+        prev_ll = ll
+    return weights, means, variances, trace
+
+
+class TestEStep:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n, d", [(40, 1), (300, 3), (1200, 16)])
+    def test_matches_per_component_reference(self, k, n, d):
+        rng = Rng(100 * k + d)
+        centers = 3.0 / np.sqrt(d) * rng.fork("c").normal(size=(k, d))
+        spreads = rng.fork("s").uniform(0.2, 1.5, size=(k, d))
+        comps = np.arange(n) % k
+        x = centers[comps] + spreads[comps] * rng.fork("x").normal(size=(n, d))
+        g = fit_generator(x, "gmm", k, zero_sig(d), rng.fork("fit"))
+        weights, means, variances, trace = _reference_em(x, k, rng.fork("fit"))
+        assert len(g.loglik_trace) == len(trace)
+        assert np.allclose(g.loglik_trace, trace, rtol=1e-12, atol=0)
+        assert np.allclose(g.means, means, rtol=1e-9, atol=1e-12)
+        assert np.allclose(g.variances, variances, rtol=1e-9, atol=1e-12)
+        assert np.allclose(g.weights, weights, rtol=1e-9, atol=1e-12)
 
 
 class TestSampling:

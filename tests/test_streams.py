@@ -12,6 +12,7 @@ from genreplay.streams import (
     make_scenario,
     max_cross_similarity,
     stream_from_samples,
+    train_sizes,
 )
 from genreplay.replay import Signature, signature_similarity
 
@@ -213,6 +214,30 @@ class TestStreamFromSamples:
         samples = [s for s in self._samples() if s.task_index == 0]
         with pytest.raises(ValueError, match="at least 2 tasks"):
             stream_from_samples(samples, Rng(1))
+
+    def test_one_class_split_named(self):
+        # 49 rows, test_fraction 0.05: a 2-row test split, one class under this rng
+        samples = self._samples(n_per_task=49)
+        with pytest.raises(ValueError, match="task 0: the test split of 2 rows holds one class"):
+            stream_from_samples(samples, Rng(1).fork("split"), test_fraction=0.05)
+        stream = stream_from_samples(samples, Rng(0).fork("split"), test_fraction=0.05)
+        for train, test in stream.tasks_data:
+            assert {s.label for s in train} == {s.label for s in test} == {0, 1}
+
+    def test_train_sizes_match_split(self):
+        samples = self._samples(n_per_task=13)
+        sizes = train_sizes(samples, test_fraction=0.25)
+        stream = stream_from_samples(samples, Rng(1), test_fraction=0.25)
+        assert sizes == {t: len(train) for t, (train, _) in enumerate(stream.tasks_data)} == {0: 10, 1: 10}
+
+    def test_train_sizes_check_what_the_split_checks(self):
+        one_class = [s for s in self._samples() if s.task_index == 0 or s.label == 1]
+        with pytest.raises(ValueError, match="task 1 has only one class"):
+            train_sizes(one_class)
+        with pytest.raises(ValueError, match="at least 2 tasks"):
+            train_sizes([s for s in self._samples() if s.task_index == 0])
+        with pytest.raises(ValueError, match="too few samples"):
+            train_sizes(self._samples(n_per_task=2), test_fraction=0.75)
 
     def test_draw_stream_data_passthrough(self):
         stream = stream_from_samples(self._samples(), Rng(1))

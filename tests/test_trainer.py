@@ -15,6 +15,7 @@ from genreplay.trainer import (
     ROLE_CURRENT,
     ROLE_GEN_FAKE,
     ROLE_GEN_REAL,
+    STRATEGY_KINDS,
     RunState,
     Strategy,
     TrainConfig,
@@ -64,6 +65,12 @@ class TestStrategy:
     def test_registry_names(self):
         assert Strategy("adaptive").name == "adaptive"
         assert Strategy("fixed_alpha", 0.5).name == "fixed_alpha_0.5"
+
+    def test_override_in_name(self):
+        assert Strategy("adaptive", fixed_alpha=0.3).name == "adaptive_fixed_alpha_0.3"
+        assert Strategy("no_gen_real_sup", fixed_alpha=0.0).name == "no_gen_real_sup_fixed_alpha_0"
+        names = {Strategy(k).name for k in STRATEGY_KINDS if k != "fixed_alpha"}
+        assert names == set(STRATEGY_KINDS) - {"fixed_alpha"}
 
     def test_replay_flags(self):
         assert not Strategy("lower_bound").uses_replay
