@@ -16,14 +16,17 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal
+from functools import partial
 from itertools import product
+from math import ceil
 
 import numpy as np
 
 from .confusion import DcsConfig
 from .losses import LossConfig
-from .metrics import table_columns, table_row_values, table_to_dict
+from .metrics import DERIVED_COLUMNS, table_columns, table_row_values, table_to_dict
 from .numerics import Rng
+from .samples import LABEL_FAKE
 from .streams import load_feature_dataset, make_scenario, stream_from_samples, train_sizes
 from .trainer import Strategy, TrainConfig, run_incremental
 
@@ -292,8 +295,8 @@ def _run_one_seed(cfg, strategy, seed, out_dir):
         os.path.join(out_dir, "projection.csv"),
         ["x", "y", "label", "origin"],
         [
-            (proj[i, 0], proj[i, 1], s.label, s.origin)
-            for i, s in enumerate(final_test)
+            (x, y, s.label, "current_fake" if s.label == LABEL_FAKE else "current_real")
+            for (x, y), s in zip(proj, final_test)
         ],
     )
     return table_to_dict(table)
@@ -310,35 +313,20 @@ def _median_summary(per_seed_tables):
             vals = [r[key] for r in rows if r[key] is not None]
             return float(np.median(vals)) if vals else None
 
-        steps.append(
-            {
-                "step": k + 1,
-                "avg_auc": med("avg_auc"),
-                "pre_avg_auc": med("pre_avg_auc"),
-                "pd_auc": med("pd_auc"),
-                "acc_real": med("acc_real"),
-                "acc_fake": med("acc_fake"),
-                "pd_acc_real": med("pd_acc_real"),
-                "pd_acc_fake": med("pd_acc_fake"),
-                "alpha": med("alpha"),
-            }
-        )
+        steps.append({"step": k + 1, **{c: med(c) for c in DERIVED_COLUMNS}})
     return {"n_seeds": len(per_seed_tables), "steps": steps}
 
 
 def _execute_strategy(cfg, strategy, base_dir, jobs):
     seeds = cfg["seeds"]
-    results = []
+    run = partial(_run_one_seed, cfg, strategy)
+    dirs = [os.path.join(base_dir, f"seed_{s}") for s in seeds]
     if jobs > 1 and len(seeds) > 1:
+        # one chunk per worker, so cfg (with any dataset samples) is pickled at most jobs times
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_one_seed, cfg, strategy, s, os.path.join(base_dir, f"seed_{s}"))
-                for s in seeds
-            ]
-            results = [f.result() for f in futures]
+            results = list(pool.map(run, seeds, dirs, chunksize=ceil(len(seeds) / jobs)))
     else:
-        for s in seeds:
-            results.append(_run_one_seed(cfg, strategy, s, os.path.join(base_dir, f"seed_{s}")))
+        results = list(map(run, seeds, dirs))
     summary = _median_summary(results)
     summary["strategy"] = strategy.name
     _write_json(os.path.join(base_dir, "median_summary.json"), summary)
@@ -379,16 +367,21 @@ def cmd_compare(cfg, jobs=1):
 
     winners = {}
     finals = {s["strategy"]: s["steps"][-1] for s in summaries}
-    for metric in ("avg_auc", "pre_avg_auc", "acc_real", "acc_fake"):
+    for metric in _COMPARE_METRICS:
         scored = {n: v[metric] for n, v in finals.items() if v[metric] is not None}
-        if scored:
-            winners[f"best_final_{metric}"] = max(scored, key=scored.get)
-    for metric in ("pd_auc", "pd_acc_real", "pd_acc_fake"):
-        scored = {n: v[metric] for n, v in finals.items() if v[metric] is not None}
-        if scored:
+        if not scored:
+            continue
+        # a performance drop is better lower, every other metric higher
+        if metric.startswith("pd_"):
             winners[f"lowest_final_{metric}"] = min(scored, key=scored.get)
+        else:
+            winners[f"best_final_{metric}"] = max(scored, key=scored.get)
     _write_json(os.path.join(cfg["out_dir"], "winners.json"), winners)
     return 0
+
+
+# the final-step columns of ablation.csv, after the cell's axes
+_ABLATE_METRICS = ("avg_auc", "pre_avg_auc", "pd_auc", "acc_real", "acc_fake", "alpha")
 
 
 def cmd_ablate(cfg, jobs=1):
@@ -404,14 +397,11 @@ def cmd_ablate(cfg, jobs=1):
         cell_dir = os.path.join(cfg["out_dir"], f"{name}__rs-{rs}__dcs-{dcs}__norm-{norm}__{gran}")
         summary = _execute_strategy(dict(cfg, loss=loss_cfg, dcs=dcs_cfg), strategy, cell_dir, jobs)
         final = summary["steps"][-1]
-        rows.append(
-            [name, rs, dcs, norm, gran, final["avg_auc"], final["pre_avg_auc"],
-             final["pd_auc"], final["acc_real"], final["acc_fake"], final["alpha"]]
-        )
+        rows.append([name, rs, dcs, norm, gran] + [final[m] for m in _ABLATE_METRICS])
     _write_csv(
         os.path.join(cfg["out_dir"], "ablation.csv"),
-        ["strategy", "rs_metric", "dcs_metric", "normalizer", "rs_granularity",
-         "avg_auc", "pre_avg_auc", "pd_auc", "acc_real", "acc_fake", "alpha"],
+        ["strategy", "rs_metric", "dcs_metric", "normalizer", "rs_granularity"]
+        + list(_ABLATE_METRICS),
         rows,
     )
     return 0

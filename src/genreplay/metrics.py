@@ -3,21 +3,33 @@
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .samples import LABEL_FAKE
 
+# the derived columns of a step, in table.csv order; StepRow carries each one
+DERIVED_COLUMNS = (
+    "avg_auc", "pre_avg_auc", "pd_auc", "acc_real", "acc_fake",
+    "pd_acc_real", "pd_acc_fake", "alpha",
+)
+
 
 def auc(scores, labels):
-    """Rank-based AUC with the fake class positive; ties get half credit."""
+    """Rank-based AUC with the fake class positive; ties get half credit.
+
+    Scores of +-inf rank as ordered; a NaN score cannot be ranked.
+    """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
+    if np.isnan(scores).any():
+        raise ValueError("AUC undefined: non-finite (NaN) scores cannot be ranked")
     pos = labels == LABEL_FAKE
     n_pos = int(pos.sum())
     n_neg = int(pos.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC undefined: need at least one sample of each class")
-    ranks = rankdata(scores)
+    # average ranks: a group of tied scores shares the mean of its 1-based positions
+    _, inv, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inv]
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -42,6 +54,11 @@ def performance_drop(m0, mN):
     if not (0.0 <= m0 <= 1.0 and 0.0 <= mN <= 1.0):
         raise ValueError("metric values must lie in [0,1]")
     return m0 - mN
+
+
+def _drop(m0, mN):
+    """performance_drop, or None when either side is None."""
+    return None if m0 is None or mN is None else performance_drop(m0, mN)
 
 
 @dataclass
@@ -109,16 +126,8 @@ def build_table(per_step_evals, alphas=None):
             pd_auc = pd_real = pd_fake = None
         else:
             pd_auc = performance_drop(m0_auc, avg_auc)
-            pd_real = (
-                performance_drop(m0_real, acc_real)
-                if m0_real is not None and acc_real is not None
-                else None
-            )
-            pd_fake = (
-                performance_drop(m0_fake, acc_fake)
-                if m0_fake is not None and acc_fake is not None
-                else None
-            )
+            pd_real = _drop(m0_real, acc_real)
+            pd_fake = _drop(m0_fake, acc_fake)
         table.rows.append(
             StepRow(
                 step=k + 1,
@@ -138,39 +147,22 @@ def build_table(per_step_evals, alphas=None):
 
 
 def table_columns(n_tasks):
-    cols = ["step"]
-    cols += [f"auc_t{t + 1}" for t in range(n_tasks)]
-    cols += [f"acc_t{t + 1}" for t in range(n_tasks)]
-    cols += [
-        "avg_auc",
-        "pre_avg_auc",
-        "pd_auc",
-        "acc_real",
-        "acc_fake",
-        "pd_acc_real",
-        "pd_acc_fake",
-        "alpha",
-    ]
-    return cols
+    return (
+        ["step"]
+        + [f"auc_t{t + 1}" for t in range(n_tasks)]
+        + [f"acc_t{t + 1}" for t in range(n_tasks)]
+        + list(DERIVED_COLUMNS)
+    )
 
 
 def table_row_values(table, row):
-    vals = [row.step]
-    for t in range(table.n_tasks):
-        vals.append(row.task_auc.get(t))
-    for t in range(table.n_tasks):
-        vals.append(row.task_acc.get(t))
-    vals += [
-        row.avg_auc,
-        row.pre_avg_auc,
-        row.pd_auc,
-        row.acc_real,
-        row.acc_fake,
-        row.pd_acc_real,
-        row.pd_acc_fake,
-        row.alpha,
-    ]
-    return vals
+    tasks = range(table.n_tasks)
+    return (
+        [row.step]
+        + [row.task_auc.get(t) for t in tasks]
+        + [row.task_acc.get(t) for t in tasks]
+        + [getattr(row, c) for c in DERIVED_COLUMNS]
+    )
 
 
 def table_to_dict(table):
@@ -182,14 +174,7 @@ def table_to_dict(table):
                 "step": r.step,
                 "task_auc": {f"t{t + 1}": v for t, v in sorted(r.task_auc.items())},
                 "task_acc": {f"t{t + 1}": v for t, v in sorted(r.task_acc.items())},
-                "avg_auc": r.avg_auc,
-                "pre_avg_auc": r.pre_avg_auc,
-                "pd_auc": r.pd_auc,
-                "acc_real": r.acc_real,
-                "acc_fake": r.acc_fake,
-                "pd_acc_real": r.pd_acc_real,
-                "pd_acc_fake": r.pd_acc_fake,
-                "alpha": r.alpha,
+                **{c: getattr(r, c) for c in DERIVED_COLUMNS},
             }
             for r in table.rows
         ],

@@ -171,9 +171,9 @@ def max_cross_similarity(stream):
     return best
 
 
-def _draw_class(spec, mean, n, task_index, label, origin, rng):
+def _draw_class(spec, mean, n, task_index, label, rng):
     x = mean + np.sqrt(spec.class_var) * rng.normal(size=(n, spec.dim))
-    return [Sample(row, label, origin, task_index) for row in x]
+    return [Sample(row, label, task_index) for row in x]
 
 
 @dataclass(frozen=True)
@@ -259,14 +259,14 @@ def draw_stream_data(stream, rng):
     for t, spec in enumerate(stream.tasks):
         task_rng = rng.fork(f"task{t}")
         train = _draw_class(
-            spec, spec.real_mean, stream.n_train_per_class, t, LABEL_REAL, "current_real", task_rng.fork("train-real")
+            spec, spec.real_mean, stream.n_train_per_class, t, LABEL_REAL, task_rng.fork("train-real")
         ) + _draw_class(
-            spec, spec.fake_mean, stream.n_train_per_class, t, LABEL_FAKE, "current_fake", task_rng.fork("train-fake")
+            spec, spec.fake_mean, stream.n_train_per_class, t, LABEL_FAKE, task_rng.fork("train-fake")
         )
         test = _draw_class(
-            spec, spec.real_mean, stream.n_test_per_class, t, LABEL_REAL, "current_real", task_rng.fork("test-real")
+            spec, spec.real_mean, stream.n_test_per_class, t, LABEL_REAL, task_rng.fork("test-real")
         ) + _draw_class(
-            spec, spec.fake_mean, stream.n_test_per_class, t, LABEL_FAKE, "current_fake", task_rng.fork("test-fake")
+            spec, spec.fake_mean, stream.n_test_per_class, t, LABEL_FAKE, task_rng.fork("test-fake")
         )
         out.append((train, test))
     return out
@@ -312,6 +312,5 @@ def load_feature_dataset(path, dim=None):
                 raise ValueError(f"{path}: row {row_no}: inconsistent dimension")
             if not np.isfinite(feats).all():
                 raise ValueError(f"{path}: row {row_no}: non-finite feature")
-            origin = "current_fake" if label == LABEL_FAKE else "current_real"
-            samples.append(Sample(feats, label, origin, task))
+            samples.append(Sample(feats, label, task))
     return samples

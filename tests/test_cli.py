@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -255,6 +257,19 @@ class TestRunVerb:
             assert main([verb, "--config", path]) == 2
             assert message in capsys.readouterr().err
 
+    def test_jobs_2_matches_jobs_1(self, tmp_path):
+        path = write_dataset_config(tmp_path, strategy="adaptive", seeds=[0, 1, 2])
+        outs = [str(tmp_path / "jobs1"), str(tmp_path / "jobs2")]
+        for jobs, out in zip(("1", "2"), outs):
+            assert main(["run", "--config", path, "--out", out, "--jobs", jobs]) == 0
+        files = ["median_summary.json"] + [
+            f"seed_{s}/{name}" for s in (0, 1, 2)
+            for name in ("table.csv", "alpha.csv", "projection.csv", "summary.json")
+        ]
+        for f in files:
+            one, two = (open(os.path.join(out, f), "rb").read() for out in outs)
+            assert one == two, f
+
     def test_dataset_parsed_once(self, tmp_path, monkeypatch):
         calls = []
         inner = genreplay.cli.load_feature_dataset
@@ -364,3 +379,13 @@ class TestCliParsing:
         code = main(["run", "--config", write_config(tmp_path), "--seeds", "1,two"])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(genreplay.cli.__file__))
+    code = "import sys, genreplay, genreplay.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

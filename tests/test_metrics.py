@@ -1,9 +1,13 @@
 """AUC, accuracy, performance drop, and the incremental results table."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from genreplay.metrics import (
+    DERIVED_COLUMNS,
+    StepRow,
     TaskEval,
     accuracy,
     auc,
@@ -57,6 +61,18 @@ class TestAuc:
     def test_single_class_raises(self):
         with pytest.raises(ValueError, match="each class"):
             auc([0.1, 0.9], [1, 1])
+
+    def test_nan_score_raises(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            auc([0.1, np.nan, 0.8, 0.3], [0, 0, 1, 1])
+
+    def test_infinite_scores_rank_as_ordered(self):
+        inf = np.inf
+        assert auc([-inf, 0.2, 0.5, inf], [0, 0, 1, 1]) == 1.0
+        assert auc([inf, 0.2, 0.5, -inf], [0, 0, 1, 1]) == 0.25
+        assert auc([inf, -inf], [0, 1]) == 0.0
+        # tied infinities get half credit like any other tie
+        assert auc([inf, inf, -inf, -inf], [0, 1, 0, 1]) == 0.5
 
 
 class TestAccuracy:
@@ -145,6 +161,9 @@ class TestBuildTable:
 
 
 class TestSerialization:
+    def test_derived_columns_follow_step_row(self):
+        assert DERIVED_COLUMNS == tuple(f.name for f in fields(StepRow))[3:]
+
     def test_columns_and_row_values_align(self):
         per_step = [{0: ev(0.9)}, {0: ev(0.8), 1: ev(0.95)}]
         table = build_table(per_step, alphas=[None, 0.3])

@@ -1,4 +1,4 @@
-"""Property tests: hand gradients of the RS and CE losses against finite differences."""
+"""Property tests: hand gradients of the RS and CE losses against finite differences, AUC against pairwise counts."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from genreplay.losses import LossConfig, ce_loss_batch, rs_loss_with_grads
+from genreplay.metrics import auc
 from genreplay.numerics import finite_diff_grad
 
 # deterministic and without an example database, like the rest of the suite
@@ -85,3 +86,25 @@ def test_ce_gradient_matches_finite_differences(data):
     _, grad = ce_loss_batch(y_p, labels)
     numeric = finite_diff_grad(lambda p: ce_loss_batch(p, labels)[0], y_p, h=H)
     assert close(grad, numeric)
+
+
+def pairwise_auc(scores, labels):
+    """O(n^2) oracle: a fake/real pair scores 1 when ordered, 1/2 when tied."""
+    pos, neg = scores[labels == 1][:, None], scores[labels == 0][None, :]
+    wins = np.count_nonzero(pos > neg) + 0.5 * np.count_nonzero(pos == neg)
+    return wins / (pos.size * neg.size)
+
+
+# few distinct values, so most instances hold many ties, infinities included
+quantized = st.sampled_from([-np.inf, 0.0, 0.25, 0.5, 0.75, 1.0, np.inf])
+
+
+@PROPERTY
+@given(data=st.data())
+def test_auc_equals_pairwise_oracle(data):
+    n = data.draw(st.integers(2, 40))
+    scores = data.draw(arrays(float, n, elements=quantized))
+    labels = data.draw(arrays(int, n, elements=st.integers(0, 1)))
+    assume(0 < labels.sum() < n)
+    # both sides are exact half-integer counts over the same denominator
+    assert auc(scores, labels) == pairwise_auc(scores, labels)

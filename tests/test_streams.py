@@ -140,7 +140,7 @@ class TestIngestion:
         samples = load_feature_dataset(path)
         assert len(samples) == 3
         assert np.array_equal(samples[0].features, [0.5, 1.5])
-        assert samples[1].label == 1 and samples[1].origin == "current_fake"
+        assert samples[1].label == 1
         assert samples[2].task_index == 1
 
     def test_task_column_optional(self, tmp_path):
@@ -185,7 +185,7 @@ class TestStreamFromSamples:
         for t in range(n_tasks):
             for i in range(n_per_task):
                 out.append(
-                    Sample(rng.fork(f"{t}-{i}").normal(size=3), i % 2, "current_fake" if i % 2 else "current_real", t)
+                    Sample(rng.fork(f"{t}-{i}").normal(size=3), i % 2, t)
                 )
         return out
 

@@ -226,7 +226,7 @@ class TestTrainTask:
     def test_task_smaller_than_batch_raises(self):
         rng = Rng(12)
         samples = [
-            Sample(rng.fork(f"{t}-{i}").normal(size=4), i % 2, "current_fake" if i % 2 else "current_real", t)
+            Sample(rng.fork(f"{t}-{i}").normal(size=4), i % 2, t)
             for t in range(2)
             for i in range(20)
         ]
