@@ -14,7 +14,9 @@ from .numerics import AdamState, Rng, adam_step, finite_diff_grad
 from .replay import GeneratorModel, GeneratorPair, Signature, fit_generator, sample_replay, signature_similarity
 from .samples import Sample
 from .streams import DatasetStream, DomainSpec, TaskStream, load_feature_dataset, make_scenario
-from .trainer import RunState, Strategy, TrainConfig, assemble_batch, run_incremental, train_task
+from .trainer import (
+    RunState, Strategy, TrainConfig, assemble_batch, fit_task_generators, run_incremental, train_task,
+)
 
 __all__ = [
     "AdamState", "BatchLossBreakdown", "DatasetStream", "DcsConfig",
@@ -23,7 +25,7 @@ __all__ = [
     "Signature", "Strategy", "TaskStream", "TrainConfig", "accuracy",
     "adam_step", "assemble_batch", "auc", "build_table", "centroid",
     "combine_losses", "compute_alpha", "confusion_distance",
-    "confusion_score", "finite_diff_grad", "fit_generator",
+    "confusion_score", "finite_diff_grad", "fit_generator", "fit_task_generators",
     "load_feature_dataset", "make_scenario", "normalize_score",
     "performance_drop", "rs_loss", "run_incremental", "sample_replay",
     "signature_similarity", "train_task",

@@ -136,5 +136,7 @@ class MLP:
             a_prev = record.x if li == 0 else record.acts[li - 1]
             np.matmul(a_prev.T, dz, out=g_ws[li])
             dz.sum(axis=0, out=g_bs[li])
-            da = dz @ self.weights[li].T
+            if li:
+                # no caller reads the gradient with respect to the input
+                da = dz @ self.weights[li].T
         return grad

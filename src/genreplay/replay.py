@@ -150,9 +150,12 @@ def fit_generator(samples, kind, n_components, replay_signature, rng):
     if kind != "gmm":
         raise ValueError(f"unknown generator kind {kind!r}")
 
-    n, d = x.shape
+    n = x.shape[0]
     k = n_components
-    x2 = x**2
+    # component-major: the E- and M-steps work on (k, n) arrays, so their
+    # elementwise steps and sums run along n, not along k
+    xt = np.ascontiguousarray(x.T)
+    x2t = xt**2
     means, variances, weights = _hard_assignment_init(x, _kmeanspp_means(x, k, rng))
     trace = []
     prev_ll = -np.inf
@@ -160,23 +163,20 @@ def fit_generator(samples, kind, n_components, replay_signature, rng):
     it = 0
     while it < EM_MAX_ITERS:
         it += 1
-        # (n, k) log of weight times diagonal gaussian density; the quadratic
+        # (k, n) log of weight times diagonal gaussian density; the quadratic
         # form sum((x - mean)**2 / var) expanded into three matrix products
         quad = (
-            x2 @ (1.0 / variances).T
-            - 2.0 * (x @ (means / variances).T)
-            + np.sum(means**2 / variances, axis=1)
+            (1.0 / variances) @ x2t
+            - 2.0 * ((means / variances) @ xt)
+            + np.sum(means**2 / variances, axis=1)[:, None]
         )
-        log_resp = np.log(weights) - 0.5 * (np.sum(np.log(2.0 * np.pi * variances), axis=1) + quad)
-        # a chain of logaddexp over the k columns rounds as logaddexp.reduce
-        # (axis=1) does, without its slow strided inner loop
-        log_norm = log_resp[:, 0]
-        for c in range(1, k):
-            log_norm = np.logaddexp(log_norm, log_resp[:, c])
+        log_const = np.sum(np.log(2.0 * np.pi * variances), axis=1)[:, None]
+        log_resp = np.log(weights)[:, None] - 0.5 * (log_const + quad)
+        log_norm = np.logaddexp.reduce(log_resp, axis=0)
         ll = float(log_norm.sum())
         trace.append(ll)
-        resp = np.exp(log_resp - log_norm[:, None])
-        nk = resp.sum(axis=0)
+        resp = np.exp(log_resp - log_norm)
+        nk = resp.sum(axis=1)
         if (nk < 1e-10).any():
             if reseeded:
                 raise RuntimeError("EM degenerate component after re-seeding")
@@ -189,8 +189,8 @@ def fit_generator(samples, kind, n_components, replay_signature, rng):
             it = 0
             continue
         weights = nk / n
-        means = (resp.T @ x) / nk[:, None]
-        sq = resp.T @ x2 / nk[:, None] - means**2
+        means = (resp @ x) / nk[:, None]
+        sq = resp @ x2t.T / nk[:, None] - means**2
         variances = np.maximum(sq, VAR_FLOOR)
         if np.isfinite(prev_ll) and abs(ll - prev_ll) <= EM_TOL * (abs(prev_ll) + 1.0):
             break

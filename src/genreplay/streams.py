@@ -9,6 +9,7 @@ direction (domain-safe) or aligned with a later forgery direction
 """
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,16 +276,16 @@ def draw_stream_data(stream, rng):
 def load_feature_dataset(path, dim=None):
     """Read samples from a CSV file: f0..f{d-1}, label, optional task column.
 
-    The header names the columns; label must be 0 (real) or 1 (fake). Rows that
-    fail to parse or hold a NaN or inf feature raise with their 1-based row
-    number.
+    The header names the columns; label must be 0 (real) or 1 (fake), and
+    label and task cells must be integer literals. A row whose cell count
+    differs from the header's, that fails to parse, or that holds a NaN or
+    inf feature raises with its 1-based row number; blank lines are skipped
+    but still counted.
     """
-    samples = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
-            return samples
+            return []
         header = [h.strip() for h in header]
         if "label" not in header:
             raise ValueError(f"{path}: header must contain a 'label' column")
@@ -297,20 +298,62 @@ def load_feature_dataset(path, dim=None):
             raise ValueError(
                 f"{path}: expected {dim} feature columns, found {len(feat_cols)}"
             )
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                feats = np.array([float(row[i]) for i in feat_cols])
-                label = int(row[label_col])
-                task = int(row[task_col]) if task_col is not None else 0
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}: malformed row {row_no}: {exc}") from exc
-            if label not in (LABEL_REAL, LABEL_FAKE):
-                raise ValueError(f"{path}: row {row_no}: label must be 0 or 1, got {label}")
-            if len(feats) != len(feat_cols):
-                raise ValueError(f"{path}: row {row_no}: inconsistent dimension")
-            if not np.isfinite(feats).all():
-                raise ValueError(f"{path}: row {row_no}: non-finite feature")
-            samples.append(Sample(feats, label, task))
+        columns = _parse_columns(fh, len(header), label_col, task_col, feat_cols)
+        if columns is None:
+            # no row, a bad row, or rows that need the csv module's quoting:
+            # the row-by-row scan decides, and names the row it rejects
+            fh.seek(0)
+            return _scan_rows(path, fh, len(header), label_col, task_col, feat_cols)
+    feats, labels, tasks = columns
+    return [Sample(f, label, task) for f, label, task in zip(feats, labels, tasks)]
+
+
+def _parse_columns(fh, n_cells, label_col, task_col, feat_cols):
+    """(features (n, d), labels, task ids) of the rows left in fh, parsed by column.
+
+    None when there is no row, or when any row is not `n_cells` bare numbers
+    (integers in the label and task columns) or fails a check; such rows may
+    still be valid CSV, quoted cells for example.
+    """
+    dtype = np.dtype(
+        [(f"c{i}", np.int64 if i in (label_col, task_col) else float) for i in range(n_cells)]
+    )
+    try:
+        with warnings.catch_warnings():
+            # a file without rows is left to the row-by-row scan
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(fh, delimiter=",", comments=None, dtype=dtype, ndmin=1)
+    except ValueError:
+        return None
+    feats = np.empty((len(table), len(feat_cols)))
+    for j, i in enumerate(feat_cols):
+        feats[:, j] = table[f"c{i}"]
+    labels = table[f"c{label_col}"]
+    if not (len(table) and np.isfinite(feats).all() and np.isin(labels, (LABEL_REAL, LABEL_FAKE)).all()):
+        return None
+    tasks = table[f"c{task_col}"].tolist() if task_col is not None else [0] * len(table)
+    return feats, labels.tolist(), tasks
+
+
+def _scan_rows(path, fh, n_cells, label_col, task_col, feat_cols):
+    """Row-by-row parse of the CSV file fh after its header; raises at the first bad row."""
+    reader = csv.reader(fh)
+    next(reader)
+    samples = []
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != n_cells:
+            raise ValueError(f"{path}: row {row_no}: expected {n_cells} cells, found {len(row)}")
+        try:
+            feats = np.array([float(row[i]) for i in feat_cols])
+            label = int(row[label_col])
+            task = int(row[task_col]) if task_col is not None else 0
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed row {row_no}: {exc}") from exc
+        if label not in (LABEL_REAL, LABEL_FAKE):
+            raise ValueError(f"{path}: row {row_no}: label must be 0 or 1, got {label}")
+        if not np.isfinite(feats).all():
+            raise ValueError(f"{path}: row {row_no}: non-finite feature")
+        samples.append(Sample(feats, label, task))
     return samples

@@ -263,16 +263,17 @@ def train_task(
     state,
     task_index,
     train_samples,
-    replay_signature,
     strategy,
     cfg,
     rng,
     loss_cfg=None,
     dcs_cfg=None,
 ):
-    """Train the model on one task, then fit and freeze its generator pair.
+    """Train the model on one task.
 
-    Returns the last epoch's alpha, or None when no alpha applied.
+    Returns the last epoch's alpha, or None when no alpha applied. The task's
+    generator pair is fitted apart, by fit_task_generators, and only when a
+    later task replays it.
     """
     if not train_samples:
         raise ValueError("task has no training data")
@@ -285,8 +286,7 @@ def train_task(
     dcs_cfg = dcs_cfg or DcsConfig()
     pairs = state.generator_pairs if strategy.uses_replay else []
     pools = state.replay_pools if cfg.replay_pool_size else None
-    x_train = np.stack([s.features for s in train_samples])
-    y_train = np.array([s.label for s in train_samples])
+    x_train, y_train = _arrays(train_samples)
     current_fakes = x_train[y_train == LABEL_FAKE]
 
     for epoch in range(cfg.epochs):
@@ -315,14 +315,14 @@ def train_task(
                 state.model.params, grad, state.adam,
                 lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
             )
-
-    _fit_task_generators(state, task_index, x_train, y_train, replay_signature, cfg, rng.fork("fit"))
     return alpha
 
 
-def _fit_task_generators(state, task_index, x_train, y_train, replay_signature, cfg, rng):
+def fit_task_generators(state, task_index, train_samples, replay_signature, cfg, rng):
+    """Fit and freeze the task's generator pair (and its replay pool, if configured)."""
     if any(p.task_index == task_index for p in state.generator_pairs):
         raise ValueError(f"generators for task {task_index} already fitted")
+    x_train, y_train = _arrays(train_samples)
     reals = x_train[y_train == LABEL_REAL]
     fakes = x_train[y_train == LABEL_FAKE]
     n_comp = 1 if cfg.generator_kind == "gaussian" else cfg.gmm_components
@@ -338,16 +338,24 @@ def _fit_task_generators(state, task_index, x_train, y_train, replay_signature, 
         )
 
 
+def _arrays(samples):
+    """(features (n, dim), labels (n,)) of a list of samples."""
+    return np.stack([s.features for s in samples]), np.array([s.label for s in samples])
+
+
 def evaluate(model, test_samples):
-    x = np.stack([s.features for s in test_samples])
-    labels = np.array([s.label for s in test_samples])
+    x, labels = _arrays(test_samples)
     scores = model.forward(x).y_p
     overall, real_acc, fake_acc = accuracy(scores, labels)
     return TaskEval(auc=auc(scores, labels), acc=overall, acc_real=real_acc, acc_fake=fake_acc)
 
 
 def run_incremental(stream, strategy, cfg, loss_cfg=None, dcs_cfg=None, return_state=False):
-    """Train through the stream; after each task, evaluate every seen task."""
+    """Train through the stream; after each task, evaluate every seen task.
+
+    A task's generator pair is fitted only when a later task replays it: never
+    for the final task, nor for a strategy that uses no replay.
+    """
     loss_cfg = loss_cfg or LossConfig()
     dcs_cfg = dcs_cfg or DcsConfig()
     rng = Rng(cfg.seed)
@@ -359,10 +367,12 @@ def run_incremental(stream, strategy, cfg, loss_cfg=None, dcs_cfg=None, return_s
     alphas = []
     for k in range(stream.n_tasks):
         train, _ = data[k]
+        task_rng = rng.fork(f"task{k}")
         last_alpha = train_task(
-            state, k, train, stream.replay_signatures[k], strategy, cfg,
-            rng.fork(f"task{k}"), loss_cfg=loss_cfg, dcs_cfg=dcs_cfg,
+            state, k, train, strategy, cfg, task_rng, loss_cfg=loss_cfg, dcs_cfg=dcs_cfg,
         )
+        if strategy.uses_replay and k + 1 < stream.n_tasks:
+            fit_task_generators(state, k, train, stream.replay_signatures[k], cfg, task_rng.fork("fit"))
         evals = {t: evaluate(state.model, data[t][1]) for t in range(k + 1)}
         per_step.append(evals)
         alphas.append(last_alpha)

@@ -1,4 +1,8 @@
-"""Property tests: hand gradients of the RS and CE losses against finite differences, AUC against pairwise counts."""
+"""Property tests: hand gradients of the RS and CE losses against finite differences,
+AUC against pairwise counts, and CSV ingestion against the arrays written."""
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from genreplay.losses import LossConfig, ce_loss_batch, rs_loss_with_grads
 from genreplay.metrics import auc
 from genreplay.numerics import finite_diff_grad
+from genreplay.streams import load_feature_dataset
 
 # deterministic and without an example database, like the rest of the suite
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -108,3 +113,86 @@ def test_auc_equals_pairwise_oracle(data):
     assume(0 < labels.sum() < n)
     # both sides are exact half-integer counts over the same denominator
     assert auc(scores, labels) == pairwise_auc(scores, labels)
+
+
+@st.composite
+def feature_tables(draw):
+    """(features (n, d), labels, task ids or None, column order, line end, blank-line gaps).
+
+    Task ids reach past int64, features span every finite float, columns come
+    in any order, and gaps[i] blank lines precede data row i.
+    """
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 4))
+    feats = draw(arrays(float, (n, d), elements=st.floats(allow_nan=False, allow_infinity=False)))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    tasks = draw(st.none() | st.lists(st.integers(-(2**64), 2**64), min_size=n, max_size=n))
+    order = draw(st.permutations(range(d + 1 + (tasks is not None))))
+    line_end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    gaps = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return feats, labels, tasks, order, line_end, gaps
+
+
+def table_text(feats, labels, tasks, order, line_end, gaps, bad=None):
+    """The CSV text of a feature table, features written at repr precision.
+
+    bad, a (data row, column name, cell) triple, replaces one written cell.
+    """
+    names = [f"f{j}" for j in range(feats.shape[1])] + ["label"] + (["task"] if tasks is not None else [])
+    lines = [",".join(names[i] for i in order)]
+    for r in range(len(labels)):
+        values = [repr(float(v)) for v in feats[r]] + [str(labels[r])]
+        values += [str(tasks[r])] if tasks is not None else []
+        row = dict(zip(names, values))
+        if bad is not None and bad[0] == r:
+            row[bad[1]] = bad[2]
+        lines += [""] * gaps[r] + [",".join(row[names[i]] for i in order)]
+    return line_end.join(lines) + line_end
+
+
+def load_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        return load_feature_dataset(path)
+
+
+@PROPERTY
+@given(table=feature_tables())
+def test_ingestion_reads_back_what_was_written(table):
+    feats, labels, tasks, order, *_ = table
+    samples = load_text(table_text(*table))
+    # features in file column order, bit for bit: -0.0 and subnormals included
+    expected = feats[:, [i for i in order if i < feats.shape[1]]]
+    assert np.stack([s.features for s in samples]).tobytes() == expected.tobytes()
+    assert [s.label for s in samples] == labels
+    assert [s.task_index for s in samples] == (tasks if tasks is not None else [0] * len(labels))
+
+
+# kind: (cells to inject, the columns they go in, the error they raise)
+BAD_CELLS = {
+    "malformed": (["x", "1..5", "", "0x1p3"], "any", "malformed row {row}: "),
+    "non-finite": (["nan", "inf", "-inf", "1e999"], "features", "row {row}: non-finite feature$"),
+    "label": (["2", "-1"], "label", "row {row}: label must be 0 or 1, got {cell}$"),
+    "not an integer": (["1.0", "1e0"], "label and task", "malformed row {row}: "),
+}
+
+
+@PROPERTY
+@given(table=feature_tables(), data=st.data())
+def test_ingestion_names_the_row_of_a_bad_cell(table, data):
+    feats, labels, tasks, order, line_end, gaps = table
+    kind = data.draw(st.sampled_from(sorted(BAD_CELLS)))
+    cells, where, message = BAD_CELLS[kind]
+    features = [f"f{j}" for j in range(feats.shape[1])]
+    ints = ["label"] + (["task"] if tasks is not None else [])
+    columns = {"any": features + ints, "features": features, "label": ["label"], "label and task": ints}
+    name = data.draw(st.sampled_from(columns[where]))
+    cell = data.draw(st.sampled_from(cells))
+    r = data.draw(st.integers(0, len(labels) - 1))
+    text = table_text(feats, labels, tasks, order, line_end, gaps, bad=(r, name, cell))
+    # the header is row 1; every blank line counts
+    row = 2 + r + sum(gaps[: r + 1])
+    with pytest.raises(ValueError, match=message.format(row=row, cell=cell)):
+        load_text(text)

@@ -171,6 +171,40 @@ class TestIngestion:
         path = self._write_csv(tmp_path / "d.csv", "")
         assert load_feature_dataset(path) == []
 
+    @pytest.mark.parametrize("text", ["f0,label\n", "f0,label\n\n\n"])
+    def test_header_without_rows_returns_empty(self, tmp_path, text):
+        path = self._write_csv(tmp_path / "d.csv", text)
+        assert load_feature_dataset(path) == []
+
+    @pytest.mark.parametrize(
+        "row, found", [("1.0,0", 2), ("1.0,2.0,0,0", 4), ("   ", 1)]
+    )
+    def test_ragged_row_reports_cell_count(self, tmp_path, row, found):
+        path = self._write_csv(tmp_path / "d.csv", f"f0,f1,label\n1.0,2.0,0\n{row}\n")
+        with pytest.raises(ValueError, match=f"row 3: expected 3 cells, found {found}$"):
+            load_feature_dataset(path)
+
+    @pytest.mark.parametrize("label", ["1.0", "1e0", "true", ""])
+    def test_label_must_be_an_integer_literal(self, tmp_path, label):
+        path = self._write_csv(tmp_path / "d.csv", f"f0,label\n1.0,0\n1.0,{label}\n")
+        with pytest.raises(ValueError, match="malformed row 3"):
+            load_feature_dataset(path)
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = self._write_csv(tmp_path / "d.csv", "f0,label\n1.0,0\n\n\n2.0,1\n\n1.0,x\n")
+        with pytest.raises(ValueError, match="malformed row 7"):
+            load_feature_dataset(path)
+        path = self._write_csv(tmp_path / "d.csv", "f0,label\r\n\r\n1.0,0\r\n\r\n2.0,1\r\n")
+        assert [s.label for s in load_feature_dataset(path)] == [0, 1]
+
+    def test_quoted_cells_read_as_bare_ones(self, tmp_path):
+        bare = load_feature_dataset(self._write_csv(tmp_path / "a.csv", "f0,label,task\n0.5,1,2\n"))
+        quoted = load_feature_dataset(
+            self._write_csv(tmp_path / "b.csv", 'f0,label,task\n"0.5","1",2\n')
+        )
+        assert [(s.features.tolist(), s.label, s.task_index) for s in quoted] == [([0.5], 1, 2)]
+        assert [(s.features.tolist(), s.label, s.task_index) for s in bare] == [([0.5], 1, 2)]
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_reports_row(self, tmp_path, value):
         path = self._write_csv(tmp_path / "d.csv", f"f0,f1,label\n1.0,2.0,0\n1.0,{value},1\n")

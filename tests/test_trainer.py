@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import genreplay.trainer
 from genreplay.confusion import DcsConfig
 from genreplay.losses import LossConfig
 from genreplay.metrics import table_to_dict
@@ -21,6 +22,7 @@ from genreplay.trainer import (
     TrainConfig,
     assemble_batch,
     batch_objective,
+    fit_task_generators,
     run_incremental,
     split_round_robin,
     train_task,
@@ -207,17 +209,17 @@ class TestTrainTask:
         from genreplay.streams import draw_stream_data
 
         train, _ = draw_stream_data(stream, Rng(cfg.seed).fork("data"))[0]
-        train_task(state, 0, train, stream.replay_signatures[0], Strategy("adaptive"), cfg, Rng(0).fork("t0"))
+        fit_task_generators(state, 0, train, stream.replay_signatures[0], cfg, Rng(0).fork("t0"))
         assert len(state.generator_pairs) == 1
         with pytest.raises(ValueError, match="already fitted"):
-            train_task(state, 0, train, stream.replay_signatures[0], Strategy("adaptive"), cfg, Rng(0).fork("t0"))
+            fit_task_generators(state, 0, train, stream.replay_signatures[0], cfg, Rng(0).fork("t0"))
 
     def test_empty_training_data_raises(self):
         stream = tiny_stream()
         cfg = tiny_cfg()
         state = self._state(stream, cfg)
         with pytest.raises(ValueError, match="no training data"):
-            train_task(state, 0, [], stream.replay_signatures[0], Strategy("adaptive"), cfg, Rng(0))
+            train_task(state, 0, [], Strategy("adaptive"), cfg, Rng(0))
 
     def test_batch_current_below_one_raises(self):
         with pytest.raises(ValueError, match="batch_current"):
@@ -233,6 +235,28 @@ class TestTrainTask:
         stream = stream_from_samples(samples, Rng(1), test_fraction=0.25)
         with pytest.raises(ValueError, match="task 0 has 15 training rows, fewer than batch_current=32"):
             run_incremental(stream, Strategy("adaptive"), TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("kind, pool", [("adaptive", None), ("adaptive", 32), ("lower_bound", None)])
+    def test_fits_only_replayed_tasks(self, monkeypatch, kind, pool):
+        # task k's pair is fitted only when task k+1 replays it: never the final task's
+        calls = []
+        inner = genreplay.trainer.fit_generator
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(genreplay.trainer, "fit_generator", counting)
+        n_tasks = 3
+        strategy = Strategy(kind)
+        _, state = run_incremental(
+            tiny_stream(n_tasks=n_tasks), strategy, tiny_cfg(epochs=1, replay_pool_size=pool),
+            return_state=True,
+        )
+        replayed = list(range(n_tasks - 1)) if strategy.uses_replay else []
+        assert len(calls) == 2 * len(replayed)
+        assert [p.task_index for p in state.generator_pairs] == replayed
+        assert sorted(state.replay_pools) == (replayed if pool else [])
 
     def test_alpha_recomputed_every_epoch(self):
         stream = tiny_stream(n_tasks=2)
