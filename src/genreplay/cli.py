@@ -180,6 +180,10 @@ def load_config(path, verb, seeds_override=None, out_override=None):
     seeds = seeds_override if seeds_override is not None else raw.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
         raise ConfigError("seeds: need a non-empty list of integers")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        # each seed writes seed_<n>/, and a repeat would count twice in the medians
+        raise ConfigError(f"seeds: seed {repeated[0]} is listed more than once")
     cfg["seeds"] = seeds
 
     out_dir = out_override if out_override is not None else raw.get("out_dir")
@@ -426,6 +430,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         seeds = _parse_seeds(args.seeds) if args.seeds else None
         cfg = load_config(args.config, args.verb, seeds_override=seeds, out_override=args.out)
     except ConfigError as exc:

@@ -101,7 +101,7 @@ def _cos_rows_with_grads(fake, c, eps):
     f_unit = np.zeros_like(fake)
     np.divide(fake, nf[:, None], out=f_unit, where=nf[:, None] > 0)
     c_unit = c / nc if nc > 0 else np.zeros_like(c)
-    nf_eps_sq = np.array([v**2 for v in nf_eps])
+    nf_eps_sq = np.array([v**2 for v in nf_eps.tolist()])
     d_f = c / denom[:, None] - dot[:, None] * f_unit / (nf_eps_sq * nc_eps)[:, None]
     d_c = fake / denom[:, None] - dot[:, None] * c_unit / (nf_eps * nc_eps**2)[:, None]
     return dot / denom, d_f, d_c
@@ -159,7 +159,7 @@ def rs_loss_with_grads(fake_features, real_centroid, real_count, cfg):
         # sums run in row order, as a per-row loop adds them; pairwise
         # summation would round differently
         value = 0.0
-        for v in vals / m:
+        for v in (vals / m).tolist():
             value += v
         d_fake = d_f / m
         d_c = np.add.accumulate(d_c_rows / m, axis=0)[-1]

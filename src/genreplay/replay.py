@@ -64,6 +64,8 @@ class GeneratorModel:
         self.variances = variances
         self.std = np.sqrt(variances)
         self.signature = signature
+        # the artifact shift added to every draw
+        self.shift = signature.vector * signature.strength
         self.loglik_trace = loglik_trace or []
 
     @property
@@ -72,14 +74,24 @@ class GeneratorModel:
 
     def sample(self, n, rng):
         """Draw n vectors, shifted by signature.vector * signature.strength."""
+        return self.sample_each(n, [rng])[0]
+
+    def sample_each(self, n, rngs):
+        """sample(n, rng) for every rng in rngs, as one (len(rngs), n, dim) array.
+
+        Each Rng draws its own uniforms and normals, as sample does; the rows
+        are then mapped through the means, deviations and shift in one pass.
+        """
         if n == 0:
-            return np.empty((0, self.dim))
-        # the same uniforms and lookup as rng.gen.choice(k, size=n, p=weights),
-        # without re-checking p on every call
-        comps = self.cdf.searchsorted(rng.gen.random(n), side="right")
-        noise = rng.normal(size=(n, self.dim))
-        out = self.means[comps] + noise * self.std[comps]
-        return out + self.signature.vector * self.signature.strength
+            return np.empty((len(rngs), 0, self.dim))
+        comps = np.empty((len(rngs), n), dtype=np.intp)
+        noise = np.empty((len(rngs), n, self.dim))
+        for b, rng in enumerate(rngs):
+            # the same uniforms and lookup as rng.gen.choice(k, size=n, p=weights),
+            # without re-checking p on every call
+            comps[b] = self.cdf.searchsorted(rng.gen.random(n), side="right")
+            noise[b] = rng.normal(size=(n, self.dim))
+        return self.means[comps] + noise * self.std[comps] + self.shift
 
 
 @dataclass(frozen=True)

@@ -282,7 +282,8 @@ def load_feature_dataset(path, dim=None):
     inf feature raises with its 1-based row number; blank lines are skipped
     but still counted.
     """
-    with open(path, newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put before the header
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             return []

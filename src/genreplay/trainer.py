@@ -139,71 +139,129 @@ def split_round_robin(n, k):
     return [base + (1 if i < extra else 0) for i in range(k)]
 
 
-# Batch.role codes: which part of the objective a row feeds
+# BatchLayout.role codes: which part of the objective a row feeds
 ROLE_CURRENT = 0
 ROLE_GEN_REAL = 1
 ROLE_GEN_FAKE = 2
 
 
+class BatchLayout(NamedTuple):
+    """Where each part of the objective sits in a batch's rows.
+
+    Rows run: current rows, then gen-real rows of pair 0, gen-fake rows of
+    pair 0, gen-real rows of pair 1, and so on. real_counts and fake_counts
+    give each pair's row counts, role (n,) a ROLE_* code per row, and
+    replay_labels the labels of the rows after the current ones. cf_idx
+    (current and gen-fake rows), gr_idx and gf_idx index the rows that feed
+    the label-supervised, gen-real and gen-fake parts.
+    """
+
+    real_counts: list
+    fake_counts: list
+    role: np.ndarray
+    replay_labels: np.ndarray
+    cf_idx: np.ndarray
+    gr_idx: np.ndarray
+    gf_idx: np.ndarray
+
+
+def batch_layout(n_current, n_pairs, cfg, include_gen_real=True):
+    """The layout of a batch with n_current current rows and n_pairs stored pairs.
+
+    The replay draws are split round-robin over the pairs.
+    """
+    real_counts, fake_counts = [], []
+    if n_pairs:
+        n_real = cfg.batch_gen_real if include_gen_real else 0
+        real_counts = split_round_robin(n_real, n_pairs)
+        fake_counts = split_round_robin(cfg.batch_gen_fake, n_pairs)
+    counts = [n_current]
+    for n_real, n_fake in zip(real_counts, fake_counts):
+        counts += [n_real, n_fake]
+    role = np.repeat([ROLE_CURRENT] + [ROLE_GEN_REAL, ROLE_GEN_FAKE] * n_pairs, counts)
+    return BatchLayout(
+        real_counts,
+        fake_counts,
+        role,
+        np.where(role[n_current:] == ROLE_GEN_FAKE, LABEL_FAKE, LABEL_REAL),
+        np.flatnonzero(role != ROLE_GEN_REAL),
+        np.flatnonzero(role == ROLE_GEN_REAL),
+        np.flatnonzero(role == ROLE_GEN_FAKE),
+    )
+
+
 class Batch(NamedTuple):
     """One assembled training batch of n rows.
 
-    x is (n, input_dim), labels (n,) with 1 for fake, and role (n,) ROLE_*
-    codes. Rows run: current rows, then gen-real rows of pair 0, gen-fake rows
-    of pair 0, gen-real rows of pair 1, and so on.
+    x is (n, input_dim) and labels (n,) with 1 for fake, in the row order of
+    layout (see BatchLayout).
     """
 
     x: np.ndarray
     labels: np.ndarray
-    role: np.ndarray
+    layout: BatchLayout
+
+    @property
+    def role(self):
+        return self.layout.role
+
+
+def draw_replay(pairs, layout, rngs, dim, pools=None):
+    """The replay rows of len(rngs) batches, as one (len(rngs), n_replay, dim) array.
+
+    Block b holds batch b's rows after its current ones, in layout's order,
+    drawn from rngs[b]: a task in pools draws with replacement from its fixed
+    pool on fork pool{i}, real rows then fake rows; any other pair samples its
+    generators on forks pair{i}/real and pair{i}/fake.
+    """
+    blocks = [np.empty((len(rngs), 0, dim))]
+    for i, pair in enumerate(pairs):
+        n_real, n_fake = layout.real_counts[i], layout.fake_counts[i]
+        if pools is not None and pair.task_index in pools:
+            real_arr, fake_arr = pools[pair.task_index]
+            real_idx = np.empty((len(rngs), n_real), dtype=np.int64)
+            fake_idx = np.empty((len(rngs), n_fake), dtype=np.int64)
+            for b, rng in enumerate(rngs):
+                pool_rng = rng.fork(f"pool{i}")
+                if n_real:
+                    real_idx[b] = pool_rng.integers(0, len(real_arr), size=n_real)
+                if n_fake:
+                    fake_idx[b] = pool_rng.integers(0, len(fake_arr), size=n_fake)
+            blocks += [real_arr[real_idx], fake_arr[fake_idx]]
+        else:
+            pair_rngs = [rng.fork(f"pair{i}") for rng in rngs]
+            blocks.append(pair.g_real.sample_each(n_real, [r.fork("real") for r in pair_rngs]))
+            blocks.append(pair.g_fake.sample_each(n_fake, [r.fork("fake") for r in pair_rngs]))
+    return np.concatenate(blocks, axis=1)
+
+
+def _batch(x, labels, replay, layout):
+    return Batch(np.concatenate([x, replay]), np.concatenate([labels, layout.replay_labels]), layout)
 
 
 def assemble_batch(x, labels, pairs, cfg, rng, include_gen_real=True, pools=None):
     """Current rows plus replay draws split round-robin over stored pairs.
 
     x (n_current, input_dim) and labels (n_current,) are the current chunk.
-    Each pair adds its gen-real then its gen-fake rows (see Batch), drawn from
-    the pair's generators or, for a task in pools, from its fixed pool.
+    Each pair adds its gen-real then its gen-fake rows (see BatchLayout), drawn
+    from rng as draw_replay draws one batch.
     """
-    xs = [x]
-    counts = [len(x)]
-    if pairs:
-        n_real = cfg.batch_gen_real if include_gen_real else 0
-        real_counts = split_round_robin(n_real, len(pairs))
-        fake_counts = split_round_robin(cfg.batch_gen_fake, len(pairs))
-        for i, pair in enumerate(pairs):
-            if pools is not None and pair.task_index in pools:
-                xs += _draw_from_pool(pools[pair.task_index], real_counts[i], fake_counts[i], rng.fork(f"pool{i}"))
-            else:
-                xs += sample_replay(pair, real_counts[i], fake_counts[i], rng.fork(f"pair{i}"))
-            counts += [real_counts[i], fake_counts[i]]
-    role = np.repeat([ROLE_CURRENT] + [ROLE_GEN_REAL, ROLE_GEN_FAKE] * len(pairs), counts)
-    replay_labels = np.where(role[len(x):] == ROLE_GEN_FAKE, LABEL_FAKE, LABEL_REAL)
-    return Batch(np.concatenate(xs), np.concatenate([labels, replay_labels]), role)
-
-
-def _draw_from_pool(pool, n_real, n_fake, rng):
-    """(gen-real rows, gen-fake rows) drawn with replacement from a fixed pool."""
-    real_arr, fake_arr = pool
-    reals = real_arr[rng.integers(0, len(real_arr), size=n_real)] if n_real else real_arr[:0]
-    fakes = fake_arr[rng.integers(0, len(fake_arr), size=n_fake)] if n_fake else fake_arr[:0]
-    return reals, fakes
+    layout = batch_layout(len(x), len(pairs), cfg, include_gen_real)
+    return _batch(x, labels, draw_replay(pairs, layout, [rng], x.shape[1], pools)[0], layout)
 
 
 def batch_objective(model, batch, strategy, alpha, loss_cfg):
     """Loss breakdown and flat parameter gradient for one assembled Batch.
 
-    batch.x is (n, input_dim) and batch.labels and batch.role are (n,), in
-    the row order of assemble_batch. Current and gen-fake rows feed the
-    label-supervised l_cf; gen-real rows feed the gen-real CE and, with the
-    gen-fake rows, the RS term, weighted by alpha as the strategy's row says.
-    The gradient is a flat (model.n_params,) vector.
+    batch.x is (n, input_dim) and batch.labels (n,), in the row order of
+    batch.layout. Current and gen-fake rows feed the label-supervised l_cf;
+    gen-real rows feed the gen-real CE and, with the gen-fake rows, the RS
+    term, weighted by alpha as the strategy's row says. The gradient is a flat
+    (model.n_params,) vector.
     """
     rec = model.forward(batch.x)
     labels = batch.labels
-    cf_idx = np.flatnonzero(batch.role != ROLE_GEN_REAL)
-    gr_idx = np.flatnonzero(batch.role == ROLE_GEN_REAL)
-    gf_idx = np.flatnonzero(batch.role == ROLE_GEN_FAKE)
+    cf_idx, gr_idx, gf_idx = batch.layout.cf_idx, batch.layout.gr_idx, batch.layout.gf_idx
 
     d_yp = np.zeros(len(labels))
     d_feat = np.zeros_like(rec.features)
@@ -288,6 +346,7 @@ def train_task(
     pools = state.replay_pools if cfg.replay_pool_size else None
     x_train, y_train = _arrays(train_samples)
     current_fakes = x_train[y_train == LABEL_FAKE]
+    layout = batch_layout(cfg.batch_current, len(pairs), cfg, strategy.keeps_gen_real)
 
     for epoch in range(cfg.epochs):
         epoch_rng = rng.fork(f"epoch{epoch}")
@@ -301,12 +360,14 @@ def train_task(
         epoch_rng.fork("shuffle").shuffle(order)
         replay_rng = epoch_rng.fork("replay")
         n_batches = len(order) // cfg.batch_current
+        # the whole epoch's replay, each batch on its own fork, before its first step
+        replay = draw_replay(
+            pairs, layout, [replay_rng.fork(f"b{b}") for b in range(n_batches)],
+            x_train.shape[1], pools,
+        )
         for b in range(n_batches):
             rows = order[b * cfg.batch_current : (b + 1) * cfg.batch_current]
-            batch = assemble_batch(
-                x_train[rows], y_train[rows], pairs, cfg, replay_rng.fork(f"b{b}"),
-                include_gen_real=strategy.keeps_gen_real, pools=pools,
-            )
+            batch = _batch(x_train[rows], y_train[rows], replay[b], layout)
             breakdown, grad = batch_objective(
                 state.model, batch, strategy, 1.0 if alpha is None else alpha, loss_cfg
             )

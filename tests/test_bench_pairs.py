@@ -1,0 +1,122 @@
+"""tools/bench_pairs.py: output parsing and summary arithmetic, on canned bench output."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+DIRECTIONS = {"run_s.p50": "lower", "steps_per_s": "higher", "final_avg_auc": "higher"}
+
+
+def canned_output(run_s, steps, auc=0.84, fingerprint="abc", failed=0):
+    """What bench/run.py --trace 0 prints, cut down to the lines the tool reads."""
+    metrics = {
+        "run_s.p50": {"value": run_s, "unit": "s"},
+        "steps_per_s": {"value": steps, "unit": "1/s"},
+        "final_avg_auc": {"value": auc, "unit": "auc"},
+    }
+    result = {"correct": not failed, "attempted": 20, "failed": failed, "metrics": metrics}
+    return "\n".join([
+        'env {"commit": "c0ffee", "nproc": 2, "numpy": "2.4.6", "python": "3.11.7", "blas_threads": 1}',
+        f"fingerprint {fingerprint}",
+        "runs 19 timed + 1 re-run; setup samples 5",
+        "run_s.p50 0.5 s",
+        f"failed_share {failed}/20",
+        json.dumps(result),
+    ]) + "\n"
+
+
+def pair(parent, change):
+    return {
+        "parent": bench_pairs.parse_output(canned_output(*parent)),
+        "change": bench_pairs.parse_output(canned_output(*change)),
+    }
+
+
+def test_parse_output_reads_result_fingerprint_and_env():
+    parsed = bench_pairs.parse_output(canned_output(0.61, 1600.0, fingerprint="037c"))
+    assert parsed["fingerprint"] == "037c"
+    assert parsed["env"]["commit"] == "c0ffee"
+    assert parsed["result"]["metrics"]["run_s.p50"] == {"value": 0.61, "unit": "s"}
+    traced = bench_pairs.parse_output(
+        'fingerprint f1 traced f1\nstage_shares {"adam": 0.1}\n'
+        'zero_call_predictions {"cli.main.calls": true}\n{"failed": 0, "metrics": {}}\n'
+    )
+    assert traced["fingerprint"] == "f1 traced f1"
+    assert traced["stage_shares"] == {"adam": 0.1}
+    assert traced["zero_call_predictions"] == {"cli.main.calls": True}
+    with pytest.raises(ValueError):
+        bench_pairs.parse_output("\n")
+
+
+def test_quartiles_inclusive_and_rounded():
+    values = [0.7680872210313661, 0.7713861278957671, 0.7736663327897175, 0.7744306932174891,
+              0.7749428887242636, 0.7757198466818855, 0.7801087911194429, 0.7840657818871317,
+              0.8008093187576301, 0.8086637611020122]
+    assert bench_pairs.quartiles(values) == [0.77386, 0.77533, 0.78308]
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == [2.0, 3.0, 4.0]
+    assert bench_pairs.quartiles([0.5]) == [0.5, 0.5, 0.5]
+
+
+def test_summary_counts_wins_by_direction_and_ties():
+    pairs = [
+        pair((0.80, 1250.0), (0.63, 1600.0)),  # faster: a win on both timing metrics
+        pair((0.79, 1260.0), (0.64, 1580.0)),
+        pair((0.60, 1700.0), (0.65, 1550.0)),  # slower: a loss on both
+        pair((0.81, 1240.0), (0.81, 1240.0)),  # equal: a tie
+    ]
+    summary = bench_pairs.summarize(pairs, DIRECTIONS)
+    run_s = summary["run_s.p50"]
+    assert (run_s["change_wins"], run_s["ties"], run_s["pairs"]) == (2, 1, 4)
+    assert run_s["unit"] == "s"
+    assert run_s["parent_q1_median_q3"] == [0.7425, 0.795, 0.8025]
+    assert run_s["change_q1_median_q3"] == [0.6375, 0.645, 0.69]
+    steps = summary["steps_per_s"]
+    assert (steps["change_wins"], steps["ties"]) == (2, 1)
+    auc = summary["final_avg_auc"]
+    assert (auc["change_wins"], auc["ties"]) == (0, 4)
+    assert summary["fingerprints_equal_in_every_pair"] is True
+    assert summary["failed"] == 0
+
+
+def test_summary_skips_missing_values_and_counts_failures():
+    pairs = [
+        pair((0.80, None), (0.70, 1500.0)),
+        {
+            "parent": bench_pairs.parse_output(canned_output(0.8, 1250.0, fingerprint="a")),
+            "change": bench_pairs.parse_output(canned_output(0.7, 1400.0, fingerprint="b", failed=2)),
+        },
+    ]
+    summary = bench_pairs.summarize(pairs, DIRECTIONS)
+    assert summary["steps_per_s"]["pairs"] == 1
+    assert summary["run_s.p50"]["pairs"] == 2
+    assert summary["fingerprints_equal_in_every_pair"] is False
+    assert summary["failed"] == 2
+    only_missing = bench_pairs.summarize([pair((0.8, None), (0.7, None))], DIRECTIONS)
+    assert "steps_per_s" not in only_missing
+
+
+def test_timed_pairs_alternate_which_side_runs_first(monkeypatch):
+    calls = []
+
+    def fake_run_pass(checkout, workload, seed, seconds, trace):
+        calls.append((checkout, seed))
+        return bench_pairs.parse_output(canned_output(0.5, 2000.0))
+
+    monkeypatch.setattr(bench_pairs, "run_pass", fake_run_pass)
+    checkouts = {"parent": "P", "change": "C"}
+    pairs = bench_pairs.timed_pairs(checkouts, "sweep_adaptive", [21, 22, 23], 30, lambda msg: None)
+    assert calls == [("P", 21), ("C", 21), ("C", 22), ("P", 22), ("P", 23), ("C", 23)]
+    assert [p["first"] for p in pairs] == ["parent", "change", "parent"]
+    assert [p["workload_seed"] for p in pairs] == [21, 22, 23]
+
+
+def test_parse_seeds():
+    assert bench_pairs.parse_seeds("21-24") == [21, 22, 23, 24]
+    assert bench_pairs.parse_seeds("3,5,8") == [3, 5, 8]

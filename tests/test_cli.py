@@ -105,6 +105,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="seeds"):
             load_config(path, "run")
 
+    def test_repeated_seed_in_config(self, tmp_path):
+        path = write_config(tmp_path, seeds=[1, 2, 1])
+        with pytest.raises(ConfigError, match="seed 1 is listed more than once"):
+            load_config(path, "run")
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/cfg.json", "run")
@@ -379,6 +384,29 @@ class TestCliParsing:
         code = main(["run", "--config", write_config(tmp_path), "--seeds", "1,two"])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_repeated_seed_flag_exits_2(self, tmp_path, capsys, verb):
+        out = tmp_path / "out"
+        code = main([verb, "--config", write_config(tmp_path), "--out", str(out), "--seeds", "1,1,2"])
+        assert code == 2
+        assert "seed 1 is listed more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_repeated_seed_in_config_exits_2(self, tmp_path, capsys, verb):
+        code = main([verb, "--config", write_config(tmp_path, seeds=[1, 1])])
+        assert code == 2
+        assert "seed 1 is listed more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, verb, jobs):
+        code = main([verb, "--config", write_config(tmp_path), "--jobs", jobs])
+        assert code == 2
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_import_loads_no_scipy():

@@ -205,6 +205,28 @@ class TestIngestion:
         assert [(s.features.tolist(), s.label, s.task_index) for s in quoted] == [([0.5], 1, 2)]
         assert [(s.features.tolist(), s.label, s.task_index) for s in bare] == [([0.5], 1, 2)]
 
+    @pytest.mark.parametrize(
+        "header, row",
+        [("label,f0,task", "1,0.5,2"), ("f0,label,task", "0.5,1,2"), ("task,f0,label", "2,0.5,1")],
+    )
+    @pytest.mark.parametrize("quoted", [False, True], ids=["by_column", "by_row"])
+    def test_utf8_byte_order_mark_ignored(self, tmp_path, header, row, quoted):
+        # spreadsheet "CSV UTF-8" exports start with EF BB BF; quoting a cell
+        # sends the file through the row-by-row scan
+        if quoted:
+            row = row.replace("0.5", '"0.5"')
+        text = f"{header}\n{row}\n"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        samples = load_feature_dataset(str(path), dim=1)
+        assert [(s.features.tolist(), s.label, s.task_index) for s in samples] == [([0.5], 1, 2)]
+
+    def test_byte_order_mark_keeps_row_numbers(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbflabel,f0\n0,1.0\n2,1.0\n")
+        with pytest.raises(ValueError, match="row 3: label must be 0 or 1, got 2"):
+            load_feature_dataset(str(path))
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_reports_row(self, tmp_path, value):
         path = self._write_csv(tmp_path / "d.csv", f"f0,f1,label\n1.0,2.0,0\n1.0,{value},1\n")

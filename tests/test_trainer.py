@@ -8,7 +8,7 @@ from genreplay.confusion import DcsConfig
 from genreplay.losses import LossConfig
 from genreplay.metrics import table_to_dict
 from genreplay.model import MLP
-from genreplay.numerics import AdamState, Rng, finite_diff_grad
+from genreplay.numerics import AdamState, Rng, adam_step, finite_diff_grad
 from genreplay.replay import Signature, fit_generator, GeneratorPair, sample_replay
 from genreplay.samples import Sample
 from genreplay.streams import make_scenario, stream_from_samples
@@ -21,7 +21,9 @@ from genreplay.trainer import (
     Strategy,
     TrainConfig,
     assemble_batch,
+    batch_layout,
     batch_objective,
+    draw_replay,
     fit_task_generators,
     run_incremental,
     split_round_robin,
@@ -135,6 +137,150 @@ class TestBatching:
         gen_reals = batch.x[batch.role == ROLE_GEN_REAL]
         known = {tuple(r) for r in pool_rows}
         assert len(gen_reals) and all(tuple(r) in known for r in gen_reals)
+
+
+def make_gmm_pair(task_index, seed, dim=DIM):
+    # three well-separated clusters per class, and a non-zero artifact shift
+    rng = Rng(seed)
+    sig = Signature(np.eye(dim)[0], 0.8)
+    centers = 4.0 * np.eye(dim)[:3]
+    reals = np.concatenate([c + rng.fork(f"r{k}").normal(size=(40, dim)) for k, c in enumerate(centers)])
+    fakes = np.concatenate([1.5 - c + rng.fork(f"f{k}").normal(size=(40, dim)) for k, c in enumerate(centers)])
+    return GeneratorPair(
+        task_index,
+        fit_generator(reals, "gmm", 3, sig, rng.fork("gr")),
+        fit_generator(fakes, "gmm", 3, sig, rng.fork("gf")),
+    )
+
+
+def per_batch_replay(pairs, real_counts, fake_counts, rng, pools=None, dim=DIM):
+    """One batch's replay rows, drawn pair by pair on the batch Rng's fork paths."""
+    parts = [np.empty((0, dim))]
+    for i, pair in enumerate(pairs):
+        if pools is not None and pair.task_index in pools:
+            real_arr, fake_arr = pools[pair.task_index]
+            pool_rng = rng.fork(f"pool{i}")
+            for arr, n in ((real_arr, real_counts[i]), (fake_arr, fake_counts[i])):
+                parts.append(arr[pool_rng.integers(0, len(arr), size=n)] if n else arr[:0])
+        else:
+            pair_rng = rng.fork(f"pair{i}")
+            parts.append(pair.g_real.sample(real_counts[i], pair_rng.fork("real")))
+            parts.append(pair.g_fake.sample(fake_counts[i], pair_rng.fork("fake")))
+    return np.concatenate(parts)
+
+
+class TestEpochReplay:
+    """draw_replay draws every batch of an epoch as the per-batch loop did."""
+
+    N_BATCHES = 5
+
+    def _pools(self, pairs, size=7):
+        return {
+            p.task_index: (p.g_real.sample(size, Rng(30).fork(f"r{p.task_index}")),
+                           p.g_fake.sample(size, Rng(30).fork(f"f{p.task_index}")))
+            for p in pairs
+        }
+
+    @pytest.mark.parametrize(
+        "case",
+        ["gaussian", "gmm", "mixed_kinds", "pools", "some_pooled", "no_gen_real",
+         "fewer_real_than_pairs", "no_gen_fake", "no_pairs"],
+    )
+    def test_rows_match_per_batch_draws(self, case):
+        pairs = {
+            "gaussian": [make_pair(0, 10), make_pair(1, 11)],
+            "gmm": [make_gmm_pair(0, 12), make_gmm_pair(1, 13)],
+            "no_pairs": [],
+        }.get(case, [make_pair(0, 10), make_gmm_pair(1, 13), make_pair(2, 14)])
+        cfg = TrainConfig(
+            batch_gen_real=2 if case == "fewer_real_than_pairs" else 7,
+            batch_gen_fake=0 if case == "no_gen_fake" else 5,
+        )
+        pools = None
+        if case == "pools":
+            pools = self._pools(pairs)
+        elif case == "some_pooled":
+            pools = self._pools(pairs[1:])
+        include_gen_real = case != "no_gen_real"
+        layout = batch_layout(4, len(pairs), cfg, include_gen_real)
+        if case == "fewer_real_than_pairs":
+            assert layout.real_counts == [1, 1, 0]
+        rngs = [Rng(21).fork("replay").fork(f"b{b}") for b in range(self.N_BATCHES)]
+        replay = draw_replay(pairs, layout, rngs, DIM, pools)
+        n_replay = sum(layout.real_counts) + sum(layout.fake_counts)
+        assert replay.shape == (self.N_BATCHES, n_replay, DIM)
+        x, labels = current_chunk(4)
+        for b, rng in enumerate(rngs):
+            want = per_batch_replay(pairs, layout.real_counts, layout.fake_counts, rng, pools)
+            assert np.array_equal(replay[b], want)
+            batch = assemble_batch(x, labels, pairs, cfg, rng, include_gen_real, pools)
+            assert np.array_equal(batch.x, np.concatenate([x, want]))
+            assert np.array_equal(batch.role, layout.role)
+
+    def test_layout_indices_match_roles(self):
+        layout = batch_layout(4, 3, TrainConfig(batch_gen_real=2, batch_gen_fake=5))
+        # pair 2 gets no gen-real row: real counts [1, 1, 0], fake counts [2, 2, 1]
+        assert layout.role.tolist() == [ROLE_CURRENT] * 4 + [
+            ROLE_GEN_REAL, ROLE_GEN_FAKE, ROLE_GEN_FAKE,
+            ROLE_GEN_REAL, ROLE_GEN_FAKE, ROLE_GEN_FAKE,
+            ROLE_GEN_FAKE,
+        ]
+        assert np.array_equal(layout.cf_idx, np.flatnonzero(layout.role != ROLE_GEN_REAL))
+        assert np.array_equal(layout.gr_idx, np.flatnonzero(layout.role == ROLE_GEN_REAL))
+        assert np.array_equal(layout.gf_idx, np.flatnonzero(layout.role == ROLE_GEN_FAKE))
+        assert layout.replay_labels.tolist() == [0, 1, 1, 0, 1, 1, 1]
+
+    @staticmethod
+    def per_batch_train_task(state, task_index, train, strategy, cfg, rng, loss_cfg, dcs_cfg):
+        """train_task with one assemble_batch call per batch."""
+        pairs = state.generator_pairs if strategy.uses_replay else []
+        pools = state.replay_pools if cfg.replay_pool_size else None
+        x_train, y_train = genreplay.trainer._arrays(train)
+        current_fakes = x_train[y_train == 1]
+        alpha = None
+        for epoch in range(cfg.epochs):
+            epoch_rng = rng.fork(f"epoch{epoch}")
+            alpha, record = genreplay.trainer._resolve_alpha(
+                state, strategy, current_fakes, dcs_cfg, epoch_rng.fork("alpha"), task_index, epoch
+            )
+            if record is not None:
+                state.dcs_history.append(record)
+            order = np.arange(len(x_train))
+            epoch_rng.fork("shuffle").shuffle(order)
+            replay_rng = epoch_rng.fork("replay")
+            for b in range(len(order) // cfg.batch_current):
+                rows = order[b * cfg.batch_current : (b + 1) * cfg.batch_current]
+                batch = assemble_batch(
+                    x_train[rows], y_train[rows], pairs, cfg, replay_rng.fork(f"b{b}"),
+                    include_gen_real=strategy.keeps_gen_real, pools=pools,
+                )
+                breakdown, grad = batch_objective(
+                    state.model, batch, strategy, 1.0 if alpha is None else alpha, loss_cfg
+                )
+                state.loss_trace.append(breakdown.l_overall)
+                adam_step(
+                    state.model.params, grad, state.adam,
+                    lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
+                )
+        return alpha
+
+    @pytest.mark.parametrize(
+        "strategy, kind, pool",
+        [("adaptive", "gaussian", None), ("adaptive", "gmm", 40),
+         ("fake_only_replay", "gaussian", None), ("lower_bound", "gaussian", None)],
+    )
+    def test_train_task_trace_matches_per_batch_assembly(self, monkeypatch, strategy, kind, pool):
+        stream = tiny_stream(n_tasks=3, seed=14)
+        cfg = tiny_cfg(
+            seed=14, batch_gen_real=5, batch_gen_fake=4, generator_kind=kind,
+            gmm_components=3, replay_pool_size=pool,
+        )
+        table, state = run_incremental(stream, Strategy(strategy), cfg, return_state=True)
+        monkeypatch.setattr(genreplay.trainer, "train_task", self.per_batch_train_task)
+        want_table, want_state = run_incremental(stream, Strategy(strategy), cfg, return_state=True)
+        assert len(state.loss_trace) == 3 * 2 * 6  # tasks, epochs, batches
+        assert state.loss_trace == want_state.loss_trace
+        assert table_to_dict(table) == table_to_dict(want_table)
 
 
 class TestBatchObjective:
