@@ -167,7 +167,7 @@ def main(argv=None):
         out["timed_pairs"][workload] = [
             {k: _strip(v) if k in SIDES else v for k, v in pair.items()} for pair in pairs
         ]
-        env = {side: pairs[0][side].get("env", {}) for side in SIDES}
+    env = {side: pairs[0][side].get("env", {}) for side in SIDES}
     out["parent_commit"] = env["parent"].get("commit")
     out["change_commit"] = env["change"].get("commit")
     out["host"] = {
