@@ -138,7 +138,8 @@ def load_config(path, verb, seeds_override=None, out_override=None):
     The verb "validate" checks the config for every verb it has a section
     for. The train, loss, dcs, scenario, strategy and grid values get every
     check a run makes on them, so a config that loads does not fail on them
-    once training has started. A dataset is read here, once: its file, its
+    once training has started; a scenario's training rows per task are
+    checked against batch_current. A dataset is read here, once: its file, its
     test_fraction and each task's training rows against batch_current are
     checked, and the samples are kept in cfg["samples"]; only the per-seed
     split is left to the run, which rejects a split that holds one class.
@@ -162,7 +163,7 @@ def load_config(path, verb, seeds_override=None, out_override=None):
             if key not in sc:
                 raise ConfigError(f"scenario: missing required field '{key}'")
         # the stream itself is drawn per seed at run time
-        _build("scenario", _scenario_stream, sc, Rng(0))
+        stream = _build("scenario", _scenario_stream, sc, Rng(0))
         cfg["scenario"] = sc
     else:
         ds = _section(raw, "dataset", _DATASET_KEYS)
@@ -174,6 +175,11 @@ def load_config(path, verb, seeds_override=None, out_override=None):
     cfg["train"] = _build("train", TrainConfig, **_section(raw, "train", _TRAIN_KEYS))
     if "dataset" in cfg:
         cfg["samples"] = _load_dataset(cfg["dataset"], cfg["train"])
+    elif 2 * stream.n_train_per_class < cfg["train"].batch_current:
+        raise ConfigError(
+            f"scenario: each task has {2 * stream.n_train_per_class} training rows "
+            f"(2 x n_train_per_class), fewer than train.batch_current={cfg['train'].batch_current}"
+        )
     cfg["loss"] = _build("loss", LossConfig, **_section(raw, "loss", _LOSS_KEYS))
     cfg["dcs"] = _build("dcs", DcsConfig, **_section(raw, "dcs", _DCS_KEYS))
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import centroid
+from .numerics import check_count
 
 DISTANCE_METRICS = ("l2", "cosine_distance")
 NORMALIZERS = ("tanh", "sigmoid", "linear_over_5")
@@ -26,8 +27,7 @@ class DcsConfig:
             raise ValueError(f"unknown distance_metric {self.distance_metric!r}")
         if self.normalizer not in NORMALIZERS:
             raise ValueError(f"unknown normalizer {self.normalizer!r}")
-        if self.probe_cap < 1:
-            raise ValueError("probe_cap must be >= 1")
+        check_count("probe_cap", self.probe_cap, 1)
 
 
 @dataclass(frozen=True)

@@ -63,34 +63,11 @@ def centroid(features):
     return features.mean(axis=0)
 
 
-def _cos_with_grads(f, c, eps):
-    """cos(f, c) with eps-padded norms, plus gradients w.r.t. f and c."""
-    nf = np.linalg.norm(f)
-    nc = np.linalg.norm(c)
-    denom = (nf + eps) * (nc + eps)
-    dot = float(f @ c)
-    val = dot / denom
-    f_unit = f / nf if nf > 0 else np.zeros_like(f)
-    c_unit = c / nc if nc > 0 else np.zeros_like(c)
-    d_f = c / denom - dot * f_unit / ((nf + eps) ** 2 * (nc + eps))
-    d_c = f / denom - dot * c_unit / ((nf + eps) * (nc + eps) ** 2)
-    return val, d_f, d_c
-
-
-def _dist_with_grads(f, c):
-    """Smoothed L2 distance ||f - c|| with gradients w.r.t. f and c."""
-    diff = f - c
-    dist = np.sqrt(float(diff @ diff) + _L2_SMOOTH)
-    d_f = diff / dist
-    return dist, d_f, -d_f
-
-
 def _cos_rows_with_grads(fake, c, eps):
-    """_cos_with_grads for every row of fake (m, d) against one c, bit for bit.
+    """cos(f, c) with eps-padded norms for every row f of fake (m, d), plus gradients.
 
-    np.vecdot and a per-element scalar square round exactly like the 1-d
-    helper's f @ c, norm and (nf + eps) ** 2; fake @ c, einsum and an array
-    ** 2 do not.
+    Returns the (m,) cosines and their (m, d) gradients w.r.t. each row and
+    w.r.t. c.
     """
     nf = np.sqrt(np.vecdot(fake, fake))
     nc = np.linalg.norm(c)
@@ -101,14 +78,13 @@ def _cos_rows_with_grads(fake, c, eps):
     f_unit = np.zeros_like(fake)
     np.divide(fake, nf[:, None], out=f_unit, where=nf[:, None] > 0)
     c_unit = c / nc if nc > 0 else np.zeros_like(c)
-    nf_eps_sq = np.array([v**2 for v in nf_eps.tolist()])
-    d_f = c / denom[:, None] - dot[:, None] * f_unit / (nf_eps_sq * nc_eps)[:, None]
+    d_f = c / denom[:, None] - dot[:, None] * f_unit / (nf_eps**2 * nc_eps)[:, None]
     d_c = fake / denom[:, None] - dot[:, None] * c_unit / (nf_eps * nc_eps**2)[:, None]
     return dot / denom, d_f, d_c
 
 
 def _dist_rows_with_grads(fake, c):
-    """_dist_with_grads for every row of fake (m, d) against one c, bit for bit."""
+    """Smoothed L2 distance ||f - c|| for every row f of fake (m, d), plus gradients."""
     diff = fake - c
     dist = np.sqrt(np.vecdot(diff, diff) + _L2_SMOOTH)
     d_f = diff / dist[:, None]
@@ -142,27 +118,20 @@ def rs_loss_with_grads(fake_features, real_centroid, real_count, cfg):
         raise ValueError("degenerate geometry: real centroid has ~zero norm under cosine metric")
 
     m = fake.shape[0]
-    if cfg.rs_granularity == "centroid_based":
-        cf = fake.mean(axis=0)
-        if cfg.rs_metric == "cosine":
-            value, d_cf, d_c = _cos_with_grads(cf, c, cfg.eps_cos)
-        else:
-            dist, d_cf, d_c = _dist_with_grads(cf, c)
-            value, d_cf, d_c = -dist, -d_cf, -d_c
-        d_fake = np.tile(d_cf / m, (m, 1))
+    centroid_based = cfg.rs_granularity == "centroid_based"
+    # centroid-based: the fake side is one row, its centroid
+    rows = fake.sum(axis=0, keepdims=True) / m if centroid_based else fake
+    if cfg.rs_metric == "cosine":
+        vals, d_rows, d_c_rows = _cos_rows_with_grads(rows, c, cfg.eps_cos)
     else:
-        if cfg.rs_metric == "cosine":
-            vals, d_f, d_c_rows = _cos_rows_with_grads(fake, c, cfg.eps_cos)
-        else:
-            dist, d_f, d_c_rows = _dist_rows_with_grads(fake, c)
-            vals, d_f, d_c_rows = -dist, -d_f, -d_c_rows
-        # sums run in row order, as a per-row loop adds them; pairwise
-        # summation would round differently
-        value = 0.0
-        for v in (vals / m).tolist():
-            value += v
-        d_fake = d_f / m
-        d_c = np.add.accumulate(d_c_rows / m, axis=0)[-1]
+        dist, d_rows, d_c_rows = _dist_rows_with_grads(rows, c)
+        vals, d_rows, d_c_rows = -dist, -d_rows, -d_c_rows
+    value = vals.sum() / len(rows)
+    d_fake = d_rows / m
+    if centroid_based:
+        # every fake row gets 1/m of the centroid's gradient
+        d_fake = np.repeat(d_fake, m, axis=0)
+    d_c = d_c_rows.sum(axis=0) / len(rows)
 
     d_real = d_c if real_count is None else d_c / real_count
     return float(value), d_fake, d_real

@@ -1,6 +1,7 @@
 """Low-level numerics: seeded RNG substreams, Adam, and gradient checking helpers."""
 
 import hashlib
+from numbers import Integral
 
 import numpy as np
 
@@ -56,6 +57,14 @@ class Rng:
 
     def choice(self, a, size=None, replace=True):
         return self.gen.choice(a, size=size, replace=replace)
+
+
+def check_count(name, value, minimum):
+    """Raise ValueError unless value is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 class AdamState:

@@ -73,24 +73,18 @@ class GeneratorModel:
         return self.means.shape[1]
 
     def sample(self, n, rng):
-        """Draw n vectors, shifted by signature.vector * signature.strength."""
-        return self.sample_each(n, [rng])[0]
+        """Draw vectors, shifted by signature.vector * signature.strength.
 
-    def sample_each(self, n, rngs):
-        """sample(n, rng) for every rng in rngs, as one (len(rngs), n, dim) array.
-
-        Each Rng draws its own uniforms and normals, as sample does; the rows
-        are then mapped through the means, deviations and shift in one pass.
+        n is a count, giving (n, dim) rows, or a shape, giving shape + (dim,);
+        sample((b, n), rng) equals sample(b * n, rng).reshape(b, n, dim).
         """
-        if n == 0:
-            return np.empty((len(rngs), 0, self.dim))
-        comps = np.empty((len(rngs), n), dtype=np.intp)
-        noise = np.empty((len(rngs), n, self.dim))
-        for b, rng in enumerate(rngs):
-            # the same uniforms and lookup as rng.gen.choice(k, size=n, p=weights),
-            # without re-checking p on every call
-            comps[b] = self.cdf.searchsorted(rng.gen.random(n), side="right")
-            noise[b] = rng.normal(size=(n, self.dim))
+        shape = (n,) if np.ndim(n) == 0 else tuple(n)
+        if 0 in shape:
+            return np.empty(shape + (self.dim,))
+        # the same uniforms and lookup as rng.gen.choice(k, size=n, p=weights),
+        # without re-checking p on every call
+        comps = self.cdf.searchsorted(rng.gen.random(shape), side="right")
+        noise = rng.normal(size=shape + (self.dim,))
         return self.means[comps] + noise * self.std[comps] + self.shift
 
 

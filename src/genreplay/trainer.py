@@ -16,7 +16,7 @@ from .confusion import DcsConfig, compute_alpha
 from .losses import LossConfig, ce_loss_batch, centroid, combine_losses, rs_loss_with_grads
 from .metrics import TaskEval, accuracy, auc, build_table
 from .model import MLP
-from .numerics import AdamState, Rng, adam_step
+from .numerics import AdamState, Rng, adam_step, check_count
 from .replay import GeneratorPair, fit_generator, sample_replay
 from .samples import LABEL_FAKE, LABEL_REAL
 from .streams import draw_stream_data
@@ -108,17 +108,28 @@ class TrainConfig:
     replay_pool_size: int | None = None
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_current < 1:
-            raise ValueError("batch_current must be >= 1")
-        if min(self.batch_gen_real, self.batch_gen_fake) < 0:
-            raise ValueError("replay batch sizes must be >= 0")
+        check_count("epochs", self.epochs, 1)
+        check_count("batch_current", self.batch_current, 1)
+        check_count("batch_gen_real", self.batch_gen_real, 0)
+        check_count("batch_gen_fake", self.batch_gen_fake, 0)
+        check_count("gmm_components", self.gmm_components, 1)
+        if self.replay_pool_size is not None:
+            check_count("replay_pool_size", self.replay_pool_size, 1)
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be > 0, got {self.eps!r}")
+        if not self.init_scale >= 0:
+            raise ValueError(f"init_scale must be >= 0, got {self.init_scale!r}")
         if self.generator_kind not in ("gaussian", "gmm"):
             raise ValueError(f"unknown generator kind {self.generator_kind!r}")
         object.__setattr__(self, "arch", tuple(self.arch))
-        if not self.arch or min(self.arch) < 1:
-            raise ValueError("arch needs at least one hidden width, each >= 1")
+        if not self.arch:
+            raise ValueError("arch needs at least one hidden width")
+        for i, width in enumerate(self.arch):
+            check_count(f"arch[{i}]", width, 1)
 
 
 @dataclass
@@ -206,32 +217,27 @@ class Batch(NamedTuple):
         return self.layout.role
 
 
-def draw_replay(pairs, layout, rngs, dim, pools=None):
-    """The replay rows of len(rngs) batches, as one (len(rngs), n_replay, dim) array.
+def draw_replay(pairs, layout, n_batches, rng, dim, pools=None):
+    """The replay rows of n_batches batches, as one (n_batches, n_replay, dim) array.
 
-    Block b holds batch b's rows after its current ones, in layout's order,
-    drawn from rngs[b]: a task in pools draws with replacement from its fixed
-    pool on fork pool{i}, real rows then fake rows; any other pair samples its
-    generators on forks pair{i}/real and pair{i}/fake.
+    Block b holds batch b's rows after its current ones, in layout's order. A
+    task in pools draws with replacement from its fixed pool on fork pool{i},
+    every batch's real rows then every batch's fake rows; any other pair
+    samples its generators once, on forks pair{i}/real and pair{i}/fake.
     """
-    blocks = [np.empty((len(rngs), 0, dim))]
+    blocks = [np.empty((n_batches, 0, dim))]
     for i, pair in enumerate(pairs):
-        n_real, n_fake = layout.real_counts[i], layout.fake_counts[i]
+        real_shape = (n_batches, layout.real_counts[i])
+        fake_shape = (n_batches, layout.fake_counts[i])
         if pools is not None and pair.task_index in pools:
             real_arr, fake_arr = pools[pair.task_index]
-            real_idx = np.empty((len(rngs), n_real), dtype=np.int64)
-            fake_idx = np.empty((len(rngs), n_fake), dtype=np.int64)
-            for b, rng in enumerate(rngs):
-                pool_rng = rng.fork(f"pool{i}")
-                if n_real:
-                    real_idx[b] = pool_rng.integers(0, len(real_arr), size=n_real)
-                if n_fake:
-                    fake_idx[b] = pool_rng.integers(0, len(fake_arr), size=n_fake)
-            blocks += [real_arr[real_idx], fake_arr[fake_idx]]
+            pool_rng = rng.fork(f"pool{i}")
+            blocks.append(real_arr[pool_rng.integers(0, len(real_arr), size=real_shape)])
+            blocks.append(fake_arr[pool_rng.integers(0, len(fake_arr), size=fake_shape)])
         else:
-            pair_rngs = [rng.fork(f"pair{i}") for rng in rngs]
-            blocks.append(pair.g_real.sample_each(n_real, [r.fork("real") for r in pair_rngs]))
-            blocks.append(pair.g_fake.sample_each(n_fake, [r.fork("fake") for r in pair_rngs]))
+            pair_rng = rng.fork(f"pair{i}")
+            blocks.append(pair.g_real.sample(real_shape, pair_rng.fork("real")))
+            blocks.append(pair.g_fake.sample(fake_shape, pair_rng.fork("fake")))
     return np.concatenate(blocks, axis=1)
 
 
@@ -247,7 +253,7 @@ def assemble_batch(x, labels, pairs, cfg, rng, include_gen_real=True, pools=None
     from rng as draw_replay draws one batch.
     """
     layout = batch_layout(len(x), len(pairs), cfg, include_gen_real)
-    return _batch(x, labels, draw_replay(pairs, layout, [rng], x.shape[1], pools)[0], layout)
+    return _batch(x, labels, draw_replay(pairs, layout, 1, rng, x.shape[1], pools)[0], layout)
 
 
 def batch_objective(model, batch, strategy, alpha, loss_cfg):
@@ -358,12 +364,10 @@ def train_task(
 
         order = np.arange(len(x_train))
         epoch_rng.fork("shuffle").shuffle(order)
-        replay_rng = epoch_rng.fork("replay")
         n_batches = len(order) // cfg.batch_current
-        # the whole epoch's replay, each batch on its own fork, before its first step
+        # the whole epoch's replay, before its first step
         replay = draw_replay(
-            pairs, layout, [replay_rng.fork(f"b{b}") for b in range(n_batches)],
-            x_train.shape[1], pools,
+            pairs, layout, n_batches, epoch_rng.fork("replay"), x_train.shape[1], pools
         )
         for b in range(n_batches):
             rows = order[b * cfg.batch_current : (b + 1) * cfg.batch_current]

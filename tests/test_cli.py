@@ -167,6 +167,46 @@ class TestValidateVerb:
         assert f"config error: {section}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("train", "beta1", 1.5, "beta1 and beta2 must lie in [0, 1)"),
+            ("train", "beta2", 1.0, "beta1 and beta2 must lie in [0, 1)"),
+            ("train", "eps", 0, "eps must be > 0"),
+            ("train", "init_scale", -1, "init_scale must be >= 0"),
+            ("train", "lr", -1, "lr must be finite and > 0"),
+            ("train", "gmm_components", 0, "gmm_components must be >= 1"),
+            ("train", "replay_pool_size", 0, "replay_pool_size must be >= 1"),
+            ("train", "replay_pool_size", -5, "replay_pool_size must be >= 1"),
+            ("train", "epochs", True, "epochs must be an integer, got True"),
+            ("train", "epochs", 1.5, "epochs must be an integer, got 1.5"),
+            ("train", "batch_current", 8.5, "batch_current must be an integer, got 8.5"),
+            ("train", "arch", [8.5], "arch[0] must be an integer, got 8.5"),
+            ("dcs", "probe_cap", 2.5, "probe_cap must be an integer, got 2.5"),
+        ],
+        ids=[
+            "beta1_1.5", "beta2_1", "eps_0", "init_scale_negative", "lr_negative",
+            "gmm_components_0", "replay_pool_size_0", "replay_pool_size_negative",
+            "epochs_bool", "epochs_float", "batch_current_float", "arch_float", "probe_cap_float",
+        ],
+    )
+    def test_bad_train_or_dcs_value_exits_2(self, tmp_path, capsys, section, key, value, message):
+        base = TINY_TRAIN if section == "train" else {}
+        path = write_config(tmp_path, **{section: dict(base, **{key: value})})
+        assert main(["validate", "--config", path]) == 2
+        assert f"config error: {section}: {message}" in capsys.readouterr().err
+
+    def test_scenario_tasks_smaller_than_batch_exit_2(self, tmp_path, capsys):
+        scenario = dict(TINY_SCENARIO, n_train_per_class=10)
+        path = write_config(tmp_path, scenario=scenario, train=dict(TINY_TRAIN, batch_current=32))
+        for verb in ("validate", "run"):
+            assert main([verb, "--config", path]) == 2
+            assert (
+                "config error: scenario: each task has 20 training rows (2 x n_train_per_class), "
+                "fewer than train.batch_current=32"
+            ) in capsys.readouterr().err
+
+
 class TestRunVerb:
     def test_artifacts_written(self, tmp_path):
         out = str(tmp_path / "out")

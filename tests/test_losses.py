@@ -5,8 +5,8 @@ import pytest
 
 from genreplay.losses import (
     LossConfig,
-    _cos_with_grads,
-    _dist_with_grads,
+    _cos_rows_with_grads,
+    _dist_rows_with_grads,
     ce_loss_batch,
     centroid,
     combine_losses,
@@ -152,43 +152,51 @@ class TestRsGradients:
         assert np.allclose(d_per_real, d_c / 6.0)
 
 
-class TestSampleWiseRsMatchesPerRowLoop:
-    """The vectorised sample-wise branch reproduces a per-row loop bit for bit."""
+def rs_trials():
+    """300 (fake, c) cases, with a zero-norm fake row and, in every other, post-ReLU zeros."""
+    for trial in range(300):
+        rng = Rng(4000 + trial)
+        m = int(rng.fork("m").integers(1, 20))
+        fake = rng.fork("f").normal(size=(m, 16))
+        c = rng.fork("c").normal(size=16) + 0.5
+        if trial % 2:
+            # post-ReLU features: exact zeros in rows and in the centroid
+            fake = np.maximum(fake, 0.0)
+            c = np.maximum(c, 0.0)
+        fake[trial % m] = 0.0  # one zero-norm fake row
+        yield fake, c
 
-    @staticmethod
-    def per_row(fake, c, real_count, cfg):
-        m = fake.shape[0]
-        value = 0.0
-        d_fake = np.zeros_like(fake)
-        d_c = np.zeros_like(c)
-        for j in range(m):
-            if cfg.rs_metric == "cosine":
-                v, d_f, d_cj = _cos_with_grads(fake[j], c, cfg.eps_cos)
-            else:
-                dist, d_f, d_cj = _dist_with_grads(fake[j], c)
-                v, d_f, d_cj = -dist, -d_f, -d_cj
-            value += v / m
-            d_fake[j] = d_f / m
-            d_c += d_cj / m
-        return float(value), d_fake, d_c / real_count
+
+class TestSampleWiseRsMatchesPerRowLoop:
+    """Both RS granularities run one row helper; each row of it is the one-row call."""
 
     @pytest.mark.parametrize("metric", ["cosine", "l2"])
     def test_bit_identical_including_zero_norm_rows(self, metric):
-        cfg = LossConfig(rs_metric=metric, rs_granularity="sample_wise")
-        for trial in range(300):
-            rng = Rng(4000 + trial)
-            m = int(rng.fork("m").integers(1, 20))
-            fake = rng.fork("f").normal(size=(m, 16))
-            c = rng.fork("c").normal(size=16) + 0.5
-            if trial % 2:
-                # post-ReLU features: exact zeros in rows and in the centroid
-                fake = np.maximum(fake, 0.0)
-                c = np.maximum(c, 0.0)
-            fake[trial % m] = 0.0  # one zero-norm fake row
+        for fake, c in rs_trials():
+            if metric == "cosine":
+                rows = lambda f, c=c: _cos_rows_with_grads(f, c, 1e-8)
+            else:
+                rows = lambda f, c=c: _dist_rows_with_grads(f, c)
+            vals, d_f, d_c = rows(fake)
+            for j in range(len(fake)):
+                v, d_fj, d_cj = rows(fake[j : j + 1])
+                assert vals[j] == v[0]
+                assert np.array_equal(d_f[j], d_fj[0])
+                assert np.array_equal(d_c[j], d_cj[0])
+
+    @pytest.mark.parametrize("metric", ["cosine", "l2"])
+    def test_centroid_based_is_sample_wise_on_fake_centroid(self, metric):
+        cfg = LossConfig(rs_metric=metric, rs_granularity="centroid_based")
+        one_row_cfg = LossConfig(rs_metric=metric, rs_granularity="sample_wise")
+        for fake, c in rs_trials():
+            m = len(fake)
             value, d_fake, d_real = rs_loss_with_grads(fake, c, 6, cfg)
-            want_value, want_fake, want_real = self.per_row(fake, c, 6, cfg)
+            want_value, want_cf, want_real = rs_loss_with_grads(
+                fake.mean(0, keepdims=True), c, 6, one_row_cfg
+            )
             assert value == want_value
-            assert np.array_equal(d_fake, want_fake)
+            # every fake row gets 1/m of the centroid's gradient
+            assert np.array_equal(d_fake, np.repeat(want_cf / m, m, axis=0))
             assert np.array_equal(d_real, want_real)
 
 

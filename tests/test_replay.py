@@ -199,18 +199,17 @@ class TestSampling:
     @pytest.mark.parametrize(
         "weights", [[1.0], [0.2, 0.5, 0.3]], ids=["k1", "k3"]
     )
-    def test_sample_each_matches_sample_per_rng(self, weights):
+    def test_shape_draw_equals_reshaped_flat_draw(self, weights):
         k = len(weights)
         means = np.arange(k * DIM, dtype=float).reshape(k, DIM)
         variances = np.linspace(0.5, 2.0, k * DIM).reshape(k, DIM)
         g = GeneratorModel("gmm", weights, means, variances, Signature(np.eye(DIM)[1], 0.7))
         for n in (0, 1, 7):
-            for n_rngs in (1, 4):
-                rngs = [Rng(68).fork(f"n{n}b{b}") for b in range(n_rngs)]
-                rows = g.sample_each(n, rngs)
-                assert rows.shape == (n_rngs, n, DIM)
-                for b in range(n_rngs):
-                    assert np.array_equal(rows[b], g.sample(n, Rng(68).fork(f"n{n}b{b}")))
+            for n_batches in (1, 4):
+                rows = g.sample((n_batches, n), Rng(68).fork(f"n{n}b{n_batches}"))
+                assert rows.shape == (n_batches, n, DIM)
+                flat = g.sample(n_batches * n, Rng(68).fork(f"n{n}b{n_batches}"))
+                assert np.array_equal(rows, flat.reshape(n_batches, n, DIM))
 
 
 class TestPair:

@@ -17,6 +17,7 @@ from genreplay.trainer import (
     ROLE_GEN_FAKE,
     ROLE_GEN_REAL,
     STRATEGY_KINDS,
+    Batch,
     RunState,
     Strategy,
     TrainConfig,
@@ -153,24 +154,28 @@ def make_gmm_pair(task_index, seed, dim=DIM):
     )
 
 
-def per_batch_replay(pairs, real_counts, fake_counts, rng, pools=None, dim=DIM):
-    """One batch's replay rows, drawn pair by pair on the batch Rng's fork paths."""
-    parts = [np.empty((0, dim))]
+def epoch_replay(pairs, real_counts, fake_counts, n_batches, rng, pools=None, dim=DIM):
+    """Each batch's replay rows, drawn pair by pair once per epoch on rng's fork paths.
+
+    Every draw is one flat draw for all n_batches batches, split batch by batch.
+    """
+    parts = [np.empty((n_batches, 0, dim))]
     for i, pair in enumerate(pairs):
         if pools is not None and pair.task_index in pools:
-            real_arr, fake_arr = pools[pair.task_index]
             pool_rng = rng.fork(f"pool{i}")
-            for arr, n in ((real_arr, real_counts[i]), (fake_arr, fake_counts[i])):
-                parts.append(arr[pool_rng.integers(0, len(arr), size=n)] if n else arr[:0])
+            for arr, n in zip(pools[pair.task_index], (real_counts[i], fake_counts[i])):
+                idx = pool_rng.integers(0, len(arr), size=n_batches * n)
+                parts.append(arr[idx].reshape(n_batches, n, dim))
         else:
             pair_rng = rng.fork(f"pair{i}")
-            parts.append(pair.g_real.sample(real_counts[i], pair_rng.fork("real")))
-            parts.append(pair.g_fake.sample(fake_counts[i], pair_rng.fork("fake")))
-    return np.concatenate(parts)
+            draws = ((pair.g_real, "real", real_counts[i]), (pair.g_fake, "fake", fake_counts[i]))
+            for g, role, n in draws:
+                parts.append(g.sample(n_batches * n, pair_rng.fork(role)).reshape(n_batches, n, dim))
+    return np.concatenate(parts, axis=1)
 
 
 class TestEpochReplay:
-    """draw_replay draws every batch of an epoch as the per-batch loop did."""
+    """draw_replay draws an epoch's replay with one draw per pair and role."""
 
     N_BATCHES = 5
 
@@ -205,17 +210,18 @@ class TestEpochReplay:
         layout = batch_layout(4, len(pairs), cfg, include_gen_real)
         if case == "fewer_real_than_pairs":
             assert layout.real_counts == [1, 1, 0]
-        rngs = [Rng(21).fork("replay").fork(f"b{b}") for b in range(self.N_BATCHES)]
-        replay = draw_replay(pairs, layout, rngs, DIM, pools)
+        counts = layout.real_counts, layout.fake_counts
+        rng = Rng(21).fork("replay")
+        replay = draw_replay(pairs, layout, self.N_BATCHES, rng, DIM, pools)
         n_replay = sum(layout.real_counts) + sum(layout.fake_counts)
         assert replay.shape == (self.N_BATCHES, n_replay, DIM)
+        assert np.array_equal(replay, epoch_replay(pairs, *counts, self.N_BATCHES, rng, pools))
+        # assemble_batch is the one-batch case
         x, labels = current_chunk(4)
-        for b, rng in enumerate(rngs):
-            want = per_batch_replay(pairs, layout.real_counts, layout.fake_counts, rng, pools)
-            assert np.array_equal(replay[b], want)
-            batch = assemble_batch(x, labels, pairs, cfg, rng, include_gen_real, pools)
-            assert np.array_equal(batch.x, np.concatenate([x, want]))
-            assert np.array_equal(batch.role, layout.role)
+        batch = assemble_batch(x, labels, pairs, cfg, rng, include_gen_real, pools)
+        want = epoch_replay(pairs, *counts, 1, rng, pools)[0]
+        assert np.array_equal(batch.x, np.concatenate([x, want]))
+        assert np.array_equal(batch.role, layout.role)
 
     def test_layout_indices_match_roles(self):
         layout = batch_layout(4, 3, TrainConfig(batch_gen_real=2, batch_gen_fake=5))
@@ -232,11 +238,12 @@ class TestEpochReplay:
 
     @staticmethod
     def per_batch_train_task(state, task_index, train, strategy, cfg, rng, loss_cfg, dcs_cfg):
-        """train_task with one assemble_batch call per batch."""
+        """train_task written as a loop over batches of epoch_replay's rows."""
         pairs = state.generator_pairs if strategy.uses_replay else []
         pools = state.replay_pools if cfg.replay_pool_size else None
         x_train, y_train = genreplay.trainer._arrays(train)
         current_fakes = x_train[y_train == 1]
+        layout = batch_layout(cfg.batch_current, len(pairs), cfg, strategy.keeps_gen_real)
         alpha = None
         for epoch in range(cfg.epochs):
             epoch_rng = rng.fork(f"epoch{epoch}")
@@ -247,12 +254,17 @@ class TestEpochReplay:
                 state.dcs_history.append(record)
             order = np.arange(len(x_train))
             epoch_rng.fork("shuffle").shuffle(order)
-            replay_rng = epoch_rng.fork("replay")
-            for b in range(len(order) // cfg.batch_current):
+            n_batches = len(order) // cfg.batch_current
+            replay = epoch_replay(
+                pairs, layout.real_counts, layout.fake_counts, n_batches,
+                epoch_rng.fork("replay"), pools, dim=x_train.shape[1],
+            )
+            for b in range(n_batches):
                 rows = order[b * cfg.batch_current : (b + 1) * cfg.batch_current]
-                batch = assemble_batch(
-                    x_train[rows], y_train[rows], pairs, cfg, replay_rng.fork(f"b{b}"),
-                    include_gen_real=strategy.keeps_gen_real, pools=pools,
+                batch = Batch(
+                    np.concatenate([x_train[rows], replay[b]]),
+                    np.concatenate([y_train[rows], layout.replay_labels]),
+                    layout,
                 )
                 breakdown, grad = batch_objective(
                     state.model, batch, strategy, 1.0 if alpha is None else alpha, loss_cfg
