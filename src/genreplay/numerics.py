@@ -1,4 +1,4 @@
-"""Low-level numerics: seeded RNG substreams, Adam, and gradient checking helpers."""
+"""Low-level numerics: seeded RNG substreams, Adam, gradient checking, and the configs' count check."""
 
 import hashlib
 from numbers import Integral
