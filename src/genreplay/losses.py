@@ -48,11 +48,13 @@ def ce_loss_batch(y_p, labels):
     y = np.asarray(labels, dtype=float)
     if y_p.size == 0:
         return 0.0, y_p.copy()
-    if np.any(y_p <= 0.0) or np.any(y_p >= 1.0):
+    if (y_p <= 0.0).any() or (y_p >= 1.0).any():
         raise ValueError("y_p entries must lie strictly inside (0,1)")
     n = y_p.size
-    value = float(np.mean(-(y * np.log(y_p) + (1.0 - y) * np.log(1.0 - y_p))))
-    grad = (-(y / y_p) + (1.0 - y) / (1.0 - y_p)) / n
+    not_yp = 1.0 - y_p
+    not_y = 1.0 - y
+    value = float((-(y * np.log(y_p) + not_y * np.log(not_yp))).sum() / n)
+    grad = (-(y / y_p) + not_y / not_yp) / n
     return value, grad
 
 
@@ -60,17 +62,16 @@ def centroid(features):
     features = np.asarray(features, dtype=float)
     if features.ndim != 2 or features.shape[0] == 0:
         raise ValueError("centroid needs a non-empty 2-d feature array")
-    return features.mean(axis=0)
+    return features.sum(axis=0) / features.shape[0]
 
 
-def _cos_rows_with_grads(fake, c, eps):
+def _cos_rows_with_grads(fake, c, nc, eps):
     """cos(f, c) with eps-padded norms for every row f of fake (m, d), plus gradients.
 
-    Returns the (m,) cosines and their (m, d) gradients w.r.t. each row and
-    w.r.t. c.
+    nc is the norm of c. Returns the (m,) cosines and their (m, d) gradients
+    w.r.t. each row and w.r.t. c.
     """
     nf = np.sqrt(np.vecdot(fake, fake))
-    nc = np.linalg.norm(c)
     nf_eps = nf + eps
     nc_eps = nc + eps
     denom = nf_eps * nc_eps
@@ -114,15 +115,18 @@ def rs_loss_with_grads(fake_features, real_centroid, real_count, cfg):
     c = np.asarray(real_centroid, dtype=float)
     if fake.ndim != 2 or fake.shape[0] == 0:
         raise ValueError("rs_loss needs a non-empty 2-d fake feature array")
-    if cfg.rs_metric == "cosine" and np.linalg.norm(c) <= cfg.eps_cos:
-        raise ValueError("degenerate geometry: real centroid has ~zero norm under cosine metric")
+    if cfg.rs_metric == "cosine":
+        # np.linalg.norm's formula for a 1-d float array
+        nc = np.sqrt(c @ c)
+        if nc <= cfg.eps_cos:
+            raise ValueError("degenerate geometry: real centroid has ~zero norm under cosine metric")
 
     m = fake.shape[0]
     centroid_based = cfg.rs_granularity == "centroid_based"
     # centroid-based: the fake side is one row, its centroid
     rows = fake.sum(axis=0, keepdims=True) / m if centroid_based else fake
     if cfg.rs_metric == "cosine":
-        vals, d_rows, d_c_rows = _cos_rows_with_grads(rows, c, cfg.eps_cos)
+        vals, d_rows, d_c_rows = _cos_rows_with_grads(rows, c, nc, cfg.eps_cos)
     else:
         dist, d_rows, d_c_rows = _dist_rows_with_grads(rows, c)
         vals, d_rows, d_c_rows = -dist, -d_rows, -d_c_rows

@@ -99,12 +99,19 @@ class MLP:
         pre_acts = []
         acts = []
         for w, b in zip(self.weights, self.biases):
-            z = a @ w + b
+            z = a @ w
+            z += b
             a = np.maximum(z, 0.0)
             pre_acts.append(z)
             acts.append(a)
-        u = a @ self.head_w + self.head_b
-        y_p = np.clip(1.0 / (1.0 + np.exp(-u)), PROB_CLAMP, 1.0 - PROB_CLAMP)
+        u = a @ self.head_w
+        u += self.head_b
+        # clip(1 / (1 + exp(-u)), PROB_CLAMP, 1 - PROB_CLAMP), in place on one array
+        y_p = np.exp(-u)
+        y_p += 1.0
+        np.divide(1.0, y_p, out=y_p)
+        np.maximum(y_p, PROB_CLAMP, out=y_p)
+        np.minimum(y_p, 1.0 - PROB_CLAMP, out=y_p)
         return ForwardRecord(x, pre_acts, acts, a, y_p, u)
 
     def backward(self, record, d_yp=None, d_features=None):
@@ -121,18 +128,22 @@ class MLP:
             raise ValueError("d_yp length must match the batch size")
         grad = np.empty(self.n_params)
         g_ws, g_bs, g_head_w = self._views(grad)
-        du = d_yp * record.y_p * (1.0 - record.y_p)
+        # du = d_yp * y_p * (1 - y_p), in that order
+        du = d_yp * record.y_p
+        du *= 1.0 - record.y_p
         np.matmul(record.features.T, du, out=g_head_w)
         grad[-1] = du.sum()
-        da = np.outer(du, self.head_w)
+        da = du[:, None] * self.head_w
         if d_features is not None:
             d_features = np.asarray(d_features, dtype=float)
             if d_features.shape != record.features.shape:
                 raise ValueError("d_features shape must match features")
-            da = da + d_features
+            da += d_features
 
         for li in range(len(self.weights) - 1, -1, -1):
-            dz = da * (record.pre_acts[li] > 0)
+            # da is this step's own array, so the ReLU mask applies in place
+            dz = da
+            dz *= record.pre_acts[li] > 0
             a_prev = record.x if li == 0 else record.acts[li - 1]
             np.matmul(a_prev.T, dz, out=g_ws[li])
             dz.sum(axis=0, out=g_bs[li])

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import check_count
 from .replay import Signature, signature_similarity
 from .samples import LABEL_FAKE, LABEL_REAL, Sample
 
@@ -100,6 +101,12 @@ def make_scenario(
     """
     if kind not in SCENARIO_KINDS:
         raise ValueError(f"unknown scenario kind {kind!r}")
+    # the type checks only; the ranges below keep their own messages
+    for name, value in (
+        ("n_tasks", n_tasks), ("dim", dim),
+        ("n_train_per_class", n_train_per_class), ("n_test_per_class", n_test_per_class),
+    ):
+        check_count(name, value, float("-inf"))
     if n_tasks < 2:
         raise ValueError("need at least 2 tasks")
     if dim < 2 * n_tasks:

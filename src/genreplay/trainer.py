@@ -270,7 +270,7 @@ def batch_objective(model, batch, strategy, alpha, loss_cfg):
     cf_idx, gr_idx, gf_idx = batch.layout.cf_idx, batch.layout.gr_idx, batch.layout.gf_idx
 
     d_yp = np.zeros(len(labels))
-    d_feat = np.zeros_like(rec.features)
+    d_feat = None
 
     l_cf, g_cf = ce_loss_batch(rec.y_p[cf_idx], labels[cf_idx])
     d_yp[cf_idx] += g_cf
@@ -291,6 +291,7 @@ def batch_objective(model, batch, strategy, alpha, loss_cfg):
         l_rs, d_gf, d_gr = rs_loss_with_grads(
             rec.features[gf_idx], cent, gr_idx.size, loss_cfg
         )
+        d_feat = np.zeros_like(rec.features)
         d_feat[gf_idx] += w_rs * d_gf
         d_feat[gr_idx] += w_rs * d_gr
 
@@ -408,8 +409,8 @@ def _arrays(samples):
     return np.stack([s.features for s in samples]), np.array([s.label for s in samples])
 
 
-def evaluate(model, test_samples):
-    x, labels = _arrays(test_samples)
+def evaluate(model, x, labels):
+    """A task's TaskEval on its test rows x (n, dim) with labels (n,)."""
     scores = model.forward(x).y_p
     overall, real_acc, fake_acc = accuracy(scores, labels)
     return TaskEval(auc=auc(scores, labels), acc=overall, acc_real=real_acc, acc_fake=fake_acc)
@@ -430,6 +431,8 @@ def run_incremental(stream, strategy, cfg, loss_cfg=None, dcs_cfg=None, return_s
 
     per_step = []
     alphas = []
+    # (x, labels) of each seen task's test rows, stacked once per run
+    tests = []
     for k in range(stream.n_tasks):
         train, _ = data[k]
         task_rng = rng.fork(f"task{k}")
@@ -438,7 +441,8 @@ def run_incremental(stream, strategy, cfg, loss_cfg=None, dcs_cfg=None, return_s
         )
         if strategy.uses_replay and k + 1 < stream.n_tasks:
             fit_task_generators(state, k, train, stream.replay_signatures[k], cfg, task_rng.fork("fit"))
-        evals = {t: evaluate(state.model, data[t][1]) for t in range(k + 1)}
+        tests.append(_arrays(data[k][1]))
+        evals = {t: evaluate(state.model, *tests[t]) for t in range(k + 1)}
         per_step.append(evals)
         alphas.append(last_alpha)
 

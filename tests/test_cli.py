@@ -196,6 +196,26 @@ class TestValidateVerb:
         assert main(["validate", "--config", path]) == 2
         assert f"config error: {section}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_train_per_class", 32.5),
+            ("n_test_per_class", 24.5),
+            ("n_train_per_class", True),
+            ("n_test_per_class", True),
+            ("n_tasks", 2.0),
+            ("dim", 6.0),
+        ],
+        ids=["n_train_float", "n_test_float", "n_train_bool", "n_test_bool", "n_tasks_float", "dim_float"],
+    )
+    def test_scenario_count_not_an_integer_exits_2(self, tmp_path, capsys, verb, key, value):
+        path = write_config(tmp_path, scenario=dict(TINY_SCENARIO, **{key: value}))
+        assert main([verb, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: scenario: {key} must be an integer, got {value!r}" in err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_scenario_tasks_smaller_than_batch_exit_2(self, tmp_path, capsys):
         scenario = dict(TINY_SCENARIO, n_train_per_class=10)
         path = write_config(tmp_path, scenario=scenario, train=dict(TINY_TRAIN, batch_current=32))

@@ -174,7 +174,7 @@ class TestSampleWiseRsMatchesPerRowLoop:
     def test_bit_identical_including_zero_norm_rows(self, metric):
         for fake, c in rs_trials():
             if metric == "cosine":
-                rows = lambda f, c=c: _cos_rows_with_grads(f, c, 1e-8)
+                rows = lambda f, c=c: _cos_rows_with_grads(f, c, np.linalg.norm(c), 1e-8)
             else:
                 rows = lambda f, c=c: _dist_rows_with_grads(f, c)
             vals, d_f, d_c = rows(fake)
