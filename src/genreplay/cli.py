@@ -298,15 +298,14 @@ def _run_one_seed(cfg, strategy, seed, out_dir):
         [(r.task_index, r.epoch, r.s, r.alpha) for r in state.dcs_history],
     )
 
-    final_test = state.stream_data[-1][1]
-    feats = state.model.forward(np.stack([s.features for s in final_test])).features
-    proj = _pca_2d(feats)
+    _, _, x_test, y_test = state.stream_data[-1]
+    proj = _pca_2d(state.model.forward(x_test).features)
     _write_csv(
         os.path.join(out_dir, "projection.csv"),
         ["x", "y", "label", "origin"],
         [
-            (x, y, s.label, "current_fake" if s.label == LABEL_FAKE else "current_real")
-            for (x, y), s in zip(proj, final_test)
+            (x, y, label, "current_fake" if label == LABEL_FAKE else "current_real")
+            for (x, y), label in zip(proj, y_test.tolist())
         ],
     )
     return table_to_dict(table)

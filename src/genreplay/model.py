@@ -13,13 +13,12 @@ PROB_CLAMP = 1e-7
 class ForwardRecord:
     """Per-batch forward cache: pre-activations, activations, features, y_p."""
 
-    def __init__(self, x, pre_acts, acts, features, y_p, u):
+    def __init__(self, x, pre_acts, acts, features, y_p):
         self.x = x
         self.pre_acts = pre_acts
         self.acts = acts
         self.features = features
         self.y_p = y_p
-        self.u = u
 
 
 class MLP:
@@ -112,7 +111,7 @@ class MLP:
         np.divide(1.0, y_p, out=y_p)
         np.maximum(y_p, PROB_CLAMP, out=y_p)
         np.minimum(y_p, 1.0 - PROB_CLAMP, out=y_p)
-        return ForwardRecord(x, pre_acts, acts, a, y_p, u)
+        return ForwardRecord(x, pre_acts, acts, a, y_p)
 
     def backward(self, record, d_yp=None, d_features=None):
         """Flat gradient of a scalar loss given upstream grads on y_p/features.

@@ -140,7 +140,7 @@ class RunState:
     dcs_history: list = field(default_factory=list)
     loss_trace: list = field(default_factory=list)
     replay_pools: dict = field(default_factory=dict)
-    # per task: (train samples, test samples), as the run drew them
+    # per task: (x_train, y_train, x_test, y_test), as the run drew them
     stream_data: list = field(default_factory=list)
 
 
@@ -150,30 +150,23 @@ def split_round_robin(n, k):
     return [base + (1 if i < extra else 0) for i in range(k)]
 
 
-# BatchLayout.role codes: which part of the objective a row feeds
-ROLE_CURRENT = 0
-ROLE_GEN_REAL = 1
-ROLE_GEN_FAKE = 2
-
-
 class BatchLayout(NamedTuple):
     """Where each part of the objective sits in a batch's rows.
 
-    Rows run: current rows, then gen-real rows of pair 0, gen-fake rows of
-    pair 0, gen-real rows of pair 1, and so on. real_counts and fake_counts
-    give each pair's row counts, role (n,) a ROLE_* code per row, and
-    replay_labels the labels of the rows after the current ones. cf_idx
-    (current and gen-fake rows), gr_idx and gf_idx index the rows that feed
-    the label-supervised, gen-real and gen-fake parts.
+    Rows run by role: n_current current rows, then the gen-fake rows of pair
+    0, 1, ..., then the gen-real rows of pair 0, 1, .... So rows
+    [:n_current + n_fake] feed the label-supervised part, rows
+    [n_current:n_current + n_fake] are the gen-fake part and rows
+    [n_current + n_fake:] the gen-real part. real_counts and fake_counts give
+    each pair's row counts, and replay_labels the labels of the rows after the
+    current ones.
     """
 
+    n_current: int
+    n_fake: int
     real_counts: list
     fake_counts: list
-    role: np.ndarray
     replay_labels: np.ndarray
-    cf_idx: np.ndarray
-    gr_idx: np.ndarray
-    gf_idx: np.ndarray
 
 
 def batch_layout(n_current, n_pairs, cfg, include_gen_real=True):
@@ -186,19 +179,9 @@ def batch_layout(n_current, n_pairs, cfg, include_gen_real=True):
         n_real = cfg.batch_gen_real if include_gen_real else 0
         real_counts = split_round_robin(n_real, n_pairs)
         fake_counts = split_round_robin(cfg.batch_gen_fake, n_pairs)
-    counts = [n_current]
-    for n_real, n_fake in zip(real_counts, fake_counts):
-        counts += [n_real, n_fake]
-    role = np.repeat([ROLE_CURRENT] + [ROLE_GEN_REAL, ROLE_GEN_FAKE] * n_pairs, counts)
-    return BatchLayout(
-        real_counts,
-        fake_counts,
-        role,
-        np.where(role[n_current:] == ROLE_GEN_FAKE, LABEL_FAKE, LABEL_REAL),
-        np.flatnonzero(role != ROLE_GEN_REAL),
-        np.flatnonzero(role == ROLE_GEN_REAL),
-        np.flatnonzero(role == ROLE_GEN_FAKE),
-    )
+    n_fake = sum(fake_counts)
+    replay_labels = np.repeat([LABEL_FAKE, LABEL_REAL], [n_fake, sum(real_counts)])
+    return BatchLayout(n_current, n_fake, real_counts, fake_counts, replay_labels)
 
 
 class Batch(NamedTuple):
@@ -212,33 +195,30 @@ class Batch(NamedTuple):
     labels: np.ndarray
     layout: BatchLayout
 
-    @property
-    def role(self):
-        return self.layout.role
-
 
 def draw_replay(pairs, layout, n_batches, rng, dim, pools=None):
     """The replay rows of n_batches batches, as one (n_batches, n_replay, dim) array.
 
-    Block b holds batch b's rows after its current ones, in layout's order. A
-    task in pools draws with replacement from its fixed pool on fork pool{i},
-    every batch's real rows then every batch's fake rows; any other pair
-    samples its generators once, on forks pair{i}/real and pair{i}/fake.
+    Block b holds batch b's rows after its current ones, in layout's order:
+    every pair's gen-fake rows, then every pair's gen-real rows. A task in
+    pools draws with replacement from its fixed pool on fork pool{i}, every
+    batch's real rows then every batch's fake rows; any other pair samples its
+    generators once, on forks pair{i}/real and pair{i}/fake.
     """
-    blocks = [np.empty((n_batches, 0, dim))]
+    fakes, reals = [np.empty((n_batches, 0, dim))], []
     for i, pair in enumerate(pairs):
         real_shape = (n_batches, layout.real_counts[i])
         fake_shape = (n_batches, layout.fake_counts[i])
         if pools is not None and pair.task_index in pools:
             real_arr, fake_arr = pools[pair.task_index]
             pool_rng = rng.fork(f"pool{i}")
-            blocks.append(real_arr[pool_rng.integers(0, len(real_arr), size=real_shape)])
-            blocks.append(fake_arr[pool_rng.integers(0, len(fake_arr), size=fake_shape)])
+            reals.append(real_arr[pool_rng.integers(0, len(real_arr), size=real_shape)])
+            fakes.append(fake_arr[pool_rng.integers(0, len(fake_arr), size=fake_shape)])
         else:
             pair_rng = rng.fork(f"pair{i}")
-            blocks.append(pair.g_real.sample(real_shape, pair_rng.fork("real")))
-            blocks.append(pair.g_fake.sample(fake_shape, pair_rng.fork("fake")))
-    return np.concatenate(blocks, axis=1)
+            reals.append(pair.g_real.sample(real_shape, pair_rng.fork("real")))
+            fakes.append(pair.g_fake.sample(fake_shape, pair_rng.fork("fake")))
+    return np.concatenate(fakes + reals, axis=1)
 
 
 def _batch(x, labels, replay, layout):
@@ -249,8 +229,8 @@ def assemble_batch(x, labels, pairs, cfg, rng, include_gen_real=True, pools=None
     """Current rows plus replay draws split round-robin over stored pairs.
 
     x (n_current, input_dim) and labels (n_current,) are the current chunk.
-    Each pair adds its gen-real then its gen-fake rows (see BatchLayout), drawn
-    from rng as draw_replay draws one batch.
+    The pairs' gen-fake rows then their gen-real rows follow it (see
+    BatchLayout), drawn from rng as draw_replay draws one batch.
     """
     layout = batch_layout(len(x), len(pairs), cfg, include_gen_real)
     return _batch(x, labels, draw_replay(pairs, layout, 1, rng, x.shape[1], pools)[0], layout)
@@ -261,46 +241,45 @@ def batch_objective(model, batch, strategy, alpha, loss_cfg):
 
     batch.x is (n, input_dim) and batch.labels (n,), in the row order of
     batch.layout. Current and gen-fake rows feed the label-supervised l_cf;
-    gen-real rows feed the gen-real CE and, with the gen-fake rows, the RS
-    term, weighted by alpha as the strategy's row says. The gradient is a flat
-    (model.n_params,) vector.
+    gen-real rows feed the gen-real CE (when the strategy supervises them)
+    and, with the gen-fake rows, the RS term, weighted by alpha as the
+    strategy's row says. The gradient is a flat (model.n_params,) vector.
     """
     rec = model.forward(batch.x)
     labels = batch.labels
-    cf_idx, gr_idx, gf_idx = batch.layout.cf_idx, batch.layout.gr_idx, batch.layout.gf_idx
+    n_current, n_fake = batch.layout.n_current, batch.layout.n_fake
+    # rows [:n_cf] are label-supervised, rows [n_cf:] are gen-real
+    n_cf = n_current + n_fake
+    n_gr = len(labels) - n_cf
 
     d_yp = np.zeros(len(labels))
     d_feat = None
 
-    l_cf, g_cf = ce_loss_batch(rec.y_p[cf_idx], labels[cf_idx])
-    d_yp[cf_idx] += g_cf
-
-    supervised = strategy.row.supervised
-    w_ce = alpha if supervised else 0.0
-    w_rs = 1.0 - alpha
+    l_cf, g_cf = ce_loss_batch(rec.y_p[:n_cf], labels[:n_cf])
+    d_yp[:n_cf] = g_cf
 
     l_ce_gr = 0.0
-    if gr_idx.size:
-        l_ce_gr, g_gr = ce_loss_batch(rec.y_p[gr_idx], labels[gr_idx])
-        if w_ce:
-            d_yp[gr_idx] += w_ce * g_gr
+    if strategy.row.supervised and n_gr:
+        l_ce_gr, g_gr = ce_loss_batch(rec.y_p[n_cf:], labels[n_cf:])
+        if alpha:
+            d_yp[n_cf:] = alpha * g_gr
 
+    w_rs = 1.0 - alpha
     l_rs = 0.0
-    if w_rs and gr_idx.size and gf_idx.size:
-        cent = centroid(rec.features[gr_idx])
-        l_rs, d_gf, d_gr = rs_loss_with_grads(
-            rec.features[gf_idx], cent, gr_idx.size, loss_cfg
-        )
-        d_feat = np.zeros_like(rec.features)
-        d_feat[gf_idx] += w_rs * d_gf
-        d_feat[gr_idx] += w_rs * d_gr
+    if w_rs and n_gr and n_fake:
+        features = rec.features
+        cent = centroid(features[n_cf:])
+        l_rs, d_gf, d_gr = rs_loss_with_grads(features[n_current:n_cf], cent, n_gr, loss_cfg)
+        d_feat = np.zeros_like(features)
+        d_feat[n_current:n_cf] = w_rs * d_gf
+        d_feat[n_cf:] = w_rs * d_gr
 
     grad = model.backward(rec, d_yp, d_feat)
-    if gr_idx.size == 0:
+    if n_gr == 0:
         # degenerate batch: no gen-real part, the combination reduces to l_cf
         breakdown = combine_losses(0.0, 0.0, l_cf, 1.0)
     else:
-        breakdown = combine_losses(l_ce_gr if supervised else 0.0, l_rs, l_cf, alpha)
+        breakdown = combine_losses(l_ce_gr, l_rs, l_cf, alpha)
     return breakdown, grad
 
 
@@ -327,31 +306,31 @@ def _resolve_alpha(state, strategy, current_fakes, dcs_cfg, rng, task_index, epo
 def train_task(
     state,
     task_index,
-    train_samples,
+    x_train,
+    y_train,
     strategy,
     cfg,
     rng,
     loss_cfg=None,
     dcs_cfg=None,
 ):
-    """Train the model on one task.
+    """Train the model on one task's rows x_train (n, dim) with labels y_train (n,).
 
     Returns the last epoch's alpha, or None when no alpha applied. The task's
     generator pair is fitted apart, by fit_task_generators, and only when a
     later task replays it.
     """
-    if not train_samples:
+    if len(x_train) == 0:
         raise ValueError("task has no training data")
-    if len(train_samples) < cfg.batch_current:
+    if len(x_train) < cfg.batch_current:
         raise ValueError(
-            f"task {task_index} has {len(train_samples)} training rows, "
+            f"task {task_index} has {len(x_train)} training rows, "
             f"fewer than batch_current={cfg.batch_current}"
         )
     loss_cfg = loss_cfg or LossConfig()
     dcs_cfg = dcs_cfg or DcsConfig()
     pairs = state.generator_pairs if strategy.uses_replay else []
     pools = state.replay_pools if cfg.replay_pool_size else None
-    x_train, y_train = _arrays(train_samples)
     current_fakes = x_train[y_train == LABEL_FAKE]
     layout = batch_layout(cfg.batch_current, len(pairs), cfg, strategy.keeps_gen_real)
 
@@ -384,11 +363,13 @@ def train_task(
     return alpha
 
 
-def fit_task_generators(state, task_index, train_samples, replay_signature, cfg, rng):
-    """Fit and freeze the task's generator pair (and its replay pool, if configured)."""
+def fit_task_generators(state, task_index, x_train, y_train, replay_signature, cfg, rng):
+    """Fit and freeze the task's generator pair (and its replay pool, if configured).
+
+    x_train (n, dim) and y_train (n,) are the task's training rows.
+    """
     if any(p.task_index == task_index for p in state.generator_pairs):
         raise ValueError(f"generators for task {task_index} already fitted")
-    x_train, y_train = _arrays(train_samples)
     reals = x_train[y_train == LABEL_REAL]
     fakes = x_train[y_train == LABEL_FAKE]
     n_comp = 1 if cfg.generator_kind == "gaussian" else cfg.gmm_components
@@ -425,24 +406,26 @@ def run_incremental(stream, strategy, cfg, loss_cfg=None, dcs_cfg=None, return_s
     loss_cfg = loss_cfg or LossConfig()
     dcs_cfg = dcs_cfg or DcsConfig()
     rng = Rng(cfg.seed)
-    data = draw_stream_data(stream, rng.fork("data"))
+    # each task's rows, stacked once per run
+    data = [
+        (*_arrays(train), *_arrays(test)) for train, test in draw_stream_data(stream, rng.fork("data"))
+    ]
     model = MLP([stream.dim] + list(cfg.arch), rng.fork("init"), cfg.init_scale)
     state = RunState(model=model, adam=AdamState(model.n_params), stream_data=data)
 
     per_step = []
     alphas = []
-    # (x, labels) of each seen task's test rows, stacked once per run
-    tests = []
     for k in range(stream.n_tasks):
-        train, _ = data[k]
+        x_train, y_train, _, _ = data[k]
         task_rng = rng.fork(f"task{k}")
         last_alpha = train_task(
-            state, k, train, strategy, cfg, task_rng, loss_cfg=loss_cfg, dcs_cfg=dcs_cfg,
+            state, k, x_train, y_train, strategy, cfg, task_rng, loss_cfg=loss_cfg, dcs_cfg=dcs_cfg,
         )
         if strategy.uses_replay and k + 1 < stream.n_tasks:
-            fit_task_generators(state, k, train, stream.replay_signatures[k], cfg, task_rng.fork("fit"))
-        tests.append(_arrays(data[k][1]))
-        evals = {t: evaluate(state.model, *tests[t]) for t in range(k + 1)}
+            fit_task_generators(
+                state, k, x_train, y_train, stream.replay_signatures[k], cfg, task_rng.fork("fit")
+            )
+        evals = {t: evaluate(state.model, *data[t][2:]) for t in range(k + 1)}
         per_step.append(evals)
         alphas.append(last_alpha)
 

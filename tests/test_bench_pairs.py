@@ -120,3 +120,28 @@ def test_timed_pairs_alternate_which_side_runs_first(monkeypatch):
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("21-24") == [21, 22, 23, 24]
     assert bench_pairs.parse_seeds("3,5,8") == [3, 5, 8]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--seeds", "30-21", "names no seed"), ("--seeds", ",", "names no seed"),
+     ("--workloads", ",", "names no workload"), ("--workloads", "", "names no workload")],
+)
+def test_empty_seeds_or_workloads_exit_2_before_any_pass(monkeypatch, capsys, tmp_path, flag, value, message):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass ran")
+
+    monkeypatch.setattr(bench_pairs, "run_pass", no_pass)
+    argv = {"--parent": ".", "--change": ".", "--workloads": "sweep_adaptive", "--seeds": "21-22",
+            "--out": str(tmp_path / "out.json")}
+    argv[flag] = value
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([tok for item in argv.items() for tok in item])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_summary_of_no_pairs_raises():
+    with pytest.raises(ValueError, match="no pairs"):
+        bench_pairs.summarize([], DIRECTIONS)

@@ -5,7 +5,7 @@ import pytest
 
 import genreplay.trainer
 from genreplay.confusion import DcsConfig
-from genreplay.losses import LossConfig
+from genreplay.losses import LossConfig, ce_loss_batch, centroid, combine_losses, rs_loss_with_grads
 from genreplay.metrics import table_to_dict
 from genreplay.model import MLP
 from genreplay.numerics import AdamState, Rng, adam_step, finite_diff_grad
@@ -13,9 +13,6 @@ from genreplay.replay import Signature, fit_generator, GeneratorPair, sample_rep
 from genreplay.samples import Sample
 from genreplay.streams import make_scenario, stream_from_samples
 from genreplay.trainer import (
-    ROLE_CURRENT,
-    ROLE_GEN_FAKE,
-    ROLE_GEN_REAL,
     STRATEGY_KINDS,
     Batch,
     RunState,
@@ -66,6 +63,35 @@ def current_chunk(n=8, dim=DIM, seed=1):
     return x, np.arange(n) % 2
 
 
+# the parent's row layout: role codes, in rows interleaved pair by pair
+CURRENT, GEN_REAL, GEN_FAKE = 0, 1, 2
+
+
+def parent_layout(n_current, real_counts, fake_counts):
+    """(role, cf_idx, gr_idx, gf_idx) of the parent's interleaved layout.
+
+    Rows ran: current rows, then gen-real and gen-fake rows of pair 0, then of
+    pair 1, and so on; the index arrays picked the label-supervised, gen-real
+    and gen-fake rows out of them.
+    """
+    counts = [n_current]
+    for n_real, n_fake in zip(real_counts, fake_counts):
+        counts += [n_real, n_fake]
+    role = np.repeat([CURRENT] + [GEN_REAL, GEN_FAKE] * len(real_counts), counts)
+    return (
+        role,
+        np.flatnonzero(role != GEN_REAL),
+        np.flatnonzero(role == GEN_REAL),
+        np.flatnonzero(role == GEN_FAKE),
+    )
+
+
+def role_order(layout):
+    """perm with role-ordered rows = the parent's interleaved rows[perm]."""
+    _, cf_idx, gr_idx, _ = parent_layout(layout.n_current, layout.real_counts, layout.fake_counts)
+    return np.concatenate([cf_idx, gr_idx])
+
+
 class TestStrategy:
     def test_registry_names(self):
         assert Strategy("adaptive").name == "adaptive"
@@ -105,37 +131,36 @@ class TestBatching:
         batch = assemble_batch(x, labels, [], tiny_cfg(), Rng(0))
         assert np.array_equal(batch.x, x)
         assert np.array_equal(batch.labels, labels)
-        assert (batch.role == ROLE_CURRENT).all()
+        assert (batch.layout.n_current, batch.layout.n_fake) == (8, 0)
+        assert batch.layout.replay_labels.size == 0
 
     def test_replay_counts_two_pairs(self):
         x, labels = current_chunk()
         pairs = [make_pair(0, 10), make_pair(1, 11)]
         cfg = TrainConfig(batch_gen_real=12, batch_gen_fake=12)
         batch = assemble_batch(x, labels, pairs, cfg, Rng(2))
-        assert (batch.role == ROLE_GEN_REAL).sum() == 12
-        assert (batch.role == ROLE_GEN_FAKE).sum() == 12
-        # current rows, then each pair's gen-real and gen-fake draws in turn
-        parts = [x]
-        for i, pair in enumerate(pairs):
-            parts += sample_replay(pair, 6, 6, Rng(2).fork(f"pair{i}"))
+        assert (batch.layout.n_current, batch.layout.n_fake) == (8, 12)
+        assert (batch.layout.real_counts, batch.layout.fake_counts) == ([6, 6], [6, 6])
+        # current rows, then each pair's gen-fake draws, then each pair's gen-real draws
+        draws = [sample_replay(pair, 6, 6, Rng(2).fork(f"pair{i}")) for i, pair in enumerate(pairs)]
+        parts = [x] + [fake for _, fake in draws] + [real for real, _ in draws]
         assert np.array_equal(batch.x, np.concatenate(parts))
-        roles = [ROLE_CURRENT] * 8 + ([ROLE_GEN_REAL] * 6 + [ROLE_GEN_FAKE] * 6) * 2
-        assert batch.role.tolist() == roles
-        assert batch.labels.tolist() == labels.tolist() + ([0] * 6 + [1] * 6) * 2
+        assert batch.labels.tolist() == labels.tolist() + [1] * 12 + [0] * 12
 
     def test_gen_real_excluded_on_request(self):
         batch = assemble_batch(
             *current_chunk(), [make_pair(0, 10)], tiny_cfg(), Rng(2), include_gen_real=False
         )
-        assert (batch.role == ROLE_GEN_REAL).sum() == 0
-        assert (batch.role == ROLE_GEN_FAKE).sum() == 12
+        assert sum(batch.layout.real_counts) == 0
+        assert (batch.layout.n_current, batch.layout.n_fake) == (8, 12)
+        assert len(batch.x) == 8 + 12
 
     def test_fixed_pool_draws_come_from_pool(self):
         pair = make_pair(0, 10)
         pool_rows = pair.g_real.sample(5, Rng(3).fork("pr"))
         pool = {0: (pool_rows, pair.g_fake.sample(5, Rng(3).fork("pf")))}
         batch = assemble_batch(*current_chunk(), [pair], tiny_cfg(), Rng(4), pools=pool)
-        gen_reals = batch.x[batch.role == ROLE_GEN_REAL]
+        gen_reals = batch.x[batch.layout.n_current + batch.layout.n_fake :]
         known = {tuple(r) for r in pool_rows}
         assert len(gen_reals) and all(tuple(r) in known for r in gen_reals)
 
@@ -158,6 +183,7 @@ def epoch_replay(pairs, real_counts, fake_counts, n_batches, rng, pools=None, di
     """Each batch's replay rows, drawn pair by pair once per epoch on rng's fork paths.
 
     Every draw is one flat draw for all n_batches batches, split batch by batch.
+    The rows come in the parent's interleaved order (see parent_layout).
     """
     parts = [np.empty((n_batches, 0, dim))]
     for i, pair in enumerate(pairs):
@@ -215,35 +241,48 @@ class TestEpochReplay:
         replay = draw_replay(pairs, layout, self.N_BATCHES, rng, DIM, pools)
         n_replay = sum(layout.real_counts) + sum(layout.fake_counts)
         assert replay.shape == (self.N_BATCHES, n_replay, DIM)
-        assert np.array_equal(replay, epoch_replay(pairs, *counts, self.N_BATCHES, rng, pools))
+        # the parent's rows for the same forks, permuted into role order
+        perm = role_order(layout)[4:] - 4
+        assert sorted(perm) == list(range(n_replay))
+        want = epoch_replay(pairs, *counts, self.N_BATCHES, rng, pools)
+        assert np.array_equal(replay, want[:, perm])
         # assemble_batch is the one-batch case
         x, labels = current_chunk(4)
         batch = assemble_batch(x, labels, pairs, cfg, rng, include_gen_real, pools)
         want = epoch_replay(pairs, *counts, 1, rng, pools)[0]
-        assert np.array_equal(batch.x, np.concatenate([x, want]))
-        assert np.array_equal(batch.role, layout.role)
+        assert np.array_equal(batch.x, np.concatenate([x, want[perm]]))
+        assert batch.layout[:4] == layout[:4]
+        assert np.array_equal(batch.labels, np.concatenate([labels, layout.replay_labels]))
 
     def test_layout_indices_match_roles(self):
         layout = batch_layout(4, 3, TrainConfig(batch_gen_real=2, batch_gen_fake=5))
-        # pair 2 gets no gen-real row: real counts [1, 1, 0], fake counts [2, 2, 1]
-        assert layout.role.tolist() == [ROLE_CURRENT] * 4 + [
-            ROLE_GEN_REAL, ROLE_GEN_FAKE, ROLE_GEN_FAKE,
-            ROLE_GEN_REAL, ROLE_GEN_FAKE, ROLE_GEN_FAKE,
-            ROLE_GEN_FAKE,
+        # pair 2 gets no gen-real row
+        assert (layout.real_counts, layout.fake_counts) == ([1, 1, 0], [2, 2, 1])
+        assert (layout.n_current, layout.n_fake) == (4, 5)
+        assert layout.replay_labels.tolist() == [1, 1, 1, 1, 1, 0, 0]
+        role, cf_idx, gr_idx, gf_idx = parent_layout(4, layout.real_counts, layout.fake_counts)
+        assert role.tolist() == [CURRENT] * 4 + [
+            GEN_REAL, GEN_FAKE, GEN_FAKE,
+            GEN_REAL, GEN_FAKE, GEN_FAKE,
+            GEN_FAKE,
         ]
-        assert np.array_equal(layout.cf_idx, np.flatnonzero(layout.role != ROLE_GEN_REAL))
-        assert np.array_equal(layout.gr_idx, np.flatnonzero(layout.role == ROLE_GEN_REAL))
-        assert np.array_equal(layout.gf_idx, np.flatnonzero(layout.role == ROLE_GEN_FAKE))
-        assert layout.replay_labels.tolist() == [0, 1, 1, 0, 1, 1, 1]
+        # each slice holds the rows the parent's index array picked, in its order
+        perm = role_order(layout)
+        assert np.array_equal(perm[:9], cf_idx)
+        assert np.array_equal(perm[4:9], gf_idx)
+        assert np.array_equal(perm[9:], gr_idx)
+        assert role[perm].tolist() == [CURRENT] * 4 + [GEN_FAKE] * 5 + [GEN_REAL] * 2
 
     @staticmethod
-    def per_batch_train_task(state, task_index, train, strategy, cfg, rng, loss_cfg, dcs_cfg):
-        """train_task written as a loop over batches of epoch_replay's rows."""
+    def per_batch_train_task(
+        state, task_index, x_train, y_train, strategy, cfg, rng, loss_cfg, dcs_cfg
+    ):
+        """train_task written as a loop over batches of epoch_replay's rows, in role order."""
         pairs = state.generator_pairs if strategy.uses_replay else []
         pools = state.replay_pools if cfg.replay_pool_size else None
-        x_train, y_train = genreplay.trainer._arrays(train)
         current_fakes = x_train[y_train == 1]
         layout = batch_layout(cfg.batch_current, len(pairs), cfg, strategy.keeps_gen_real)
+        replay_perm = role_order(layout)[cfg.batch_current :] - cfg.batch_current
         alpha = None
         for epoch in range(cfg.epochs):
             epoch_rng = rng.fork(f"epoch{epoch}")
@@ -258,7 +297,7 @@ class TestEpochReplay:
             replay = epoch_replay(
                 pairs, layout.real_counts, layout.fake_counts, n_batches,
                 epoch_rng.fork("replay"), pools, dim=x_train.shape[1],
-            )
+            )[:, replay_perm]
             for b in range(n_batches):
                 rows = order[b * cfg.batch_current : (b + 1) * cfg.batch_current]
                 batch = Batch(
@@ -355,6 +394,112 @@ class TestBatchObjective:
         assert b.l_overall == pytest.approx(b.l_cf)
 
 
+def parent_objective(model, x, labels, idx, strategy, alpha, loss_cfg):
+    """The parent's batch_objective: gathers and scatters by the index arrays idx.
+
+    idx is (cf_idx, gr_idx, gf_idx) over the rows of x. It runs the gen-real CE
+    whenever there are gen-real rows, supervised or not.
+    """
+    cf_idx, gr_idx, gf_idx = idx
+    rec = model.forward(x)
+    d_yp = np.zeros(len(labels))
+    d_feat = None
+    l_cf, g_cf = ce_loss_batch(rec.y_p[cf_idx], labels[cf_idx])
+    d_yp[cf_idx] += g_cf
+    supervised = strategy.row.supervised
+    w_ce = alpha if supervised else 0.0
+    w_rs = 1.0 - alpha
+    l_ce_gr = 0.0
+    if gr_idx.size:
+        l_ce_gr, g_gr = ce_loss_batch(rec.y_p[gr_idx], labels[gr_idx])
+        if w_ce:
+            d_yp[gr_idx] += w_ce * g_gr
+    l_rs = 0.0
+    if w_rs and gr_idx.size and gf_idx.size:
+        cent = centroid(rec.features[gr_idx])
+        l_rs, d_gf, d_gr = rs_loss_with_grads(rec.features[gf_idx], cent, gr_idx.size, loss_cfg)
+        d_feat = np.zeros_like(rec.features)
+        d_feat[gf_idx] += w_rs * d_gf
+        d_feat[gr_idx] += w_rs * d_gr
+    grad = model.backward(rec, d_yp, d_feat)
+    if gr_idx.size == 0:
+        return combine_losses(0.0, 0.0, l_cf, 1.0), grad
+    return combine_losses(l_ce_gr if supervised else 0.0, l_rs, l_cf, alpha), grad
+
+
+def slice_indices(layout, n):
+    """(cf_idx, gr_idx, gf_idx) of the slices batch_objective reads, as index arrays."""
+    n_cf = layout.n_current + layout.n_fake
+    return np.arange(n_cf), np.arange(n_cf, n), np.arange(layout.n_current, n_cf)
+
+
+class TestObjectiveMatchesParentLayout:
+    """batch_objective on role-ordered rows against the parent's interleaved rows and index arrays."""
+
+    STRATEGIES = [
+        (Strategy("adaptive"), 0.37),
+        (Strategy("no_gen_real_sup"), 0.25),
+        (Strategy("full_replay"), 1.0),
+        (Strategy("fixed_alpha", 0.0), 0.0),
+    ]
+    RS = [("cosine", "sample_wise"), ("cosine", "centroid_based"), ("l2", "sample_wise")]
+
+    @pytest.mark.parametrize("rs", RS, ids="-".join)
+    @pytest.mark.parametrize("strategy, alpha", STRATEGIES, ids=lambda v: getattr(v, "name", str(v)))
+    def test_losses_equal_and_gradient_close(self, strategy, alpha, rs):
+        loss_cfg = LossConfig(rs_metric=rs[0], rs_granularity=rs[1])
+        cfg = TrainConfig(batch_gen_real=5, batch_gen_fake=7)
+        for seed in range(20):
+            rng = Rng(seed)
+            model = MLP([DIM, 10, 8], rng.fork("init"))
+            pairs = [make_pair(i, 100 * seed + i) for i in range(3)]
+            batch = assemble_batch(*current_chunk(seed=seed), pairs, cfg, rng.fork("batch"))
+            n = len(batch.labels)
+            got, grad = batch_objective(model, batch, strategy, alpha, loss_cfg)
+
+            # the same rows read through index arrays: same bits
+            want, want_grad = parent_objective(
+                model, batch.x, batch.labels, slice_indices(batch.layout, n), strategy, alpha, loss_cfg
+            )
+            assert got == want
+            assert np.array_equal(grad, want_grad)
+
+            # the parent's interleaved rows: same losses, gradient summed in another row order
+            perm = role_order(batch.layout)
+            x, labels = np.empty_like(batch.x), np.empty_like(batch.labels)
+            x[perm], labels[perm] = batch.x, batch.labels
+            _, *idx = parent_layout(batch.layout.n_current, batch.layout.real_counts, batch.layout.fake_counts)
+            want, want_grad = parent_objective(model, x, labels, idx, strategy, alpha, loss_cfg)
+            assert got == want
+            assert np.linalg.norm(grad - want_grad) <= 1e-12 * np.linalg.norm(want_grad)
+
+    def test_unsupervised_gen_real_ce_is_skipped(self, monkeypatch):
+        calls = []
+        inner = genreplay.trainer.ce_loss_batch
+
+        def counting(y_p, labels):
+            calls.append(len(y_p))
+            return inner(y_p, labels)
+
+        monkeypatch.setattr(genreplay.trainer, "ce_loss_batch", counting)
+        stream = tiny_stream(n_tasks=2, seed=15)
+        cfg = tiny_cfg(seed=15, batch_current=24)
+        strategy = Strategy("no_gen_real_sup")
+        _, state = run_incremental(stream, strategy, cfg, return_state=True)
+        # 8 batches per task; task 1's batches carry 12 gen-real rows, never label-supervised
+        assert len(calls) == 16
+        assert 12 not in calls
+
+        def objective_with_gen_real_ce(model, batch, strategy, alpha, loss_cfg):
+            idx = slice_indices(batch.layout, len(batch.labels))
+            return parent_objective(model, batch.x, batch.labels, idx, strategy, alpha, loss_cfg)
+
+        # the parent's objective, which also ran the 8 gen-real CEs, trains the same bits
+        monkeypatch.setattr(genreplay.trainer, "batch_objective", objective_with_gen_real_ce)
+        _, want = run_incremental(stream, strategy, cfg, return_state=True)
+        assert state.loss_trace == want.loss_trace
+
+
 class TestTrainTask:
     def _state(self, stream, cfg):
         model = MLP([stream.dim] + list(cfg.arch), Rng(cfg.seed).fork("init"))
@@ -367,17 +512,18 @@ class TestTrainTask:
         from genreplay.streams import draw_stream_data
 
         train, _ = draw_stream_data(stream, Rng(cfg.seed).fork("data"))[0]
-        fit_task_generators(state, 0, train, stream.replay_signatures[0], cfg, Rng(0).fork("t0"))
+        x, y = genreplay.trainer._arrays(train)
+        fit_task_generators(state, 0, x, y, stream.replay_signatures[0], cfg, Rng(0).fork("t0"))
         assert len(state.generator_pairs) == 1
         with pytest.raises(ValueError, match="already fitted"):
-            fit_task_generators(state, 0, train, stream.replay_signatures[0], cfg, Rng(0).fork("t0"))
+            fit_task_generators(state, 0, x, y, stream.replay_signatures[0], cfg, Rng(0).fork("t0"))
 
     def test_empty_training_data_raises(self):
         stream = tiny_stream()
         cfg = tiny_cfg()
         state = self._state(stream, cfg)
         with pytest.raises(ValueError, match="no training data"):
-            train_task(state, 0, [], Strategy("adaptive"), cfg, Rng(0))
+            train_task(state, 0, np.empty((0, stream.dim)), np.empty(0), Strategy("adaptive"), cfg, Rng(0))
 
     def test_batch_current_below_one_raises(self):
         with pytest.raises(ValueError, match="batch_current"):

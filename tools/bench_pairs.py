@@ -62,10 +62,13 @@ def quartiles(values, digits=5):
 def summarize(pairs, directions):
     """Per metric: both sides' quartiles and the change's wins and ties over pairs.
 
-    pairs is a list of {"parent": parsed, "change": parsed} (see parse_output);
-    directions maps a metric name to "higher" or "lower", the better side. A
-    pair where either side has no value for a metric does not count for it.
+    pairs is a non-empty list of {"parent": parsed, "change": parsed} (see
+    parse_output); directions maps a metric name to "higher" or "lower", the
+    better side. A pair where either side has no value for a metric does not
+    count for it.
     """
+    if not pairs:
+        raise ValueError("no pairs to summarize")
     summary = {}
     for name, better in directions.items():
         values = {side: [] for side in SIDES}
@@ -141,12 +144,16 @@ def main(argv=None):
     parser.add_argument("--traced-seed", type=int, default=None)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
+    workloads = [w for w in args.workloads.split(",") if w]
+    if not workloads:
+        parser.error(f"--workloads {args.workloads!r} names no workload")
+    seeds = parse_seeds(args.seeds)
+    if not seeds:
+        parser.error(f"--seeds {args.seeds!r} names no seed")
 
     checkouts = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    workloads = [w for w in args.workloads.split(",") if w]
-    seeds = parse_seeds(args.seeds)
 
     def log(msg):
         print(msg, file=sys.stderr, flush=True)
