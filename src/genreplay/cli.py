@@ -11,6 +11,7 @@ byte-identical CSVs.
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -132,8 +133,23 @@ def _grid_cells(grid, loss_cfg, dcs_cfg):
     return list(cells.values()), len(combos) - len(cells)
 
 
+def _reject_non_finite(literal):
+    raise ConfigError(f"config holds the non-finite number {literal}; numbers must be finite")
+
+
+def _finite_float(literal):
+    """json's float parse, except that a literal beyond float range (1e999) is rejected."""
+    value = float(literal)
+    if not math.isfinite(value):
+        _reject_non_finite(literal)
+    return value
+
+
 def load_config(path, verb, seeds_override=None, out_override=None):
     """Parse and validate a config file for the given verb.
+
+    Every number in the file must be finite: NaN, Infinity and a literal
+    beyond float range such as 1e999 are rejected as they are parsed.
 
     The verb "validate" checks the config for every verb it has a section
     for. The train, loss, dcs, scenario, strategy and grid values get every
@@ -146,7 +162,7 @@ def load_config(path, verb, seeds_override=None, out_override=None):
     """
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_non_finite, parse_float=_finite_float)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -184,8 +200,10 @@ def load_config(path, verb, seeds_override=None, out_override=None):
     cfg["dcs"] = _build("dcs", DcsConfig, **_section(raw, "dcs", _DCS_KEYS))
 
     seeds = seeds_override if seeds_override is not None else raw.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
-        raise ConfigError("seeds: need a non-empty list of integers")
+    if not isinstance(seeds, list) or not seeds or not all(
+        isinstance(s, int) and not isinstance(s, bool) for s in seeds
+    ):
+        raise ConfigError(f"seeds: need a non-empty list of integers, got {seeds!r}")
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
         # each seed writes seed_<n>/, and a repeat would count twice in the medians
@@ -193,8 +211,10 @@ def load_config(path, verb, seeds_override=None, out_override=None):
     cfg["seeds"] = seeds
 
     out_dir = out_override if out_override is not None else raw.get("out_dir")
-    if not out_dir:
+    if out_dir is None:
         raise ConfigError("out_dir: missing required field 'out_dir'")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError(f"out_dir: need a non-empty string, got {out_dir!r}")
     cfg["out_dir"] = out_dir
 
     if verb == "validate":

@@ -283,7 +283,8 @@ def draw_stream_data(stream, rng):
 def load_feature_dataset(path, dim=None):
     """Read samples from a CSV file: f0..f{d-1}, label, optional task column.
 
-    The header names the columns; label must be 0 (real) or 1 (fake), and
+    The header names the columns: at least one feature column, and one
+    label and at most one task column. Label must be 0 (real) or 1 (fake), and
     label and task cells must be integer literals. A row whose cell count
     differs from the header's, that fails to parse, or that holds a NaN or
     inf feature raises with its 1-based row number; blank lines are skipped
@@ -297,11 +298,16 @@ def load_feature_dataset(path, dim=None):
         header = [h.strip() for h in header]
         if "label" not in header:
             raise ValueError(f"{path}: header must contain a 'label' column")
+        for name in ("label", "task"):
+            if header.count(name) > 1:
+                raise ValueError(f"{path}: header holds the {name!r} column more than once")
         label_col = header.index("label")
         task_col = header.index("task") if "task" in header else None
         feat_cols = [
             i for i, h in enumerate(header) if i != label_col and i != task_col
         ]
+        if not feat_cols:
+            raise ValueError(f"{path}: header holds no feature column")
         if dim is not None and len(feat_cols) != dim:
             raise ValueError(
                 f"{path}: expected {dim} feature columns, found {len(feat_cols)}"

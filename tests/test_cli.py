@@ -310,6 +310,9 @@ class TestRunVerb:
         (["f0,label,task", "0.1,0,0", "0.2,1,0", "0.3,0,0"], 0.25, "at least 2 tasks"),
         ("keep", 1.5, "test_fraction"),
         ("keep", 0.5, "task 0 has 12 training rows, fewer than train.batch_current=16"),
+        (["label,task", "0,0", "1,1"], 0.25, "data.csv: header holds no feature column"),
+        (["f0,label,label,task", "0.1,0,0,0"], 0.25, "data.csv: header holds the 'label' column more than once"),
+        (["f0,label,task,task", "0.1,0,0,0"], 0.25, "data.csv: header holds the 'task' column more than once"),
     ])
     def test_dataset_errors_exit_2_at_validate(self, tmp_path, capsys, rows, fraction, message):
         path = write_dataset_config(tmp_path, rows_per_task=24, test_fraction=fraction)
@@ -467,6 +470,50 @@ class TestCliParsing:
         assert code == 2
         assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestInputsThatWouldBreakTraining:
+    """Values a run cannot train on exit 2 at load, under validate and run alike."""
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "section, key, literal",
+        [
+            ("scenario", "class_spread", "NaN"),
+            ("loss", "eps_cos", "NaN"),
+            ("scenario", "real_drift", "NaN"),
+            ("train", "init_scale", "Infinity"),
+            ("train", "eps", "Infinity"),
+            ("train", "lr", "-Infinity"),
+            ("scenario", "forgery_strength", "1e999"),
+        ],
+        ids=[
+            "class_spread_nan", "eps_cos_nan", "real_drift_nan", "init_scale_inf",
+            "eps_inf", "lr_minus_inf", "forgery_strength_1e999",
+        ],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, verb, section, key, literal):
+        base = {"scenario": TINY_SCENARIO, "train": TINY_TRAIN}.get(section, {})
+        path = write_config(tmp_path, **{section: dict(base, **{key: "<literal>"})})
+        # json.dumps cannot write 1e999, so the literal goes into the text as written
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(cfg.read_text().replace('"<literal>"', literal))
+        assert main([verb, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: config holds the non-finite number {literal}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_bool_seed_exits_2(self, tmp_path, capsys, verb):
+        assert main([verb, "--config", write_config(tmp_path, seeds=[True])]) == 2
+        assert "config error: seeds: need a non-empty list of integers, got [True]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("out_dir", [5, "", ["out"]], ids=["int", "empty", "list"])
+    def test_out_dir_must_be_a_string(self, tmp_path, capsys, verb, out_dir):
+        assert main([verb, "--config", write_config(tmp_path, out_dir=out_dir)]) == 2
+        assert f"config error: out_dir: need a non-empty string, got {out_dir!r}" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():

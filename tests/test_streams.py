@@ -152,6 +152,23 @@ class TestIngestion:
         with pytest.raises(ValueError, match="label"):
             load_feature_dataset(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("label,task\n0,0\n1,0\n", "header holds no feature column"),
+            ("label\n", "header holds no feature column"),
+            ("f0,label,label,task\n0.5,0,1,0\n", "header holds the 'label' column more than once"),
+            ("f0,label,task,task\n0.5,0,0,1\n", "header holds the 'task' column more than once"),
+            # the second row would fail to parse: the header is rejected first
+            ("label,f0,label\n0,0.5,0\nx,y,z\n", "header holds the 'label' column more than once"),
+        ],
+        ids=["no_feature", "label_only", "label_twice", "task_twice", "label_twice_before_bad_row"],
+    )
+    def test_header_that_cannot_train_raises(self, tmp_path, text, message):
+        path = self._write_csv(tmp_path / "d.csv", text)
+        with pytest.raises(ValueError, match=f"d.csv: {message}$"):
+            load_feature_dataset(path)
+
     def test_bad_label_reports_row(self, tmp_path):
         path = self._write_csv(tmp_path / "d.csv", "f0,label\n1.0,0\n1.0,2\n")
         with pytest.raises(ValueError, match="row 3"):
