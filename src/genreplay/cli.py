@@ -50,11 +50,8 @@ _TRAIN_KEYS = {
 _LOSS_KEYS = {"rs_metric", "rs_granularity", "eps_cos"}
 _DCS_KEYS = {"distance_metric", "normalizer", "probe_cap"}
 _STRATEGY_KEYS = {"kind", "fixed_alpha"}
-# grid axes in cell order, with the value an absent axis takes
-_GRID_DEFAULTS = {
-    "strategy": "adaptive", "rs_metric": "cosine", "dcs_metric": "l2",
-    "normalizer": "tanh", "rs_granularity": "sample_wise",
-}
+# grid axes in cell order
+_GRID_AXES = ("strategy", "rs_metric", "dcs_metric", "normalizer", "rs_granularity")
 # the config section each verb runs from
 _VERB_KEYS = {"run": "strategy", "compare": "strategies", "ablate": "grid"}
 _TOP_KEYS = {
@@ -115,21 +112,49 @@ def _load_dataset(ds, train_cfg):
     return samples
 
 
-def _grid_cells(grid, loss_cfg, dcs_cfg):
-    """Distinct (Strategy, LossConfig, DcsConfig) cells of an ablation grid, and the duplicate count."""
-    axes = {key: grid.get(key, [default]) for key, default in _GRID_DEFAULTS.items()}
-    for key, values in axes.items():
+def _cell_axes(strategy, loss_cfg, dcs_cfg):
+    """A cell's value on each grid axis, in _GRID_AXES order."""
+    return (
+        strategy.name, loss_cfg.rs_metric, dcs_cfg.distance_metric,
+        dcs_cfg.normalizer, loss_cfg.rs_granularity,
+    )
+
+
+def _cells(raw, verb, loss_cfg, dcs_cfg):
+    """The distinct (Strategy, LossConfig, DcsConfig) cells a verb runs, and the duplicate count.
+
+    run has one cell, compare one per strategy and ablate the product of its
+    grid's axes. An axis the grid leaves out takes the config's own loss or
+    dcs value, and strategy takes adaptive.
+    """
+    if verb == "run":
+        if "strategy" not in raw:
+            raise ConfigError("missing required field 'strategy'")
+        axes, where = {"strategy": [raw["strategy"]]}, "strategy"
+    elif verb == "compare":
+        axes, where = {"strategy": raw.get("strategies")}, "strategies[{}]"
+        if not isinstance(axes["strategy"], list) or len(axes["strategy"]) < 2:
+            raise ConfigError("strategies: compare needs a list of >= 2 strategies")
+    else:
+        axes, where = raw.get("grid"), "grid.strategy[{}]"
+        if not isinstance(axes, dict):
+            raise ConfigError("missing required field 'grid'")
+        _check_keys("grid", axes, _GRID_AXES)
+    own = _cell_axes(Strategy(), loss_cfg, dcs_cfg)
+    axes = [axes.get(key, [value]) for key, value in zip(_GRID_AXES, own)]
+    for key, values in zip(_GRID_AXES, axes):
         if not isinstance(values, list) or not values:
             raise ConfigError(f"grid.{key}: need a non-empty list")
-    axes["strategy"] = [
-        _parse_strategy(s, where=f"grid.strategy[{i}]") for i, s in enumerate(axes["strategy"])
-    ]
-    combos = list(product(*axes.values()))
+    axes[0] = [_parse_strategy(s, where=where.format(i)) for i, s in enumerate(axes[0])]
+    combos = list(product(*axes))
     cells = {}
-    for strategy, rs, dcs, norm, gran in combos:
+    for i, (strategy, rs, dcs, norm, gran) in enumerate(combos):
         cell_loss = _build("grid", replace, loss_cfg, rs_metric=rs, rs_granularity=gran)
         cell_dcs = _build("grid", replace, dcs_cfg, distance_metric=dcs, normalizer=norm)
-        cells.setdefault((strategy.name, cell_loss, cell_dcs), (strategy, cell_loss, cell_dcs))
+        key = (strategy.name, cell_loss, cell_dcs)
+        if verb == "compare" and key in cells:
+            raise ConfigError(f"strategies[{i}]: {strategy.name} is listed twice")
+        cells.setdefault(key, (strategy, cell_loss, cell_dcs))
     return list(cells.values()), len(combos) - len(cells)
 
 
@@ -159,6 +184,8 @@ def load_config(path, verb, seeds_override=None, out_override=None):
     test_fraction and each task's training rows against batch_current are
     checked, and the samples are kept in cfg["samples"]; only the per-seed
     split is left to the run, which rejects a split that holds one class.
+    The verb's cells are kept in cfg["cells"] (see _cells); ablate warns
+    here about duplicate grid cells it skips.
     """
     try:
         with open(path) as fh:
@@ -219,30 +246,13 @@ def load_config(path, verb, seeds_override=None, out_override=None):
 
     if verb == "validate":
         # check the config for every verb whose section it has
-        verbs = {v for v, key in _VERB_KEYS.items() if key in raw} or {"run"}
+        verbs = [v for v, key in _VERB_KEYS.items() if key in raw] or ["run"]
     else:
-        verbs = {verb}
-    if "run" in verbs:
-        if "strategy" not in raw:
-            raise ConfigError("missing required field 'strategy'")
-        cfg["strategy"] = _parse_strategy(raw["strategy"])
-    if "compare" in verbs:
-        strategies = raw.get("strategies")
-        if not isinstance(strategies, list) or len(strategies) < 2:
-            raise ConfigError("strategies: compare needs a list of >= 2 strategies")
-        cfg["strategies"] = [
-            _parse_strategy(s, where=f"strategies[{i}]") for i, s in enumerate(strategies)
-        ]
-        names = [s.name for s in cfg["strategies"]]
-        for i, name in enumerate(names):
-            if name in names[:i]:
-                raise ConfigError(f"strategies[{i}]: {name} is listed twice")
-    if "ablate" in verbs:
-        grid = raw.get("grid")
-        if not isinstance(grid, dict):
-            raise ConfigError("missing required field 'grid'")
-        _check_keys("grid", grid, _GRID_DEFAULTS)
-        cfg["grid"] = _grid_cells(grid, cfg["loss"], cfg["dcs"])
+        verbs = [verb]
+    for v in verbs:
+        cfg["cells"], duplicates = _cells(raw, v, cfg["loss"], cfg["dcs"])
+    if verb == "ablate" and duplicates:
+        print(f"warning: {duplicates} duplicate grid cells skipped", file=sys.stderr)
     return cfg
 
 
@@ -294,12 +304,13 @@ def _pca_2d(features):
     return centered @ comps.T
 
 
-def _run_one_seed(cfg, strategy, seed, out_dir):
-    """Execute one (strategy, seed) run and write its artifact files."""
+def _run_one_seed(cfg, cell, seed, out_dir):
+    """Execute one (cell, seed) run and write its artifact files."""
+    strategy, loss_cfg, dcs_cfg = cell
     stream = _build_stream(cfg, seed)
     table, state = run_incremental(
         stream, strategy, replace(cfg["train"], seed=seed),
-        loss_cfg=cfg["loss"], dcs_cfg=cfg["dcs"], return_state=True,
+        loss_cfg=loss_cfg, dcs_cfg=dcs_cfg, return_state=True,
     )
     os.makedirs(out_dir, exist_ok=True)
 
@@ -346,26 +357,35 @@ def _median_summary(per_seed_tables):
     return {"n_seeds": len(per_seed_tables), "steps": steps}
 
 
-def _execute_strategy(cfg, strategy, base_dir, jobs):
+def _cell_dir(out_dir, verb, cell):
+    if verb == "run":
+        return out_dir
+    if verb == "compare":
+        return os.path.join(out_dir, cell[0].name)
+    name, rs, dcs, norm, gran = _cell_axes(*cell)
+    return os.path.join(out_dir, f"{name}__rs-{rs}__dcs-{dcs}__norm-{norm}__{gran}")
+
+
+def _execute(cfg, verb, jobs):
+    """Run every cell over the seeds, write each cell's median_summary.json, and return the summaries."""
     seeds = cfg["seeds"]
-    run = partial(_run_one_seed, cfg, strategy)
-    dirs = [os.path.join(base_dir, f"seed_{s}") for s in seeds]
-    if jobs > 1 and len(seeds) > 1:
-        # one chunk per worker, so cfg (with any dataset samples) is pickled at most jobs times
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, seeds, dirs, chunksize=ceil(len(seeds) / jobs)))
-    else:
-        results = list(map(run, seeds, dirs))
-    summary = _median_summary(results)
-    summary["strategy"] = strategy.name
-    _write_json(os.path.join(base_dir, "median_summary.json"), summary)
-    return summary
-
-
-def cmd_run(cfg, jobs=1):
     os.makedirs(cfg["out_dir"], exist_ok=True)
-    _execute_strategy(cfg, cfg["strategy"], cfg["out_dir"], jobs)
-    return 0
+    summaries = []
+    for cell in cfg["cells"]:
+        base = _cell_dir(cfg["out_dir"], verb, cell)
+        run = partial(_run_one_seed, cfg, cell)
+        dirs = [os.path.join(base, f"seed_{s}") for s in seeds]
+        if jobs > 1 and len(seeds) > 1:
+            # one chunk per worker, so cfg (with any dataset samples) is pickled at most jobs times
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                results = list(pool.map(run, seeds, dirs, chunksize=ceil(len(seeds) / jobs)))
+        else:
+            results = list(map(run, seeds, dirs))
+        summary = _median_summary(results)
+        summary["strategy"] = cell[0].name
+        _write_json(os.path.join(base, "median_summary.json"), summary)
+        summaries.append(summary)
+    return summaries
 
 
 _COMPARE_METRICS = (
@@ -374,24 +394,14 @@ _COMPARE_METRICS = (
 )
 
 
-def cmd_compare(cfg, jobs=1):
-    os.makedirs(cfg["out_dir"], exist_ok=True)
-    summaries = []
-    for strategy in cfg["strategies"]:
-        base = os.path.join(cfg["out_dir"], strategy.name)
-        summaries.append(_execute_strategy(cfg, strategy, base, jobs))
-
-    rows = []
-    for summary in summaries:
-        for step in summary["steps"]:
-            rows.append(
-                [summary["strategy"], step["step"]]
-                + [step[m] for m in _COMPARE_METRICS]
-            )
+def _write_comparison(out_dir, summaries):
     _write_csv(
-        os.path.join(cfg["out_dir"], "comparison.csv"),
-        ["strategy", "step"] + list(_COMPARE_METRICS),
-        rows,
+        os.path.join(out_dir, "comparison.csv"),
+        ("strategy", "step") + _COMPARE_METRICS,
+        [
+            [summary["strategy"], step["step"]] + [step[m] for m in _COMPARE_METRICS]
+            for summary in summaries for step in summary["steps"]
+        ],
     )
 
     winners = {}
@@ -405,35 +415,22 @@ def cmd_compare(cfg, jobs=1):
             winners[f"lowest_final_{metric}"] = min(scored, key=scored.get)
         else:
             winners[f"best_final_{metric}"] = max(scored, key=scored.get)
-    _write_json(os.path.join(cfg["out_dir"], "winners.json"), winners)
-    return 0
+    _write_json(os.path.join(out_dir, "winners.json"), winners)
 
 
 # the final-step columns of ablation.csv, after the cell's axes
 _ABLATE_METRICS = ("avg_auc", "pre_avg_auc", "pd_auc", "acc_real", "acc_fake", "alpha")
 
 
-def cmd_ablate(cfg, jobs=1):
-    os.makedirs(cfg["out_dir"], exist_ok=True)
-    cells, duplicates = cfg["grid"]
-    if duplicates:
-        print(f"warning: {duplicates} duplicate grid cells skipped", file=sys.stderr)
-
-    rows = []
-    for strategy, loss_cfg, dcs_cfg in cells:
-        name, rs, gran = strategy.name, loss_cfg.rs_metric, loss_cfg.rs_granularity
-        dcs, norm = dcs_cfg.distance_metric, dcs_cfg.normalizer
-        cell_dir = os.path.join(cfg["out_dir"], f"{name}__rs-{rs}__dcs-{dcs}__norm-{norm}__{gran}")
-        summary = _execute_strategy(dict(cfg, loss=loss_cfg, dcs=dcs_cfg), strategy, cell_dir, jobs)
-        final = summary["steps"][-1]
-        rows.append([name, rs, dcs, norm, gran] + [final[m] for m in _ABLATE_METRICS])
+def _write_ablation(out_dir, cells, summaries):
     _write_csv(
-        os.path.join(cfg["out_dir"], "ablation.csv"),
-        ["strategy", "rs_metric", "dcs_metric", "normalizer", "rs_granularity"]
-        + list(_ABLATE_METRICS),
-        rows,
+        os.path.join(out_dir, "ablation.csv"),
+        _GRID_AXES + _ABLATE_METRICS,
+        [
+            list(_cell_axes(*cell)) + [summary["steps"][-1][m] for m in _ABLATE_METRICS]
+            for cell, summary in zip(cells, summaries)
+        ],
     )
-    return 0
 
 
 def _parse_seeds(text):
@@ -467,11 +464,12 @@ def main(argv=None):
         print("config OK")
         return 0
     try:
-        if args.verb == "run":
-            return cmd_run(cfg, jobs=args.jobs)
+        summaries = _execute(cfg, args.verb, args.jobs)
         if args.verb == "compare":
-            return cmd_compare(cfg, jobs=args.jobs)
-        return cmd_ablate(cfg, jobs=args.jobs)
+            _write_comparison(cfg["out_dir"], summaries)
+        elif args.verb == "ablate":
+            _write_ablation(cfg["out_dir"], cfg["cells"], summaries)
+        return 0
     except Exception as exc:  # noqa: BLE001 - surface context, fail with status 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -63,7 +63,9 @@ def write_dataset_config(tmp_path, rows_per_task=24, test_fraction=0.25, **overr
 class TestConfigValidation:
     def test_valid_run_config(self, tmp_path):
         cfg = load_config(write_config(tmp_path), "run")
-        assert cfg["strategy"].name == "adaptive"
+        (strategy, loss_cfg, dcs_cfg), = cfg["cells"]
+        assert strategy.name == "adaptive"
+        assert (loss_cfg, dcs_cfg) == (cfg["loss"], cfg["dcs"])
         assert cfg["seeds"] == [0]
 
     def test_unknown_top_key_named(self, tmp_path):
