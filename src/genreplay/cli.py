@@ -301,7 +301,9 @@ def _pca_2d(features):
         j = np.argmax(np.abs(comps[i]))
         if comps[i, j] < 0:
             comps[i] = -comps[i]
-    return centered @ comps.T
+    proj = centered @ comps.T
+    # a 1-d feature layer has one component: y is 0
+    return np.pad(proj, ((0, 0), (0, 2 - proj.shape[1])))
 
 
 def _run_one_seed(cfg, cell, seed, out_dir):
@@ -369,16 +371,18 @@ def _cell_dir(out_dir, verb, cell):
 def _execute(cfg, verb, jobs):
     """Run every cell over the seeds, write each cell's median_summary.json, and return the summaries."""
     seeds = cfg["seeds"]
+    # a pool starts all its workers up front, so never more than one per seed
+    workers = min(jobs, len(seeds))
     os.makedirs(cfg["out_dir"], exist_ok=True)
     summaries = []
     for cell in cfg["cells"]:
         base = _cell_dir(cfg["out_dir"], verb, cell)
         run = partial(_run_one_seed, cfg, cell)
         dirs = [os.path.join(base, f"seed_{s}") for s in seeds]
-        if jobs > 1 and len(seeds) > 1:
-            # one chunk per worker, so cfg (with any dataset samples) is pickled at most jobs times
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(run, seeds, dirs, chunksize=ceil(len(seeds) / jobs)))
+        if workers > 1:
+            # one chunk per worker, so cfg (with any dataset samples) is pickled once per worker
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(run, seeds, dirs, chunksize=ceil(len(seeds) / workers)))
         else:
             results = list(map(run, seeds, dirs))
         summary = _median_summary(results)

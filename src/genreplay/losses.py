@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import check_real
+
 RS_METRICS = ("cosine", "l2")
 RS_GRANULARITIES = ("sample_wise", "centroid_based")
 
@@ -28,6 +30,7 @@ class LossConfig:
             raise ValueError(f"unknown rs_metric {self.rs_metric!r}")
         if self.rs_granularity not in RS_GRANULARITIES:
             raise ValueError(f"unknown rs_granularity {self.rs_granularity!r}")
+        check_real("eps_cos", self.eps_cos)
         if self.eps_cos <= 0:
             raise ValueError("eps_cos must be positive")
 

@@ -1,7 +1,8 @@
-"""Low-level numerics: seeded RNG substreams, Adam, gradient checking, and the configs' count check."""
+"""Low-level numerics: seeded RNG substreams, Adam, gradient checking, and the configs' count and number checks."""
 
 import hashlib
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -65,6 +66,16 @@ def check_count(name, value, minimum):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_real(name, value):
+    """Raise ValueError unless value is a real number (not a bool) that is finite as a float."""
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 class AdamState:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_count
+from .numerics import check_count, check_real
 from .replay import Signature, signature_similarity
 from .samples import LABEL_FAKE, LABEL_REAL, Sample
 
@@ -107,6 +107,11 @@ def make_scenario(
         ("n_train_per_class", n_train_per_class), ("n_test_per_class", n_test_per_class),
     ):
         check_count(name, value, float("-inf"))
+    for name, value in (
+        ("forgery_strength", forgery_strength), ("replay_strength", replay_strength),
+        ("class_spread", class_spread), ("base_shift", base_shift), ("real_drift", real_drift),
+    ):
+        check_real(name, value)
     if n_tasks < 2:
         raise ValueError("need at least 2 tasks")
     if dim < 2 * n_tasks:

@@ -16,7 +16,7 @@ from .confusion import DcsConfig, compute_alpha
 from .losses import LossConfig, ce_loss_batch, centroid, combine_losses, rs_loss_with_grads
 from .metrics import TaskEval, accuracy, auc, build_table
 from .model import MLP
-from .numerics import AdamState, Rng, adam_step, check_count
+from .numerics import AdamState, Rng, adam_step, check_count, check_real
 from .replay import GeneratorPair, fit_generator, sample_replay
 from .samples import LABEL_FAKE, LABEL_REAL
 from .streams import draw_stream_data
@@ -65,8 +65,10 @@ class Strategy:
                 raise ValueError("fixed_alpha strategy needs a fixed_alpha value")
         elif self.row.alpha is None:
             raise ValueError(f"{self.kind} does not take a fixed_alpha override")
-        elif not 0.0 <= self.fixed_alpha <= 1.0:
-            raise ValueError("fixed_alpha must lie in [0,1]")
+        else:
+            check_real("fixed_alpha", self.fixed_alpha)
+            if not 0.0 <= self.fixed_alpha <= 1.0:
+                raise ValueError("fixed_alpha must lie in [0,1]")
 
     @property
     def row(self):
@@ -115,7 +117,9 @@ class TrainConfig:
         check_count("gmm_components", self.gmm_components, 1)
         if self.replay_pool_size is not None:
             check_count("replay_pool_size", self.replay_pool_size, 1)
-        if not (math.isfinite(self.lr) and self.lr > 0):
+        for name in ("lr", "beta1", "beta2", "eps", "init_scale"):
+            check_real(name, getattr(self, name))
+        if not self.lr > 0:
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")

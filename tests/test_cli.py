@@ -20,6 +20,8 @@ TINY_SCENARIO = {
     "n_test_per_class": 24,
 }
 TINY_TRAIN = {"epochs": 1, "batch_current": 16, "arch": [8, 8]}
+# an integer literal beyond float range; json parses it exactly
+HUGE_INT = "1" + "0" * 400
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -327,18 +329,60 @@ class TestRunVerb:
             assert main([verb, "--config", path]) == 2
             assert message in capsys.readouterr().err
 
-    def test_jobs_2_matches_jobs_1(self, tmp_path):
-        path = write_dataset_config(tmp_path, strategy="adaptive", seeds=[0, 1, 2])
+    @pytest.mark.parametrize("verb, overrides, n_files", [
+        ("run", {}, 1 + 3 * 4),
+        ("compare", {"strategies": ["adaptive", {"kind": "fixed_alpha", "fixed_alpha": 0.4}]}, 2 + 2 * 13),
+        ("ablate", {"grid": {"rs_metric": ["cosine", "l2"], "normalizer": ["sigmoid"]}}, 1 + 2 * 13),
+    ], ids=["run", "compare", "ablate"])
+    def test_jobs_2_matches_jobs_1(self, tmp_path, verb, overrides, n_files):
+        path = write_dataset_config(tmp_path, strategy="adaptive", seeds=[0, 1, 2], **overrides)
         outs = [str(tmp_path / "jobs1"), str(tmp_path / "jobs2")]
         for jobs, out in zip(("1", "2"), outs):
-            assert main(["run", "--config", path, "--out", out, "--jobs", jobs]) == 0
-        files = ["median_summary.json"] + [
-            f"seed_{s}/{name}" for s in (0, 1, 2)
-            for name in ("table.csv", "alpha.csv", "projection.csv", "summary.json")
-        ]
-        for f in files:
-            one, two = (open(os.path.join(out, f), "rb").read() for out in outs)
-            assert one == two, f
+            assert main([verb, "--config", path, "--out", out, "--jobs", jobs]) == 0
+        trees = []
+        for out in outs:
+            trees.append({
+                os.path.relpath(os.path.join(root, name), out): open(os.path.join(root, name), "rb").read()
+                for root, _, names in os.walk(out) for name in names
+            })
+        assert len(trees[0]) == n_files
+        assert trees[0] == trees[1]
+
+    @pytest.mark.parametrize("verb, seeds, jobs, pools", [
+        ("run", "1,2", "64", [2]),
+        ("run", "1", "3", []),
+        ("run", "1,2,3", "2", [2]),
+        ("compare", "1,2", "64", [2, 2]),
+    ], ids=["run_jobs_64_seeds_2", "run_jobs_3_seed_1", "run_jobs_2_seeds_3", "compare_jobs_64_seeds_2"])
+    def test_at_most_one_worker_per_seed(self, tmp_path, monkeypatch, verb, seeds, jobs, pools):
+        made = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(genreplay.cli, "ProcessPoolExecutor", InProcessPool)
+        path = write_config(tmp_path, strategies=["adaptive", "lower_bound"])
+        assert main([verb, "--config", path, "--seeds", seeds, "--jobs", jobs]) == 0
+        assert made == pools
+
+    def test_width_1_feature_layer_projects_onto_x(self, tmp_path):
+        path = write_config(tmp_path, train=dict(TINY_TRAIN, arch=[8, 1]))
+        assert main(["run", "--config", path]) == 0
+        lines = open(tmp_path / "out" / "seed_0" / "projection.csv").read().splitlines()
+        assert lines[0] == "x,y,label,origin"
+        assert len(lines) == 1 + 2 * TINY_SCENARIO["n_test_per_class"]
+        assert {line.split(",")[1] for line in lines[1:]} == {"0.0000"}
+        assert (tmp_path / "out" / "median_summary.json").exists()
 
     def test_dataset_parsed_once(self, tmp_path, monkeypatch):
         calls = []
@@ -434,6 +478,48 @@ class TestAblateVerb:
         rows = open(os.path.join(cfg["out_dir"], "ablation.csv")).read().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["adaptive", "adaptive_fixed_alpha_0.3"]
 
+    # each case grids one axis; the config sets a non-default value on all four
+    @pytest.mark.parametrize("axis, values", [
+        ("rs_metric", ["cosine", "l2"]),
+        ("rs_granularity", ["sample_wise", "centroid_based"]),
+        ("dcs_metric", ["l2", "cosine_distance"]),
+        ("normalizer", ["tanh", "sigmoid"]),
+    ], ids=["rs_metric", "rs_granularity", "dcs_metric", "normalizer"])
+    def test_axis_left_out_takes_config_value(self, tmp_path, monkeypatch, axis, values):
+        own = {
+            "rs_metric": "l2", "rs_granularity": "centroid_based",
+            "dcs_metric": "cosine_distance", "normalizer": "linear_over_5",
+        }
+        path = write_config(
+            tmp_path,
+            loss={"rs_metric": own["rs_metric"], "rs_granularity": own["rs_granularity"]},
+            dcs={"distance_metric": own["dcs_metric"], "normalizer": own["normalizer"]},
+            grid={axis: values},
+        )
+        trained = []
+        inner = genreplay.cli.run_incremental
+
+        def recording(*args, loss_cfg, dcs_cfg, **kwargs):
+            trained.append((loss_cfg, dcs_cfg))
+            return inner(*args, loss_cfg=loss_cfg, dcs_cfg=dcs_cfg, **kwargs)
+
+        monkeypatch.setattr(genreplay.cli, "run_incremental", recording)
+        assert main(["ablate", "--config", path]) == 0
+        cells = [dict(own, **{axis: value}) for value in values]
+        out = tmp_path / "out"
+        for c in cells:
+            name = f"adaptive__rs-{c['rs_metric']}__dcs-{c['dcs_metric']}__norm-{c['normalizer']}__{c['rs_granularity']}"
+            assert (out / name / "median_summary.json").exists(), name
+        assert [
+            (lc.rs_metric, lc.rs_granularity, dc.distance_metric, dc.normalizer) for lc, dc in trained
+        ] == [(c["rs_metric"], c["rs_granularity"], c["dcs_metric"], c["normalizer"]) for c in cells]
+        lines = (out / "ablation.csv").read_text().splitlines()
+        assert lines[0].startswith("strategy,rs_metric,dcs_metric,normalizer,rs_granularity,")
+        assert [line.split(",")[:5] for line in lines[1:]] == [
+            ["adaptive", c["rs_metric"], c["dcs_metric"], c["normalizer"], c["rs_granularity"]]
+            for c in cells
+        ]
+
     def test_duplicate_cells_warn_once(self, tmp_path, capsys):
         cfg = json.loads(open(write_config(tmp_path)).read())
         del cfg["strategy"]
@@ -479,30 +565,43 @@ class TestInputsThatWouldBreakTraining:
 
     @pytest.mark.parametrize("verb", ["validate", "run"])
     @pytest.mark.parametrize(
-        "section, key, literal",
+        "section, key, literal, message",
         [
-            ("scenario", "class_spread", "NaN"),
-            ("loss", "eps_cos", "NaN"),
-            ("scenario", "real_drift", "NaN"),
-            ("train", "init_scale", "Infinity"),
-            ("train", "eps", "Infinity"),
-            ("train", "lr", "-Infinity"),
-            ("scenario", "forgery_strength", "1e999"),
+            ("scenario", "class_spread", "NaN", "config holds the non-finite number NaN"),
+            ("loss", "eps_cos", "NaN", "config holds the non-finite number NaN"),
+            ("scenario", "real_drift", "NaN", "config holds the non-finite number NaN"),
+            ("train", "init_scale", "Infinity", "config holds the non-finite number Infinity"),
+            ("train", "eps", "Infinity", "config holds the non-finite number Infinity"),
+            ("train", "lr", "-Infinity", "config holds the non-finite number -Infinity"),
+            ("scenario", "forgery_strength", "1e999", "config holds the non-finite number 1e999"),
+            ("train", "lr", HUGE_INT, f"train: lr must be a finite number, got {HUGE_INT}"),
+            ("scenario", "forgery_strength", HUGE_INT,
+             f"scenario: forgery_strength must be a finite number, got {HUGE_INT}"),
+            ("scenario", "class_spread", HUGE_INT, f"scenario: class_spread must be a finite number, got {HUGE_INT}"),
+            ("train", "init_scale", HUGE_INT, f"train: init_scale must be a finite number, got {HUGE_INT}"),
+            ("loss", "eps_cos", HUGE_INT, f"loss: eps_cos must be a finite number, got {HUGE_INT}"),
+            ("strategy", "fixed_alpha", "true", "strategy: fixed_alpha must be a finite number, got True"),
+            ("train", "lr", "true", "train: lr must be a finite number, got True"),
+            ("scenario", "real_drift", "false", "scenario: real_drift must be a finite number, got False"),
+            ("loss", "eps_cos", '"0.1"', "loss: eps_cos must be a finite number, got '0.1'"),
         ],
         ids=[
             "class_spread_nan", "eps_cos_nan", "real_drift_nan", "init_scale_inf",
             "eps_inf", "lr_minus_inf", "forgery_strength_1e999",
+            "lr_huge_int", "forgery_strength_huge_int", "class_spread_huge_int",
+            "init_scale_huge_int", "eps_cos_huge_int", "fixed_alpha_bool", "lr_bool",
+            "real_drift_bool", "eps_cos_string",
         ],
     )
-    def test_non_finite_number_exits_2(self, tmp_path, capsys, verb, section, key, literal):
-        base = {"scenario": TINY_SCENARIO, "train": TINY_TRAIN}.get(section, {})
-        path = write_config(tmp_path, **{section: dict(base, **{key: "<literal>"})})
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, verb, section, key, literal, message):
+        base = {"scenario": TINY_SCENARIO, "train": TINY_TRAIN, "strategy": {"kind": "fixed_alpha"}}
+        path = write_config(tmp_path, **{section: dict(base.get(section, {}), **{key: "<literal>"})})
         # json.dumps cannot write 1e999, so the literal goes into the text as written
         cfg = tmp_path / "cfg.json"
         cfg.write_text(cfg.read_text().replace('"<literal>"', literal))
         assert main([verb, "--config", path]) == 2
         err = capsys.readouterr().err
-        assert f"config error: config holds the non-finite number {literal}" in err
+        assert f"config error: {message}" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("verb", ["validate", "run"])

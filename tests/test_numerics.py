@@ -1,11 +1,11 @@
-"""Seeded RNG substreams, Adam updates, and finite-difference probes."""
+"""Seeded RNG substreams, Adam updates, finite-difference probes, and the config number check."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
-from genreplay.numerics import AdamState, Rng, adam_step, finite_diff_grad
+from genreplay.numerics import AdamState, Rng, adam_step, check_real, finite_diff_grad
 
 
 class TestRng:
@@ -197,3 +197,18 @@ class TestFiniteDiff:
     def test_non_finite_loss_raises(self):
         with pytest.raises(FloatingPointError, match="coordinate 0"):
             finite_diff_grad(lambda p: np.nan, np.zeros(1))
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("value", [0, -3, 2.5, 1e308, np.float64(0.1), np.int64(4)])
+    def test_finite_reals_pass(self, value):
+        check_real("x", value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, "1.0", None, [1.0], 1j, float("nan"), float("inf"), -float("inf"), 10**400, -(10**400)],
+        ids=["true", "false", "str", "none", "list", "complex", "nan", "inf", "minus_inf", "huge", "minus_huge"],
+    )
+    def test_others_raise_naming_the_field(self, value):
+        with pytest.raises(ValueError, match=r"^x must be a finite number, got "):
+            check_real("x", value)
