@@ -15,9 +15,10 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import ROUND_HALF_UP, Decimal
 from functools import partial
+from inspect import Parameter, signature
 from itertools import product
 from math import ceil
 
@@ -36,28 +37,23 @@ class ConfigError(Exception):
     pass
 
 
-_SCENARIO_KEYS = {
-    "kind", "n_tasks", "dim", "forgery_strength", "replay_strength",
-    "class_spread", "base_shift", "real_drift",
-    "n_train_per_class", "n_test_per_class",
+# scenario keys are make_scenario's arguments; those without a default are required
+_SCENARIO_PARAMS = [p for p in signature(make_scenario).parameters.values() if p.name != "rng"]
+# each section's keys are the arguments of what it builds; a dataset is read
+# from its path and split by its test_fraction
+_SECTION_KEYS = {
+    "scenario": {p.name for p in _SCENARIO_PARAMS},
+    "dataset": {"path", "test_fraction"},
+    "train": {f.name for f in fields(TrainConfig)} - {"seed"},
+    "loss": {f.name for f in fields(LossConfig)},
+    "dcs": {f.name for f in fields(DcsConfig)},
 }
-_DATASET_KEYS = {"path", "test_fraction"}
-_TRAIN_KEYS = {
-    "epochs", "batch_current", "batch_gen_real", "batch_gen_fake", "lr",
-    "beta1", "beta2", "eps", "arch", "init_scale", "generator_kind",
-    "gmm_components", "replay_pool_size",
-}
-_LOSS_KEYS = {"rs_metric", "rs_granularity", "eps_cos"}
-_DCS_KEYS = {"distance_metric", "normalizer", "probe_cap"}
-_STRATEGY_KEYS = {"kind", "fixed_alpha"}
+_STRATEGY_KEYS = {f.name for f in fields(Strategy)}
 # grid axes in cell order
 _GRID_AXES = ("strategy", "rs_metric", "dcs_metric", "normalizer", "rs_granularity")
 # the config section each verb runs from
 _VERB_KEYS = {"run": "strategy", "compare": "strategies", "ablate": "grid"}
-_TOP_KEYS = {
-    "scenario", "dataset", "strategy", "strategies", "grid",
-    "train", "loss", "dcs", "seeds", "out_dir",
-}
+_TOP_KEYS = set(_SECTION_KEYS) | set(_VERB_KEYS.values()) | {"seeds", "out_dir"}
 
 
 def _check_keys(section, mapping, allowed):
@@ -68,9 +64,9 @@ def _check_keys(section, mapping, allowed):
             raise ConfigError(f"unknown key {section}.{key}" if section else f"unknown key {key}")
 
 
-def _section(raw, name, allowed):
+def _section(raw, name):
     value = raw.get(name, {})
-    _check_keys(name, value, allowed)
+    _check_keys(name, value, _SECTION_KEYS[name])
     return dict(value)
 
 
@@ -88,12 +84,7 @@ def _parse_strategy(raw, where="strategy"):
     _check_keys(where, raw, _STRATEGY_KEYS)
     if "kind" not in raw:
         raise ConfigError(f"{where}: missing required field 'kind'")
-    return _build(where, Strategy, kind=raw["kind"], fixed_alpha=raw.get("fixed_alpha"))
-
-
-def _scenario_stream(sc, rng):
-    extras = {k: sc[k] for k in sc if k not in ("kind", "n_tasks", "dim")}
-    return make_scenario(sc["kind"], sc["n_tasks"], sc["dim"], rng, **extras)
+    return _build(where, Strategy, **raw)
 
 
 def _load_dataset(ds, train_cfg):
@@ -174,18 +165,20 @@ def load_config(path, verb, seeds_override=None, out_override=None):
     """Parse and validate a config file for the given verb.
 
     Every number in the file must be finite: NaN, Infinity and a literal
-    beyond float range such as 1e999 are rejected as they are parsed.
+    beyond float range such as 1e999 are rejected as they are parsed. A
+    section's keys are the arguments of what it builds (_SECTION_KEYS).
 
     The verb "validate" checks the config for every verb it has a section
     for. The train, loss, dcs, scenario, strategy and grid values get every
     check a run makes on them, so a config that loads does not fail on them
-    once training has started; a scenario's training rows per task are
-    checked against batch_current. A dataset is read here, once: its file, its
-    test_fraction and each task's training rows against batch_current are
-    checked, and the samples are kept in cfg["samples"]; only the per-seed
-    split is left to the run, which rejects a split that holds one class.
-    The verb's cells are kept in cfg["cells"] (see _cells); ablate warns
-    here about duplicate grid cells it skips.
+    once training has started. Every seed's stream is built here, once, into
+    cfg["streams"] ({seed: stream}): a scenario's from
+    Rng(seed).fork("scenario"), its training rows per task checked against
+    batch_current; a dataset's file is read once, its test_fraction and each
+    task's training rows against batch_current are checked, and it is split
+    per seed from Rng(seed).fork("split"), so a split that holds one class is
+    rejected naming its seed. The verb's cells are kept in cfg["cells"] (see
+    _cells); ablate warns here about duplicate grid cells it skips.
     """
     try:
         with open(path) as fh:
@@ -196,36 +189,8 @@ def load_config(path, verb, seeds_override=None, out_override=None):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
     _check_keys("", raw, _TOP_KEYS)
-    cfg = {}
-
     if ("scenario" in raw) == ("dataset" in raw):
         raise ConfigError("exactly one of 'scenario' or 'dataset' is required")
-    if "scenario" in raw:
-        sc = _section(raw, "scenario", _SCENARIO_KEYS)
-        for key in ("kind", "n_tasks", "dim"):
-            if key not in sc:
-                raise ConfigError(f"scenario: missing required field '{key}'")
-        # the stream itself is drawn per seed at run time
-        stream = _build("scenario", _scenario_stream, sc, Rng(0))
-        cfg["scenario"] = sc
-    else:
-        ds = _section(raw, "dataset", _DATASET_KEYS)
-        if not isinstance(ds.get("path"), str):
-            raise ConfigError("dataset: 'path' must be given as a string")
-        ds.setdefault("test_fraction", 0.25)
-        cfg["dataset"] = ds
-
-    cfg["train"] = _build("train", TrainConfig, **_section(raw, "train", _TRAIN_KEYS))
-    if "dataset" in cfg:
-        cfg["samples"] = _load_dataset(cfg["dataset"], cfg["train"])
-    elif 2 * stream.n_train_per_class < cfg["train"].batch_current:
-        raise ConfigError(
-            f"scenario: each task has {2 * stream.n_train_per_class} training rows "
-            f"(2 x n_train_per_class), fewer than train.batch_current={cfg['train'].batch_current}"
-        )
-    cfg["loss"] = _build("loss", LossConfig, **_section(raw, "loss", _LOSS_KEYS))
-    cfg["dcs"] = _build("dcs", DcsConfig, **_section(raw, "dcs", _DCS_KEYS))
-
     seeds = seeds_override if seeds_override is not None else raw.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds or not all(
         isinstance(s, int) and not isinstance(s, bool) for s in seeds
@@ -235,7 +200,40 @@ def load_config(path, verb, seeds_override=None, out_override=None):
     if repeated:
         # each seed writes seed_<n>/, and a repeat would count twice in the medians
         raise ConfigError(f"seeds: seed {repeated[0]} is listed more than once")
-    cfg["seeds"] = seeds
+    cfg = {"seeds": seeds}
+
+    if "scenario" in raw:
+        sc = _section(raw, "scenario")
+        for p in _SCENARIO_PARAMS:
+            if p.default is Parameter.empty and p.name not in sc:
+                raise ConfigError(f"scenario: missing required field '{p.name}'")
+        streams = {
+            s: _build("scenario", make_scenario, rng=Rng(s).fork("scenario"), **sc) for s in seeds
+        }
+    else:
+        ds = _section(raw, "dataset")
+        if not isinstance(ds.get("path"), str):
+            raise ConfigError("dataset: 'path' must be given as a string")
+        ds.setdefault("test_fraction", 0.25)
+
+    cfg["train"] = _build("train", TrainConfig, **_section(raw, "train"))
+    if "dataset" in raw:
+        samples = _load_dataset(ds, cfg["train"])
+        streams = {
+            s: _build(
+                f"dataset: seed {s}", stream_from_samples,
+                samples, Rng(s).fork("split"), test_fraction=ds["test_fraction"],
+            )
+            for s in seeds
+        }
+    elif 2 * streams[seeds[0]].n_train_per_class < cfg["train"].batch_current:
+        raise ConfigError(
+            f"scenario: each task has {2 * streams[seeds[0]].n_train_per_class} training rows "
+            f"(2 x n_train_per_class), fewer than train.batch_current={cfg['train'].batch_current}"
+        )
+    cfg["streams"] = streams
+    cfg["loss"] = _build("loss", LossConfig, **_section(raw, "loss"))
+    cfg["dcs"] = _build("dcs", DcsConfig, **_section(raw, "dcs"))
 
     out_dir = out_override if out_override is not None else raw.get("out_dir")
     if out_dir is None:
@@ -254,14 +252,6 @@ def load_config(path, verb, seeds_override=None, out_override=None):
     if verb == "ablate" and duplicates:
         print(f"warning: {duplicates} duplicate grid cells skipped", file=sys.stderr)
     return cfg
-
-
-def _build_stream(cfg, seed):
-    if "scenario" in cfg:
-        return _scenario_stream(cfg["scenario"], Rng(seed).fork("scenario"))
-    return stream_from_samples(
-        cfg["samples"], Rng(seed).fork("split"), test_fraction=cfg["dataset"]["test_fraction"]
-    )
 
 
 def _fmt(value):
@@ -309,9 +299,8 @@ def _pca_2d(features):
 def _run_one_seed(cfg, cell, seed, out_dir):
     """Execute one (cell, seed) run and write its artifact files."""
     strategy, loss_cfg, dcs_cfg = cell
-    stream = _build_stream(cfg, seed)
     table, state = run_incremental(
-        stream, strategy, replace(cfg["train"], seed=seed),
+        cfg["streams"][seed], strategy, replace(cfg["train"], seed=seed),
         loss_cfg=loss_cfg, dcs_cfg=dcs_cfg, return_state=True,
     )
     os.makedirs(out_dir, exist_ok=True)
@@ -380,7 +369,7 @@ def _execute(cfg, verb, jobs):
         run = partial(_run_one_seed, cfg, cell)
         dirs = [os.path.join(base, f"seed_{s}") for s in seeds]
         if workers > 1:
-            # one chunk per worker, so cfg (with any dataset samples) is pickled once per worker
+            # one chunk per worker, so cfg (with every seed's stream) is pickled once per worker
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(run, seeds, dirs, chunksize=ceil(len(seeds) / workers)))
         else:

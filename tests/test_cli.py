@@ -1,16 +1,25 @@
 """Config-driven runner: validation, artifacts, determinism, comparisons."""
 
+import inspect
 import json
 import os
+import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import genreplay.cli
 import genreplay.streams
 import genreplay.trainer
 from genreplay.cli import ConfigError, load_config, main
+from genreplay.confusion import DcsConfig
+from genreplay.losses import LossConfig
+from genreplay.numerics import Rng
+from genreplay.streams import make_scenario
+from genreplay.trainer import Strategy, TrainConfig
 
 TINY_SCENARIO = {
     "kind": "domain_safe",
@@ -125,9 +134,85 @@ class TestConfigValidation:
             load_config(str(path), "run")
 
     def test_real_drift_accepted_in_scenario(self, tmp_path):
-        path = write_config(tmp_path, scenario=dict(TINY_SCENARIO, real_drift=0.5))
+        path = write_config(tmp_path, scenario=dict(TINY_SCENARIO, real_drift=0.5, base_shift=0.0))
+        stream = load_config(path, "run")["streams"][0]
+        # task 2's real mean drifts by real_drift along task 1's forgery direction
+        assert stream.tasks[1].real_mean.tolist() == [0.5] + [0.0] * (TINY_SCENARIO["dim"] - 1)
+
+    def test_every_field_reaches_what_it_configures(self, tmp_path, capsys):
+        scenario = {
+            "kind": "domain_risky", "n_tasks": 3, "dim": 7, "forgery_strength": 1.5,
+            "replay_strength": 2.5, "class_spread": 0.4, "base_shift": 0.2, "real_drift": 0.6,
+            "n_train_per_class": 20, "n_test_per_class": 9,
+        }
+        train = {
+            "epochs": 2, "batch_current": 16, "batch_gen_real": 4, "batch_gen_fake": 6, "lr": 1e-3,
+            "beta1": 0.8, "beta2": 0.99, "eps": 1e-7, "arch": [8, 4], "init_scale": 0.5,
+            "generator_kind": "gmm", "gmm_components": 3, "replay_pool_size": 100,
+        }
+        loss = {"rs_metric": "l2", "rs_granularity": "centroid_based", "eps_cos": 1e-6}
+        dcs = {"distance_metric": "cosine_distance", "normalizer": "sigmoid", "probe_cap": 64}
+        strategy = {"kind": "no_gen_real_sup", "fixed_alpha": 0.2}
+        sections = {"scenario": scenario, "train": train, "loss": loss, "dcs": dcs, "strategy": strategy}
+        for name, cls in (("train", TrainConfig), ("loss", LossConfig), ("dcs", DcsConfig), ("strategy", Strategy)):
+            assert set(sections[name]) == {f.name for f in fields(cls)} - {"seed"}, name
+            for f in fields(cls):
+                value = sections[name].get(f.name)
+                # arch is given as a list and kept as a tuple
+                assert f.name == "seed" or (tuple(value) if isinstance(value, list) else value) != f.default
+        defaults = inspect.signature(make_scenario).parameters
+        assert set(scenario) == set(defaults) - {"rng"}
+        assert all(scenario[k] != defaults[k].default for k in scenario)
+
+        path = write_config(tmp_path, seeds=[4, 7], **sections)
+        assert main(["validate", "--config", path]) == 0
         cfg = load_config(path, "run")
-        assert cfg["scenario"]["real_drift"] == 0.5
+        assert cfg["train"] == TrainConfig(**dict(train, arch=(8, 4)))
+        (cell,) = cfg["cells"]
+        assert cell == (Strategy(**strategy), LossConfig(**loss), DcsConfig(**dcs))
+        assert list(cfg["streams"]) == [4, 7]
+        for seed, stream in cfg["streams"].items():
+            expected = make_scenario(rng=Rng(seed).fork("scenario"), **scenario)
+            assert (stream.kind, stream.seed, stream.n_tasks, stream.dim) == ("domain_risky", seed, 3, 7)
+            assert (stream.n_train_per_class, stream.n_test_per_class) == (20, 9)
+            for task, want in zip(stream.tasks, expected.tasks):
+                assert task.class_var == pytest.approx(0.4**2)
+                assert task.forgery_signature.strength == 1.5
+                assert np.array_equal(task.real_mean, want.real_mean)
+                assert np.array_equal(task.fake_mean, want.fake_mean)
+            for sig, want in zip(stream.replay_signatures, expected.replay_signatures):
+                assert np.array_equal(sig.vector, want.vector) and sig.strength == want.strength
+
+    def test_dataset_fields_reach_each_seed_split(self, tmp_path):
+        path = write_dataset_config(tmp_path, rows_per_task=40, test_fraction=0.3, seeds=[2, 3])
+        streams = load_config(path, "run")["streams"]
+        assert list(streams) == [2, 3]
+        for stream in streams.values():
+            assert [(len(train), len(test)) for train, test in stream.tasks_data] == [(28, 12)] * 2
+        # each seed splits from its own fork
+        test_rows = [[s.features.tolist() for s in stream.tasks_data[0][1]] for stream in streams.values()]
+        assert test_rows[0] != test_rows[1]
+
+    @pytest.mark.parametrize("kind", ["scenario", "dataset"])
+    def test_each_seed_stream_built_once(self, tmp_path, monkeypatch, kind):
+        builds = []
+        for name in ("make_scenario", "stream_from_samples"):
+            inner = getattr(genreplay.cli, name)
+
+            def counting(*args, _name=name, _inner=inner, **kwargs):
+                builds.append(_name)
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(genreplay.cli, name, counting)
+        strategies = ["adaptive", "lower_bound"]
+        if kind == "scenario":
+            path = write_config(tmp_path, strategies=strategies, seeds=[0, 1])
+        else:
+            path = write_dataset_config(tmp_path, strategies=strategies, seeds=[0, 1])
+        assert main(["compare", "--config", path]) == 0
+        built = "make_scenario" if kind == "scenario" else "stream_from_samples"
+        assert builds == [built, built]
+        assert os.path.exists(tmp_path / "out" / "lower_bound" / "seed_1" / "table.csv")
 
 
 class TestValidateVerb:
@@ -300,12 +385,27 @@ class TestRunVerb:
         assert main(["run", "--config", write_dataset_config(tmp_path)]) == 0
         assert os.path.exists(tmp_path / "out" / "seed_0" / "table.csv")
 
-    def test_runtime_error_exits_1(self, tmp_path, capsys):
+    def test_runtime_error_exits_1(self, tmp_path, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise RuntimeError("training diverged")
+
+        monkeypatch.setattr(genreplay.cli, "run_incremental", failing)
+        assert main(["run", "--config", write_config(tmp_path)]) == 1
+        assert "error: training diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_one_class_split_exits_2_naming_the_seed(self, tmp_path, capsys, verb):
         # seed 1 splits task 0 into a one-class test split; seed 0 splits it well
-        path = write_dataset_config(tmp_path, rows_per_task=49, test_fraction=0.05)
-        assert main(["validate", "--config", path]) == 0
-        assert main(["run", "--config", path, "--seeds", "1"]) == 1
-        assert "error: task 0: the test split of 2 rows holds one class" in capsys.readouterr().err
+        path = write_dataset_config(tmp_path, rows_per_task=49, test_fraction=0.05, seeds=[0, 1])
+        assert main([verb, "--config", path, "--seeds", "0"]) == 0
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        capsys.readouterr()
+        assert main([verb, "--config", path]) == 2
+        assert (
+            "config error: dataset: seed 1: task 0: the test split of 2 rows holds one class; "
+            "add rows or change test_fraction"
+        ) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     # rows replace the CSV's lines; None deletes the file; "keep" keeps it
     @pytest.mark.parametrize("rows, fraction, message", [
