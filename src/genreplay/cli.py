@@ -447,7 +447,7 @@ def main(argv=None):
     try:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-        seeds = _parse_seeds(args.seeds) if args.seeds else None
+        seeds = _parse_seeds(args.seeds) if args.seeds is not None else None
         cfg = load_config(args.config, args.verb, seeds_override=seeds, out_override=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -27,6 +27,11 @@ DEFAULT_BASE_SHIFT = 0.1
 DEFAULT_REAL_DRIFT = 0.75
 DEFAULT_N_TRAIN = 2000
 DEFAULT_N_TEST = 1000
+# the largest |value| make_scenario takes for each of its five float
+# arguments: every default is near 1, a class_spread of 1e4 already overflows
+# in training, and a real_drift or base_shift of 1e50 ends a run with
+# non-finite results
+MAX_SCENARIO_MAGNITUDE = 1e3
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,8 @@ def make_scenario(
     direction, so sequential training overwrites old fake territory with new
     real data and a no-replay learner forgets. The RNG consumption is
     identical for every kind, so streams built from the same seed differ only
-    in replay signatures.
+    in replay signatures. Each float argument must be a finite number in
+    [-MAX_SCENARIO_MAGNITUDE, MAX_SCENARIO_MAGNITUDE].
     """
     if kind not in SCENARIO_KINDS:
         raise ValueError(f"unknown scenario kind {kind!r}")
@@ -107,10 +113,11 @@ def make_scenario(
         ("n_train_per_class", n_train_per_class), ("n_test_per_class", n_test_per_class),
     ):
         check_count(name, value, float("-inf"))
-    for name, value in (
+    magnitudes = (
         ("forgery_strength", forgery_strength), ("replay_strength", replay_strength),
         ("class_spread", class_spread), ("base_shift", base_shift), ("real_drift", real_drift),
-    ):
+    )
+    for name, value in magnitudes:
         check_real(name, value)
     if n_tasks < 2:
         raise ValueError("need at least 2 tasks")
@@ -120,6 +127,10 @@ def make_scenario(
         )
     if n_train_per_class < 1 or n_test_per_class < 1:
         raise ValueError("n_train_per_class and n_test_per_class must be >= 1")
+    for name, value in magnitudes:
+        if abs(value) > MAX_SCENARIO_MAGNITUDE:
+            bound = f"{MAX_SCENARIO_MAGNITUDE:g}"
+            raise ValueError(f"{name} must lie in [-{bound}, {bound}], got {value!r}")
 
     tasks = []
     base = np.zeros(dim)

@@ -84,12 +84,19 @@ class Strategy:
 
     @property
     def name(self):
-        """The kind, plus the fixed_alpha value when one is given."""
+        """The kind, plus the fixed_alpha value when one is given.
+
+        The value is written with :g when that reads back as the same number
+        (0.1, 1e-05), else with repr, so two values never share a name.
+        """
+        if self.fixed_alpha is None:
+            return self.kind
+        alpha = f"{self.fixed_alpha:g}"
+        if float(alpha) != self.fixed_alpha:
+            alpha = repr(self.fixed_alpha)
         if self.kind == "fixed_alpha":
-            return f"fixed_alpha_{self.fixed_alpha:g}"
-        if self.fixed_alpha is not None:
-            return f"{self.kind}_fixed_alpha_{self.fixed_alpha:g}"
-        return self.kind
+            return f"fixed_alpha_{alpha}"
+        return f"{self.kind}_fixed_alpha_{alpha}"
 
 
 @dataclass(frozen=True)

@@ -535,6 +535,15 @@ class TestCompareVerb:
         rows = open(os.path.join(out, "comparison.csv")).read().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["adaptive"] * 2 + ["adaptive_fixed_alpha_0.3"] * 2
 
+    def test_close_fixed_alphas_are_two_strategies(self, tmp_path):
+        alphas = [{"kind": "fixed_alpha", "fixed_alpha": a} for a in (0.1, 0.1000001)]
+        path = write_config(tmp_path, strategies=alphas)
+        assert main(["compare", "--config", path]) == 0
+        rows = (tmp_path / "out" / "comparison.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["fixed_alpha_0.1"] * 2 + ["fixed_alpha_0.1000001"] * 2
+        for name in ("fixed_alpha_0.1", "fixed_alpha_0.1000001"):
+            assert (tmp_path / "out" / name / "median_summary.json").exists()
+
     def test_strategy_listed_twice_exits_2(self, tmp_path, capsys):
         cfg = json.loads(open(write_config(tmp_path)).read())
         del cfg["strategy"]
@@ -577,6 +586,14 @@ class TestAblateVerb:
         assert "duplicate" not in capsys.readouterr().err
         rows = open(os.path.join(cfg["out_dir"], "ablation.csv")).read().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["adaptive", "adaptive_fixed_alpha_0.3"]
+
+    def test_close_fixed_alphas_are_two_cells(self, tmp_path, capsys):
+        alphas = [{"kind": "fixed_alpha", "fixed_alpha": a} for a in (0.1, 0.1000001)]
+        path = write_config(tmp_path, grid={"strategy": alphas})
+        assert main(["ablate", "--config", path]) == 0
+        assert "duplicate" not in capsys.readouterr().err
+        rows = (tmp_path / "out" / "ablation.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["fixed_alpha_0.1", "fixed_alpha_0.1000001"]
 
     # each case grids one axis; the config sets a non-default value on all four
     @pytest.mark.parametrize("axis, values", [
@@ -635,6 +652,12 @@ class TestCliParsing:
         code = main(["run", "--config", write_config(tmp_path), "--seeds", "1,two"])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["", " ", ","], ids=["empty", "blank", "comma"])
+    def test_seeds_flag_without_a_seed_exits_2(self, tmp_path, capsys, seeds):
+        assert main(["run", "--config", write_config(tmp_path), "--seeds", seeds]) == 2
+        assert "config error: seeds: need a non-empty list of integers, got []" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("verb", ["validate", "run"])
     def test_repeated_seed_flag_exits_2(self, tmp_path, capsys, verb):
@@ -702,6 +725,21 @@ class TestInputsThatWouldBreakTraining:
         assert main([verb, "--config", path]) == 2
         err = capsys.readouterr().err
         assert f"config error: {message}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("key, value", [
+        ("class_spread", 1e200), ("real_drift", 1e50), ("real_drift", 1e10),
+        ("base_shift", 1e300), ("forgery_strength", 1e4), ("replay_strength", -2e3),
+    ], ids=[
+        "class_spread_1e200", "real_drift_1e50", "real_drift_1e10", "base_shift_1e300",
+        "forgery_strength_1e4", "replay_strength_minus_2e3",
+    ])
+    def test_scenario_magnitude_beyond_bound_exits_2(self, tmp_path, capsys, verb, key, value):
+        path = write_config(tmp_path, scenario=dict(TINY_SCENARIO, **{key: value}))
+        assert main([verb, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: scenario: {key} must lie in [-1000, 1000], got {value!r}" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("verb", ["validate", "run"])

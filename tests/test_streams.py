@@ -1,11 +1,14 @@
 """Synthetic scenario streams and feature-file ingestion."""
 
+import re
+
 import numpy as np
 import pytest
 
 from genreplay.numerics import Rng
 from genreplay.samples import Sample
 from genreplay.streams import (
+    MAX_SCENARIO_MAGNITUDE,
     TaskStream,
     draw_stream_data,
     load_feature_dataset,
@@ -85,6 +88,18 @@ class TestScenarioGeometry:
             make_scenario("domain_safe", 4, 7, Rng(0))
         with pytest.raises(ValueError, match="2 tasks"):
             TaskStream("domain_safe", 0, [], [])
+
+    @pytest.mark.parametrize(
+        "name", ["forgery_strength", "replay_strength", "class_spread", "base_shift", "real_drift"]
+    )
+    def test_magnitude_bound(self, name):
+        scenario("mixed", **{name: MAX_SCENARIO_MAGNITUDE})
+        for value in (1000.5, 1e50, -1e4):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must lie in [-1000, 1000], got {value!r}")):
+                scenario("mixed", **{name: value})
+        # the earlier checks keep their messages
+        with pytest.raises(ValueError, match="2 tasks"):
+            make_scenario("mixed", 1, 10, Rng(0), **{name: 1e50})
 
 
 class TestDataDraws:

@@ -103,6 +103,16 @@ class TestStrategy:
         names = {Strategy(k).name for k in STRATEGY_KINDS if k != "fixed_alpha"}
         assert names == set(STRATEGY_KINDS) - {"fixed_alpha"}
 
+    @pytest.mark.parametrize("alpha, text", [
+        (0, "0"), (0.1, "0.1"), (0.5, "0.5"), (1.0, "1"), (1e-05, "1e-05"),
+        (0.1000001, "0.1000001"), (1 / 3, "0.3333333333333333"),
+    ])
+    def test_fixed_alpha_named_so_it_reads_back(self, alpha, text):
+        # :g when it reads back as the same number, else repr
+        assert Strategy("fixed_alpha", alpha).name == f"fixed_alpha_{text}"
+        assert Strategy("adaptive", alpha).name == f"adaptive_fixed_alpha_{text}"
+        assert float(text) == alpha
+
     def test_replay_flags(self):
         assert not Strategy("lower_bound").uses_replay
         assert Strategy("fake_only_replay").uses_replay
