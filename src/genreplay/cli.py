@@ -29,8 +29,8 @@ from .losses import LossConfig
 from .metrics import DERIVED_COLUMNS, table_columns, table_row_values, table_to_dict
 from .numerics import Rng
 from .samples import LABEL_FAKE
-from .streams import load_feature_dataset, make_scenario, stream_from_samples, train_sizes
-from .trainer import Strategy, TrainConfig, run_incremental
+from .streams import load_feature_dataset, make_scenario, stream_from_samples
+from .trainer import Strategy, TrainConfig, check_stream, run_incremental
 
 
 class ConfigError(Exception):
@@ -40,10 +40,12 @@ class ConfigError(Exception):
 # scenario keys are make_scenario's arguments; those without a default are required
 _SCENARIO_PARAMS = [p for p in signature(make_scenario).parameters.values() if p.name != "rng"]
 # each section's keys are the arguments of what it builds; a dataset is read
-# from its path and split by its test_fraction
+# by load_feature_dataset and split by stream_from_samples
 _SECTION_KEYS = {
     "scenario": {p.name for p in _SCENARIO_PARAMS},
-    "dataset": {"path", "test_fraction"},
+    "dataset": {
+        name for f in (load_feature_dataset, stream_from_samples) for name in signature(f).parameters
+    } - {"samples", "rng"},
     "train": {f.name for f in fields(TrainConfig)} - {"seed"},
     "loss": {f.name for f in fields(LossConfig)},
     "dcs": {f.name for f in fields(DcsConfig)},
@@ -71,10 +73,10 @@ def _section(raw, name):
 
 
 def _build(where, factory, *args, **kwargs):
-    """factory(*args, **kwargs); its ValueError or TypeError becomes a ConfigError naming where."""
+    """factory(*args, **kwargs); its ValueError, TypeError or OSError becomes a ConfigError naming where."""
     try:
         return factory(*args, **kwargs)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -85,22 +87,6 @@ def _parse_strategy(raw, where="strategy"):
     if "kind" not in raw:
         raise ConfigError(f"{where}: missing required field 'kind'")
     return _build(where, Strategy, **raw)
-
-
-def _load_dataset(ds, train_cfg):
-    """The dataset's samples, parsed once, after every check that holds for all seeds."""
-    try:
-        samples = _build("dataset", load_feature_dataset, ds["path"])
-    except OSError as exc:
-        raise ConfigError(f"dataset: {exc}") from exc
-    sizes = _build("dataset", train_sizes, samples, ds["test_fraction"])
-    for t, n_train in sizes.items():
-        if n_train < train_cfg.batch_current:
-            raise ConfigError(
-                f"dataset: task {t} has {n_train} training rows, "
-                f"fewer than train.batch_current={train_cfg.batch_current}"
-            )
-    return samples
 
 
 def _cell_axes(strategy, loss_cfg, dcs_cfg):
@@ -173,11 +159,11 @@ def load_config(path, verb, seeds_override=None, out_override=None):
     check a run makes on them, so a config that loads does not fail on them
     once training has started. Every seed's stream is built here, once, into
     cfg["streams"] ({seed: stream}): a scenario's from
-    Rng(seed).fork("scenario"), its training rows per task checked against
-    batch_current; a dataset's file is read once, its test_fraction and each
-    task's training rows against batch_current are checked, and it is split
-    per seed from Rng(seed).fork("split"), so a split that holds one class is
-    rejected naming its seed. The verb's cells are kept in cfg["cells"] (see
+    Rng(seed).fork("scenario"); a dataset's file is read once and split per
+    seed from Rng(seed).fork("split"), so a split that holds one class is
+    rejected naming its seed. Each seed's stream then gets the check
+    run_incremental makes before its first step (trainer.check_stream), and
+    its error names the seed. The verb's cells are kept in cfg["cells"] (see
     _cells); ablate warns here about duplicate grid cells it skips.
     """
     try:
@@ -214,23 +200,16 @@ def load_config(path, verb, seeds_override=None, out_override=None):
         ds = _section(raw, "dataset")
         if not isinstance(ds.get("path"), str):
             raise ConfigError("dataset: 'path' must be given as a string")
-        ds.setdefault("test_fraction", 0.25)
-
-    cfg["train"] = _build("train", TrainConfig, **_section(raw, "train"))
-    if "dataset" in raw:
-        samples = _load_dataset(ds, cfg["train"])
+        samples = _build("dataset", load_feature_dataset, ds.pop("path"))
         streams = {
-            s: _build(
-                f"dataset: seed {s}", stream_from_samples,
-                samples, Rng(s).fork("split"), test_fraction=ds["test_fraction"],
-            )
+            s: _build(f"dataset: seed {s}", stream_from_samples, samples, Rng(s).fork("split"), **ds)
             for s in seeds
         }
-    elif 2 * streams[seeds[0]].n_train_per_class < cfg["train"].batch_current:
-        raise ConfigError(
-            f"scenario: each task has {2 * streams[seeds[0]].n_train_per_class} training rows "
-            f"(2 x n_train_per_class), fewer than train.batch_current={cfg['train'].batch_current}"
-        )
+
+    cfg["train"] = _build("train", TrainConfig, **_section(raw, "train"))
+    source = "scenario" if "scenario" in raw else "dataset"
+    for s, stream in streams.items():
+        _build(f"{source}: seed {s}", check_stream, stream, cfg["train"])
     cfg["streams"] = streams
     cfg["loss"] = _build("loss", LossConfig, **_section(raw, "loss"))
     cfg["dcs"] = _build("dcs", DcsConfig, **_section(raw, "dcs"))

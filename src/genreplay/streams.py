@@ -70,6 +70,11 @@ class TaskStream:
     def dim(self):
         return self.tasks[0].dim
 
+    @property
+    def train_counts(self):
+        """{task index: (real, fake) training rows}, as draw_stream_data draws them."""
+        return {t: (self.n_train_per_class, self.n_train_per_class) for t in range(self.n_tasks)}
+
 
 def _unit(dim, axis):
     v = np.zeros(dim)
@@ -219,9 +224,20 @@ class DatasetStream:
     def dim(self):
         return self.tasks_data[0][0][0].features.shape[0]
 
+    @property
+    def train_counts(self):
+        """{file task id: (real, fake) training rows}, in stream order."""
+        return {
+            train[0].task_index: tuple(sum(s.label == c for s in train) for c in (LABEL_REAL, LABEL_FAKE))
+            for train, _ in self.tasks_data
+        }
 
-def _group_by_task(samples, test_fraction):
-    """{task id: (its samples, test rows)} in id order, after the checks no split can fix."""
+
+def stream_from_samples(samples, rng, test_fraction=0.25):
+    """Group ingested samples by task id and split each task train/test.
+
+    Raises ValueError naming the task when a task, or then one of its splits, holds one class.
+    """
     if not samples:
         raise ValueError("no samples to build a stream from")
     if not 0.0 < test_fraction < 1.0:
@@ -240,24 +256,8 @@ def _group_by_task(samples, test_fraction):
         groups[t] = (group, n_test)
     if len(groups) < 2:
         raise ValueError("a stream needs at least 2 tasks")
-    return groups
-
-
-def train_sizes(samples, test_fraction=0.25):
-    """{task id: training rows} of the split stream_from_samples makes, for any rng.
-
-    Raises what stream_from_samples raises before it splits.
-    """
-    return {t: len(group) - n_test for t, (group, n_test) in _group_by_task(samples, test_fraction).items()}
-
-
-def stream_from_samples(samples, rng, test_fraction=0.25):
-    """Group ingested samples by task id and split each task train/test.
-
-    Raises ValueError naming the task when a split holds one class.
-    """
     tasks_data = []
-    for t, (group, n_test) in _group_by_task(samples, test_fraction).items():
+    for t, (group, n_test) in groups.items():
         order = np.arange(len(group))
         rng.fork(f"task{t}").shuffle(order)
         test = [group[i] for i in order[:n_test]]
@@ -296,7 +296,7 @@ def draw_stream_data(stream, rng):
     return out
 
 
-def load_feature_dataset(path, dim=None):
+def load_feature_dataset(path):
     """Read samples from a CSV file: f0..f{d-1}, label, optional task column.
 
     The header names the columns: at least one feature column, and one
@@ -324,10 +324,6 @@ def load_feature_dataset(path, dim=None):
         ]
         if not feat_cols:
             raise ValueError(f"{path}: header holds no feature column")
-        if dim is not None and len(feat_cols) != dim:
-            raise ValueError(
-                f"{path}: expected {dim} feature columns, found {len(feat_cols)}"
-            )
         columns = _parse_columns(fh, len(header), label_col, task_col, feat_cols)
         if columns is None:
             # no row, a bad row, or rows that need the csv module's quoting:

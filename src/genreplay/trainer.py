@@ -408,12 +408,36 @@ def evaluate(model, x, labels):
     return TaskEval(auc=auc(scores, labels), acc=overall, acc_real=real_acc, acc_fake=fake_acc)
 
 
+def check_stream(stream, cfg):
+    """Raise ValueError, naming the task, unless every task of stream can train under cfg.
+
+    A task needs at least batch_current training rows. With a GMM generator,
+    every task but the last needs gmm_components training rows of each class
+    to fit its pair, whatever the strategy. Nothing is drawn.
+    """
+    counts = stream.train_counts
+    for k, (t, (n_real, n_fake)) in enumerate(counts.items()):
+        if n_real + n_fake < cfg.batch_current:
+            raise ValueError(
+                f"task {t} has {n_real + n_fake} training rows, "
+                f"fewer than batch_current={cfg.batch_current}"
+            )
+        n_class = min(n_real, n_fake)
+        if cfg.generator_kind == "gmm" and k + 1 < len(counts) and n_class < cfg.gmm_components:
+            raise ValueError(
+                f"task {t} has {n_class} training rows of one class, "
+                f"fewer than gmm_components={cfg.gmm_components}"
+            )
+
+
 def run_incremental(stream, strategy, cfg, loss_cfg=None, dcs_cfg=None, return_state=False):
     """Train through the stream; after each task, evaluate every seen task.
 
-    A task's generator pair is fitted only when a later task replays it: never
-    for the final task, nor for a strategy that uses no replay.
+    check_stream runs before anything is drawn. A task's generator pair is
+    fitted only when a later task replays it: never for the final task, nor
+    for a strategy that uses no replay.
     """
+    check_stream(stream, cfg)
     loss_cfg = loss_cfg or LossConfig()
     dcs_cfg = dcs_cfg or DcsConfig()
     rng = Rng(cfg.seed)

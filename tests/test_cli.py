@@ -184,6 +184,8 @@ class TestConfigValidation:
                 assert np.array_equal(sig.vector, want.vector) and sig.strength == want.strength
 
     def test_dataset_fields_reach_each_seed_split(self, tmp_path):
+        # the keys are load_feature_dataset's and stream_from_samples' arguments but samples and rng
+        assert genreplay.cli._SECTION_KEYS["dataset"] == {"path", "test_fraction"}
         path = write_dataset_config(tmp_path, rows_per_task=40, test_fraction=0.3, seeds=[2, 3])
         streams = load_config(path, "run")["streams"]
         assert list(streams) == [2, 3]
@@ -311,9 +313,22 @@ class TestValidateVerb:
         for verb in ("validate", "run"):
             assert main([verb, "--config", path]) == 2
             assert (
-                "config error: scenario: each task has 20 training rows (2 x n_train_per_class), "
-                "fewer than train.batch_current=32"
+                "config error: scenario: seed 0: task 0 has 20 training rows, fewer than batch_current=32"
             ) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy", ["adaptive", "lower_bound"])
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_gmm_components_above_class_rows_exit_2(self, tmp_path, capsys, verb, strategy):
+        # task 0's pair would be fitted on 8 rows per class; the check ignores the strategy
+        path = write_config(
+            tmp_path, scenario=dict(TINY_SCENARIO, n_train_per_class=8), strategy=strategy, seeds=[3],
+            train=dict(TINY_TRAIN, generator_kind="gmm", gmm_components=9),
+        )
+        assert main([verb, "--config", path]) == 2
+        assert (
+            "config error: scenario: seed 3: task 0 has 8 training rows of one class, fewer than gmm_components=9"
+        ) in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
 
 
 class TestRunVerb:
@@ -413,7 +428,7 @@ class TestRunVerb:
         (["f0,label,task", "x,0,0"], 0.25, "malformed row 2"),
         (["f0,label,task", "0.1,0,0", "0.2,1,0", "0.3,0,0"], 0.25, "at least 2 tasks"),
         ("keep", 1.5, "test_fraction"),
-        ("keep", 0.5, "task 0 has 12 training rows, fewer than train.batch_current=16"),
+        ("keep", 0.5, "dataset: seed 0: task 0 has 12 training rows, fewer than batch_current=16"),
         (["label,task", "0,0", "1,1"], 0.25, "data.csv: header holds no feature column"),
         (["f0,label,label,task", "0.1,0,0,0"], 0.25, "data.csv: header holds the 'label' column more than once"),
         (["f0,label,task,task", "0.1,0,0,0"], 0.25, "data.csv: header holds the 'task' column more than once"),

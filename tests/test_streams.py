@@ -15,7 +15,6 @@ from genreplay.streams import (
     make_scenario,
     max_cross_similarity,
     stream_from_samples,
-    train_sizes,
 )
 from genreplay.replay import Signature, signature_similarity
 
@@ -126,6 +125,14 @@ class TestDataDraws:
         again = draw_stream_data(stream, Rng(4).fork("data"))
         assert np.array_equal(data[2][0][0].features, again[2][0][0].features)
 
+    def test_train_counts_match_draws(self):
+        stream = scenario("mixed", n_tasks=3, n_train_per_class=15, n_test_per_class=7)
+        drawn = {
+            t: tuple(sum(s.label == label for s in train) for label in (0, 1))
+            for t, (train, _) in enumerate(draw_stream_data(stream, Rng(4).fork("data")))
+        }
+        assert stream.train_counts == drawn == {0: (15, 15), 1: (15, 15), 2: (15, 15)}
+
     def test_separable_classes_with_strong_forgery(self):
         stream = scenario("domain_safe", forgery_strength=2.0, class_spread=0.5)
         train, _ = draw_stream_data(stream, Rng(2))[0]
@@ -194,11 +201,6 @@ class TestIngestion:
         with pytest.raises(ValueError, match="row 2"):
             load_feature_dataset(path)
 
-    def test_dim_check(self, tmp_path):
-        path = self._write_csv(tmp_path / "d.csv", "f0,f1,label\n1.0,2.0,0\n")
-        with pytest.raises(ValueError, match="feature columns"):
-            load_feature_dataset(path, dim=3)
-
     def test_empty_file_returns_empty(self, tmp_path):
         path = self._write_csv(tmp_path / "d.csv", "")
         assert load_feature_dataset(path) == []
@@ -250,7 +252,7 @@ class TestIngestion:
         text = f"{header}\n{row}\n"
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbf" + text.encode())
-        samples = load_feature_dataset(str(path), dim=1)
+        samples = load_feature_dataset(str(path))
         assert [(s.features.tolist(), s.label, s.task_index) for s in samples] == [([0.5], 1, 2)]
 
     def test_byte_order_mark_keeps_row_numbers(self, tmp_path):
@@ -312,20 +314,28 @@ class TestStreamFromSamples:
         for train, test in stream.tasks_data:
             assert {s.label for s in train} == {s.label for s in test} == {0, 1}
 
-    def test_train_sizes_match_split(self):
-        samples = self._samples(n_per_task=13)
-        sizes = train_sizes(samples, test_fraction=0.25)
+    def test_train_counts_match_split(self):
+        # file task ids 3 and 7 name the tasks
+        samples = [
+            Sample(s.features, s.label, 3 + 4 * s.task_index) for s in self._samples(n_per_task=13)
+        ]
         stream = stream_from_samples(samples, Rng(1), test_fraction=0.25)
-        assert sizes == {t: len(train) for t, (train, _) in enumerate(stream.tasks_data)} == {0: 10, 1: 10}
+        split = {
+            train[0].task_index: tuple(sum(s.label == label for s in train) for label in (0, 1))
+            for train, _ in stream.tasks_data
+        }
+        assert stream.train_counts == split
+        assert sorted(stream.train_counts) == [3, 7]
+        assert [sum(c) for c in stream.train_counts.values()] == [10, 10]
 
-    def test_train_sizes_check_what_the_split_checks(self):
+    def test_task_grouping_errors_named(self):
         one_class = [s for s in self._samples() if s.task_index == 0 or s.label == 1]
         with pytest.raises(ValueError, match="task 1 has only one class"):
-            train_sizes(one_class)
+            stream_from_samples(one_class, Rng(1))
         with pytest.raises(ValueError, match="at least 2 tasks"):
-            train_sizes([s for s in self._samples() if s.task_index == 0])
-        with pytest.raises(ValueError, match="too few samples"):
-            train_sizes(self._samples(n_per_task=2), test_fraction=0.75)
+            stream_from_samples([s for s in self._samples() if s.task_index == 0], Rng(1))
+        with pytest.raises(ValueError, match="task 0 has too few samples to split"):
+            stream_from_samples(self._samples(n_per_task=2), Rng(1), test_fraction=0.75)
 
     def test_draw_stream_data_passthrough(self):
         stream = stream_from_samples(self._samples(), Rng(1))

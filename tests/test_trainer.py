@@ -21,6 +21,7 @@ from genreplay.trainer import (
     assemble_batch,
     batch_layout,
     batch_objective,
+    check_stream,
     draw_replay,
     fit_task_generators,
     run_incremental,
@@ -549,6 +550,58 @@ class TestTrainTask:
         stream = stream_from_samples(samples, Rng(1), test_fraction=0.25)
         with pytest.raises(ValueError, match="task 0 has 15 training rows, fewer than batch_current=32"):
             run_incremental(stream, Strategy("adaptive"), TrainConfig(epochs=1))
+
+    def test_small_later_task_raises_before_the_first_step(self, monkeypatch):
+        # file task 5 splits into 15 training rows; task 2 into 30
+        rng = Rng(12)
+        samples = [
+            Sample(rng.fork(f"{t}-{i}").normal(size=4), i % 2, t)
+            for t, n in ((2, 40), (5, 20))
+            for i in range(n)
+        ]
+        stream = stream_from_samples(samples, Rng(1), test_fraction=0.25)
+        calls = []
+        inner = genreplay.trainer.train_task
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(genreplay.trainer, "train_task", counting)
+        cfg = tiny_cfg(batch_current=16)
+        with pytest.raises(ValueError, match="task 5 has 15 training rows, fewer than batch_current=16"):
+            run_incremental(stream, Strategy("lower_bound"), cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["adaptive", "lower_bound"])
+    def test_gmm_components_above_class_rows_raise(self, kind):
+        # every task has 12 training rows per class; the final task's pair is never fitted
+        stream = tiny_stream(n_tasks=3, n_train_per_class=12)
+        cfg = tiny_cfg(generator_kind="gmm", gmm_components=13)
+        with pytest.raises(ValueError, match="task 0 has 12 training rows of one class, fewer than gmm_components=13"):
+            run_incremental(stream, Strategy(kind), cfg)
+        check_stream(stream, tiny_cfg(generator_kind="gmm", gmm_components=12))
+        check_stream(stream, tiny_cfg(gmm_components=13))
+
+    @pytest.mark.parametrize("few_fakes_task, raises", [(1, False), (0, True)])
+    def test_gmm_check_skips_the_final_task(self, few_fakes_task, raises):
+        # one task has 8 fake rows, too few after the split for 8 components;
+        # no pair is ever fitted on the final task
+        rng = Rng(3)
+        samples = [
+            Sample(rng.fork(f"{t}-{i}").normal(size=4), label, t)
+            for t in (0, 1)
+            for i, label in enumerate([0] * 30 + [1] * 8 if t == few_fakes_task else [0, 1] * 20)
+        ]
+        stream = stream_from_samples(samples, Rng(1), test_fraction=0.25)
+        n_fake = stream.train_counts[few_fakes_task][1]
+        assert n_fake < 8
+        cfg = tiny_cfg(generator_kind="gmm", gmm_components=8)
+        if raises:
+            with pytest.raises(ValueError, match=f"task 0 has {n_fake} training rows of one class, fewer than gmm_components=8"):
+                check_stream(stream, cfg)
+        else:
+            check_stream(stream, cfg)
 
     @pytest.mark.parametrize("kind, pool", [("adaptive", None), ("adaptive", 32), ("lower_bound", None)])
     def test_fits_only_replayed_tasks(self, monkeypatch, kind, pool):
