@@ -108,7 +108,8 @@ def make_scenario(
     real data and a no-replay learner forgets. The RNG consumption is
     identical for every kind, so streams built from the same seed differ only
     in replay signatures. Each float argument must be a finite number in
-    [-MAX_SCENARIO_MAGNITUDE, MAX_SCENARIO_MAGNITUDE].
+    [-MAX_SCENARIO_MAGNITUDE, MAX_SCENARIO_MAGNITUDE], and forgery_strength,
+    replay_strength and class_spread must be >= 0.
     """
     if kind not in SCENARIO_KINDS:
         raise ValueError(f"unknown scenario kind {kind!r}")
@@ -136,6 +137,11 @@ def make_scenario(
         if abs(value) > MAX_SCENARIO_MAGNITUDE:
             bound = f"{MAX_SCENARIO_MAGNITUDE:g}"
             raise ValueError(f"{name} must lie in [-{bound}, {bound}], got {value!r}")
+    # the two strengths and class_spread, first in magnitudes: a strength is a
+    # signature's length, and class_var = class_spread**2 would hide a sign
+    for name, value in magnitudes[:3]:
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value!r}")
 
     tasks = []
     base = np.zeros(dim)
@@ -240,6 +246,7 @@ def stream_from_samples(samples, rng, test_fraction=0.25):
     """
     if not samples:
         raise ValueError("no samples to build a stream from")
+    check_real("test_fraction", test_fraction)
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie in (0,1)")
     by_task = {}

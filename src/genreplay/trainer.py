@@ -58,6 +58,8 @@ class Strategy:
     fixed_alpha: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise ValueError(f"kind must be a string, got {self.kind!r}")
         if self.kind not in STRATEGY_TABLE:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.fixed_alpha is None:
@@ -136,6 +138,8 @@ class TrainConfig:
             raise ValueError(f"init_scale must be >= 0, got {self.init_scale!r}")
         if self.generator_kind not in ("gaussian", "gmm"):
             raise ValueError(f"unknown generator kind {self.generator_kind!r}")
+        if not isinstance(self.arch, (list, tuple)):
+            raise ValueError(f"arch must be a list of hidden widths, got {self.arch!r}")
         object.__setattr__(self, "arch", tuple(self.arch))
         if not self.arch:
             raise ValueError("arch needs at least one hidden width")
@@ -389,11 +393,8 @@ def fit_task_generators(state, task_index, x_train, y_train, replay_signature, c
     pair = GeneratorPair(task_index, g_real, g_fake)
     state.generator_pairs.append(pair)
     if cfg.replay_pool_size:
-        pool_rng = rng.fork("pool")
-        state.replay_pools[task_index] = (
-            pair.g_real.sample(cfg.replay_pool_size, pool_rng.fork("real")),
-            pair.g_fake.sample(cfg.replay_pool_size, pool_rng.fork("fake")),
-        )
+        size = cfg.replay_pool_size
+        state.replay_pools[task_index] = sample_replay(pair, size, size, rng.fork("pool"))
 
 
 def _arrays(samples):

@@ -758,6 +758,29 @@ class TestInputsThatWouldBreakTraining:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "key, value", [("forgery_strength", -1), ("replay_strength", -0.5), ("class_spread", -0.5)]
+    )
+    def test_scenario_negative_strength_or_spread_exits_2(self, tmp_path, capsys, verb, key, value):
+        path = write_config(tmp_path, scenario=dict(TINY_SCENARIO, **{key: value}))
+        assert main([verb, "--config", path]) == 2
+        assert f"config error: scenario: {key} must be >= 0, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("write, overrides, message", [
+        (write_config, {"train": dict(TINY_TRAIN, arch=64)}, "train: arch must be a list of hidden widths, got 64"),
+        (write_config, {"train": dict(TINY_TRAIN, arch="64")}, "train: arch must be a list of hidden widths, got '64'"),
+        (write_config, {"strategy": {"kind": ["adaptive"]}}, "strategy: kind must be a string, got ['adaptive']"),
+        (
+            write_dataset_config, {"test_fraction": "0.25"},
+            "dataset: seed 0: test_fraction must be a finite number, got '0.25'",
+        ),
+    ], ids=["arch_int", "arch_string", "kind_list", "test_fraction_string"])
+    def test_wrong_type_exits_2_naming_the_field(self, tmp_path, capsys, write, overrides, message):
+        assert main(["validate", "--config", write(tmp_path, **overrides)]) == 2
+        assert f"config error: {message}\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
     def test_bool_seed_exits_2(self, tmp_path, capsys, verb):
         assert main([verb, "--config", write_config(tmp_path, seeds=[True])]) == 2
         assert "config error: seeds: need a non-empty list of integers, got [True]" in capsys.readouterr().err
