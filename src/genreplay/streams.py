@@ -242,7 +242,7 @@ class DatasetStream:
 def stream_from_samples(samples, rng, test_fraction=0.25):
     """Group ingested samples by task id and split each task train/test.
 
-    Raises ValueError naming the task when a task, or then one of its splits, holds one class.
+    Raises ValueError naming the task when a task, or one of its splits, holds one class.
     """
     if not samples:
         raise ValueError("no samples to build a stream from")
