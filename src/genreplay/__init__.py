@@ -13,14 +13,14 @@ from .model import MLP
 from .numerics import AdamState, Rng, adam_step, finite_diff_grad
 from .replay import GeneratorModel, GeneratorPair, Signature, fit_generator, sample_replay, signature_similarity
 from .samples import Sample
-from .streams import DatasetStream, DomainSpec, TaskStream, load_feature_dataset, make_scenario
+from .streams import DatasetStream, DomainSpec, FeatureTable, TaskStream, load_feature_dataset, make_scenario
 from .trainer import (
     RunState, Strategy, TrainConfig, assemble_batch, fit_task_generators, run_incremental, train_task,
 )
 
 __all__ = [
     "AdamState", "BatchLossBreakdown", "DatasetStream", "DcsConfig",
-    "DcsRecord", "DomainSpec", "GeneratorModel", "GeneratorPair",
+    "DcsRecord", "DomainSpec", "FeatureTable", "GeneratorModel", "GeneratorPair",
     "LossConfig", "MLP", "MetricsTable", "Rng", "RunState", "Sample",
     "Signature", "Strategy", "TaskStream", "TrainConfig", "accuracy",
     "adam_step", "assemble_batch", "auc", "build_table", "centroid",

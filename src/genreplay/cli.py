@@ -200,9 +200,9 @@ def load_config(path, verb, seeds_override=None, out_override=None):
         ds = _section(raw, "dataset")
         if not isinstance(ds.get("path"), str):
             raise ConfigError("dataset: 'path' must be given as a string")
-        samples = _build("dataset", load_feature_dataset, ds.pop("path"))
+        table = _build("dataset", load_feature_dataset, ds.pop("path"))
         streams = {
-            s: _build(f"dataset: seed {s}", stream_from_samples, samples, Rng(s).fork("split"), **ds)
+            s: _build(f"dataset: seed {s}", stream_from_samples, table, Rng(s).fork("split"), **ds)
             for s in seeds
         }
 

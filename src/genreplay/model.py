@@ -87,10 +87,9 @@ class MLP:
         self.params[...] = flat
 
     def forward(self, x):
-        """Forward a batch (n, input_dim) or single vector (input_dim,)."""
+        """Forward a batch (n, input_dim); a 1-d input (input_dim,) is read as one row."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        if single:
+        if x.ndim == 1:
             x = x[None, :]
         if x.shape[1] != self.input_dim:
             raise ValueError(f"input dim {x.shape[1]} != model dim {self.input_dim}")

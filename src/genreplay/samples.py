@@ -1,4 +1,8 @@
-"""One labeled row where data enters or leaves the package: stream draws and ingested files."""
+"""One labeled row, now built only by scenario draws, and the label constants.
+
+Ingested files stay columnar (streams.FeatureTable), and draw_stream_data
+stacks a scenario's Samples into arrays before training sees them.
+"""
 
 from dataclasses import dataclass
 

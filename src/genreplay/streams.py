@@ -211,12 +211,34 @@ def _draw_class(spec, mean, n, task_index, label, rng):
     return [Sample(row, label, task_index) for row in x]
 
 
+@dataclass(frozen=True, eq=False)
+class FeatureTable:
+    """The rows of a feature file, by column.
+
+    features is (n, d) float, labels (n,) int (0 real, 1 fake) and tasks (n,)
+    the file's task ids, int64 unless an id lies beyond int64. len() is the
+    row count n.
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
+    tasks: np.ndarray
+
+    def __len__(self):
+        return len(self.labels)
+
+
 @dataclass(frozen=True)
 class DatasetStream:
-    """Pre-materialized stream built from an ingested feature file."""
+    """Pre-materialized stream built from an ingested feature file.
 
-    tasks_data: list  # per task: (train samples, test samples)
+    tasks_data holds, per task in stream order, the read-only arrays
+    (x_train, y_train, x_test, y_test); task_ids holds each task's file id.
+    """
+
+    tasks_data: list
     replay_signatures: list
+    task_ids: list
 
     def __post_init__(self):
         if len(self.tasks_data) < 2:
@@ -228,19 +250,19 @@ class DatasetStream:
 
     @property
     def dim(self):
-        return self.tasks_data[0][0][0].features.shape[0]
+        return self.tasks_data[0][0].shape[1]
 
     @property
     def train_counts(self):
         """{file task id: (real, fake) training rows}, in stream order."""
         return {
-            train[0].task_index: tuple(sum(s.label == c for s in train) for c in (LABEL_REAL, LABEL_FAKE))
-            for train, _ in self.tasks_data
+            t: tuple(int(np.count_nonzero(y_train == c)) for c in (LABEL_REAL, LABEL_FAKE))
+            for t, (_, y_train, _, _) in zip(self.task_ids, self.tasks_data)
         }
 
 
 def stream_from_samples(samples, rng, test_fraction=0.25):
-    """Group ingested samples by task id and split each task train/test.
+    """Group the rows of a FeatureTable by task id and split each task train/test.
 
     Raises ValueError naming the task when a task, or one of its splits, holds one class.
     """
@@ -249,75 +271,80 @@ def stream_from_samples(samples, rng, test_fraction=0.25):
     check_real("test_fraction", test_fraction)
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie in (0,1)")
-    by_task = {}
-    for s in samples:
-        by_task.setdefault(s.task_index, []).append(s)
+    ids, inverse, counts = np.unique(samples.tasks, return_inverse=True, return_counts=True)
+    # each task's row indices, in file order
+    by_task = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
     groups = {}
-    for t in sorted(by_task):
-        group = by_task[t]
-        if len({s.label for s in group}) < 2:
+    for t, rows in zip(ids.tolist(), by_task):
+        if len(np.unique(samples.labels[rows])) < 2:
             raise ValueError(f"task {t} has only one class")
-        n_test = max(1, int(round(len(group) * test_fraction)))
-        if n_test >= len(group):
+        n_test = max(1, int(round(len(rows) * test_fraction)))
+        if n_test >= len(rows):
             raise ValueError(f"task {t} has too few samples to split")
-        groups[t] = (group, n_test)
+        groups[t] = (rows, n_test)
     if len(groups) < 2:
         raise ValueError("a stream needs at least 2 tasks")
     tasks_data = []
-    for t, (group, n_test) in groups.items():
-        order = np.arange(len(group))
+    for t, (rows, n_test) in groups.items():
+        order = np.arange(len(rows))
         rng.fork(f"task{t}").shuffle(order)
-        test = [group[i] for i in order[:n_test]]
-        train = [group[i] for i in order[n_test:]]
-        for split, rows in (("train", train), ("test", test)):
-            if len({s.label for s in rows}) < 2:
+        test, train = rows[order[:n_test]], rows[order[n_test:]]
+        for split, idx in (("train", train), ("test", test)):
+            if len(np.unique(samples.labels[idx])) < 2:
                 raise ValueError(
-                    f"task {t}: the {split} split of {len(rows)} rows holds one class; "
+                    f"task {t}: the {split} split of {len(idx)} rows holds one class; "
                     "add rows or change test_fraction"
                 )
-        tasks_data.append((train, test))
-    dim = tasks_data[0][0][0].features.shape[0]
+        arrays = tuple(column[idx] for idx in (train, test) for column in (samples.features, samples.labels))
+        for a in arrays:
+            # every cell of a compare or ablate runs on them, so a write must raise
+            a.flags.writeable = False
+        tasks_data.append(arrays)
     # ingested data carries no known generator artifact
-    zero_sig = Signature(np.zeros(dim), 0.0)
-    return DatasetStream(tasks_data=tasks_data, replay_signatures=[zero_sig] * len(tasks_data))
+    zero_sig = Signature(np.zeros(samples.features.shape[1]), 0.0)
+    return DatasetStream(
+        tasks_data=tasks_data, replay_signatures=[zero_sig] * len(tasks_data), task_ids=list(groups)
+    )
 
 
 def draw_stream_data(stream, rng):
-    """Per-task (train, test) lists; test sizes follow the stream config."""
+    """Per task (x_train, y_train, x_test, y_test): rows (n, dim) and labels (n,).
+
+    A dataset stream's own read-only arrays are returned, shared and not
+    copied. A scenario's are drawn from rng, real rows then fake rows in each
+    split, with the split sizes of the stream config.
+    """
     if isinstance(stream, DatasetStream):
         return list(stream.tasks_data)
     out = []
     for t, spec in enumerate(stream.tasks):
         task_rng = rng.fork(f"task{t}")
-        train = _draw_class(
-            spec, spec.real_mean, stream.n_train_per_class, t, LABEL_REAL, task_rng.fork("train-real")
-        ) + _draw_class(
-            spec, spec.fake_mean, stream.n_train_per_class, t, LABEL_FAKE, task_rng.fork("train-fake")
-        )
-        test = _draw_class(
-            spec, spec.real_mean, stream.n_test_per_class, t, LABEL_REAL, task_rng.fork("test-real")
-        ) + _draw_class(
-            spec, spec.fake_mean, stream.n_test_per_class, t, LABEL_FAKE, task_rng.fork("test-fake")
-        )
-        out.append((train, test))
+        arrays = []
+        for split, n in (("train", stream.n_train_per_class), ("test", stream.n_test_per_class)):
+            rows = _draw_class(
+                spec, spec.real_mean, n, t, LABEL_REAL, task_rng.fork(f"{split}-real")
+            ) + _draw_class(spec, spec.fake_mean, n, t, LABEL_FAKE, task_rng.fork(f"{split}-fake"))
+            arrays += [np.stack([s.features for s in rows]), np.array([s.label for s in rows])]
+        out.append(tuple(arrays))
     return out
 
 
 def load_feature_dataset(path):
-    """Read samples from a CSV file: f0..f{d-1}, label, optional task column.
+    """Read a CSV file's rows into a FeatureTable: f0..f{d-1}, label, optional task column.
 
     The header names the columns: at least one feature column, and one
     label and at most one task column. Label must be 0 (real) or 1 (fake), and
     label and task cells must be integer literals. A row whose cell count
     differs from the header's, that fails to parse, or that holds a NaN or
     inf feature raises with its 1-based row number; blank lines are skipped
-    but still counted.
+    but still counted. A file without a header gives a table of 0 rows and 0
+    feature columns.
     """
     # utf-8-sig drops the byte-order mark that spreadsheet exports put before the header
     with open(path, newline="", encoding="utf-8-sig") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
-            return []
+            return _table(np.empty((0, 0)), [], [])
         header = [h.strip() for h in header]
         if "label" not in header:
             raise ValueError(f"{path}: header must contain a 'label' column")
@@ -337,8 +364,16 @@ def load_feature_dataset(path):
             # the row-by-row scan decides, and names the row it rejects
             fh.seek(0)
             return _scan_rows(path, fh, len(header), label_col, task_col, feat_cols)
-    feats, labels, tasks = columns
-    return [Sample(f, label, task) for f, label, task in zip(feats, labels, tasks)]
+    return _table(*columns)
+
+
+def _table(feats, labels, tasks):
+    try:
+        task_ids = np.array(tasks, dtype=np.int64)
+    except OverflowError:
+        # an id beyond int64, which only the row-by-row scan reads, stays a Python int
+        task_ids = np.array(tasks, dtype=object)
+    return FeatureTable(feats, np.array(labels, dtype=np.int64), task_ids)
 
 
 def _parse_columns(fh, n_cells, label_col, task_col, feat_cols):
@@ -364,15 +399,15 @@ def _parse_columns(fh, n_cells, label_col, task_col, feat_cols):
     labels = table[f"c{label_col}"]
     if not (len(table) and np.isfinite(feats).all() and np.isin(labels, (LABEL_REAL, LABEL_FAKE)).all()):
         return None
-    tasks = table[f"c{task_col}"].tolist() if task_col is not None else [0] * len(table)
-    return feats, labels.tolist(), tasks
+    tasks = table[f"c{task_col}"] if task_col is not None else np.zeros(len(table), dtype=np.int64)
+    return feats, labels, tasks
 
 
 def _scan_rows(path, fh, n_cells, label_col, task_col, feat_cols):
     """Row-by-row parse of the CSV file fh after its header; raises at the first bad row."""
     reader = csv.reader(fh)
     next(reader)
-    samples = []
+    feature_rows, labels, tasks = [], [], []
     for row_no, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -388,5 +423,8 @@ def _scan_rows(path, fh, n_cells, label_col, task_col, feat_cols):
             raise ValueError(f"{path}: row {row_no}: label must be 0 or 1, got {label}")
         if not np.isfinite(feats).all():
             raise ValueError(f"{path}: row {row_no}: non-finite feature")
-        samples.append(Sample(feats, label, task))
-    return samples
+        feature_rows.append(feats)
+        labels.append(label)
+        tasks.append(task)
+    features = np.array(feature_rows).reshape(len(feature_rows), len(feat_cols))
+    return _table(features, labels, tasks)

@@ -397,11 +397,6 @@ def fit_task_generators(state, task_index, x_train, y_train, replay_signature, c
         state.replay_pools[task_index] = sample_replay(pair, size, size, rng.fork("pool"))
 
 
-def _arrays(samples):
-    """(features (n, dim), labels (n,)) of a list of samples."""
-    return np.stack([s.features for s in samples]), np.array([s.label for s in samples])
-
-
 def evaluate(model, x, labels):
     """A task's TaskEval on its test rows x (n, dim) with labels (n,)."""
     scores = model.forward(x).y_p
@@ -442,10 +437,8 @@ def run_incremental(stream, strategy, cfg, loss_cfg=None, dcs_cfg=None, return_s
     loss_cfg = loss_cfg or LossConfig()
     dcs_cfg = dcs_cfg or DcsConfig()
     rng = Rng(cfg.seed)
-    # each task's rows, stacked once per run
-    data = [
-        (*_arrays(train), *_arrays(test)) for train, test in draw_stream_data(stream, rng.fork("data"))
-    ]
+    # per task (x_train, y_train, x_test, y_test); a dataset stream's own arrays, not copies
+    data = draw_stream_data(stream, rng.fork("data"))
     model = MLP([stream.dim] + list(cfg.arch), rng.fork("init"), cfg.init_scale)
     state = RunState(model=model, adam=AdamState(model.n_params), stream_data=data)
 

@@ -119,13 +119,25 @@ def test_timed_pairs_alternate_which_side_runs_first(monkeypatch):
 
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("21-24") == [21, 22, 23, 24]
+    assert bench_pairs.parse_seeds("7-7") == [7]
     assert bench_pairs.parse_seeds("3,5,8") == [3, 5, 8]
+    assert bench_pairs.parse_seeds("30-21") == []
+
+
+@pytest.mark.parametrize("value", ["21-30,40", "3-", "a", "-5", "1-2-3", "3,x"])
+def test_parse_seeds_rejects_what_is_not_a_range_or_a_list(value):
+    with pytest.raises(ValueError, match=f"--seeds '{value}' is neither"):
+        bench_pairs.parse_seeds(value)
+
+
+NOT_SEEDS = "is neither a range A-B nor a comma-separated list of integers"
 
 
 @pytest.mark.parametrize(
     "flag, value, message",
     [("--seeds", "30-21", "names no seed"), ("--seeds", ",", "names no seed"),
-     ("--workloads", ",", "names no workload"), ("--workloads", "", "names no workload")],
+     ("--workloads", ",", "names no workload"), ("--workloads", "", "names no workload")]
+    + [("--seeds", value, f"--seeds {value!r} {NOT_SEEDS}") for value in ("21-30,40", "3-", "a", "-5")],
 )
 def test_empty_seeds_or_workloads_exit_2_before_any_pass(monkeypatch, capsys, tmp_path, flag, value, message):
     def no_pass(*args, **kwargs):

@@ -190,9 +190,10 @@ class TestConfigValidation:
         streams = load_config(path, "run")["streams"]
         assert list(streams) == [2, 3]
         for stream in streams.values():
-            assert [(len(train), len(test)) for train, test in stream.tasks_data] == [(28, 12)] * 2
+            sizes = [(len(x_train), len(x_test)) for x_train, _, x_test, _ in stream.tasks_data]
+            assert sizes == [(28, 12)] * 2
         # each seed splits from its own fork
-        test_rows = [[s.features.tolist() for s in stream.tasks_data[0][1]] for stream in streams.values()]
+        test_rows = [stream.tasks_data[0][2].tolist() for stream in streams.values()]
         assert test_rows[0] != test_rows[1]
 
     @pytest.mark.parametrize("kind", ["scenario", "dataset"])

@@ -42,8 +42,12 @@ class TestForward:
 
     def test_single_vector_input(self):
         m = small_model()
-        rec = m.forward(np.ones(4))
+        v = np.linspace(-1.0, 1.0, 4)
+        rec = m.forward(v)
+        # a 1-d input is read as one row
         assert rec.y_p.shape == (1,)
+        assert rec.features.shape == (1, 8)
+        assert np.array_equal(rec.y_p, m.forward(v[None, :]).y_p)
 
     def test_dim_mismatch_raises(self):
         with pytest.raises(ValueError, match="dim"):

@@ -165,9 +165,9 @@ def test_ingestion_reads_back_what_was_written(table):
     samples = load_text(table_text(*table))
     # features in file column order, bit for bit: -0.0 and subnormals included
     expected = feats[:, [i for i in order if i < feats.shape[1]]]
-    assert np.stack([s.features for s in samples]).tobytes() == expected.tobytes()
-    assert [s.label for s in samples] == labels
-    assert [s.task_index for s in samples] == (tasks if tasks is not None else [0] * len(labels))
+    assert samples.features.tobytes() == expected.tobytes()
+    assert samples.labels.tolist() == labels
+    assert samples.tasks.tolist() == (tasks if tasks is not None else [0] * len(labels))
 
 
 # kind: (cells to inject, the columns they go in, the error they raise)

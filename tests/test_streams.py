@@ -5,10 +5,11 @@ import re
 import numpy as np
 import pytest
 
+import genreplay.streams
 from genreplay.numerics import Rng
-from genreplay.samples import Sample
 from genreplay.streams import (
     MAX_SCENARIO_MAGNITUDE,
+    FeatureTable,
     TaskStream,
     draw_stream_data,
     load_feature_dataset,
@@ -21,6 +22,17 @@ from genreplay.replay import Signature, signature_similarity
 
 def scenario(kind, n_tasks=3, seed=0, **kw):
     return make_scenario(kind, n_tasks, 2 * n_tasks + 2, Rng(seed).fork("scenario"), **kw)
+
+
+def table(rows):
+    """A FeatureTable of (features, label, task id) triples."""
+    features, labels, tasks = zip(*rows)
+    return FeatureTable(np.stack(features), np.array(labels), np.array(tasks))
+
+
+def table_rows(t):
+    """A FeatureTable's rows as (feature list, label, task id) triples."""
+    return list(zip(t.features.tolist(), t.labels.tolist(), t.tasks.tolist()))
 
 
 class TestScenarioGeometry:
@@ -104,11 +116,11 @@ class TestScenarioGeometry:
 class TestDataDraws:
     def test_draw_stream_data_balanced_and_disjoint(self):
         stream = scenario("domain_safe", n_train_per_class=20, n_test_per_class=20)
-        train, test = draw_stream_data(stream, Rng(1).fork("d"))[0]
-        assert len(train) == 40 and len(test) == 40
-        assert sum(s.label for s in train) == 20
-        train_rows = {tuple(s.features) for s in train}
-        assert all(tuple(s.features) not in train_rows for s in test)
+        x_train, y_train, x_test, _ = draw_stream_data(stream, Rng(1).fork("d"))[0]
+        assert len(x_train) == 40 and len(x_test) == 40
+        assert y_train.sum() == 20
+        train_rows = {tuple(row) for row in x_train}
+        assert all(tuple(row) not in train_rows for row in x_test)
 
     def test_scenario_bad_count(self):
         with pytest.raises(ValueError, match="per_class"):
@@ -120,32 +132,32 @@ class TestDataDraws:
         stream = scenario("mixed", n_tasks=3, n_train_per_class=15, n_test_per_class=7)
         data = draw_stream_data(stream, Rng(4).fork("data"))
         assert len(data) == 3
-        for train, test in data:
-            assert len(train) == 30 and len(test) == 14
+        for x_train, y_train, x_test, y_test in data:
+            assert len(x_train) == len(y_train) == 30 and len(x_test) == len(y_test) == 14
         again = draw_stream_data(stream, Rng(4).fork("data"))
-        assert np.array_equal(data[2][0][0].features, again[2][0][0].features)
+        assert np.array_equal(data[2][0][0], again[2][0][0])
 
     def test_train_counts_match_draws(self):
         stream = scenario("mixed", n_tasks=3, n_train_per_class=15, n_test_per_class=7)
         drawn = {
-            t: tuple(sum(s.label == label for s in train) for label in (0, 1))
-            for t, (train, _) in enumerate(draw_stream_data(stream, Rng(4).fork("data")))
+            t: tuple(int(np.sum(y_train == label)) for label in (0, 1))
+            for t, (_, y_train, _, _) in enumerate(draw_stream_data(stream, Rng(4).fork("data")))
         }
         assert stream.train_counts == drawn == {0: (15, 15), 1: (15, 15), 2: (15, 15)}
 
     def test_separable_classes_with_strong_forgery(self):
         stream = scenario("domain_safe", forgery_strength=2.0, class_spread=0.5)
-        train, _ = draw_stream_data(stream, Rng(2))[0]
-        reals = np.stack([s.features for s in train if s.label == 0])
-        fakes = np.stack([s.features for s in train if s.label == 1])
+        x_train, y_train, _, _ = draw_stream_data(stream, Rng(2))[0]
+        reals = x_train[y_train == 0]
+        fakes = x_train[y_train == 1]
         gap = fakes.mean(axis=0) - reals.mean(axis=0)
         assert np.linalg.norm(gap) == pytest.approx(2.0, abs=0.2)
 
     def test_zero_forgery_strength_classes_indistinguishable(self):
         stream = scenario("domain_safe", forgery_strength=0.0)
-        train, _ = draw_stream_data(stream, Rng(3))[0]
-        reals = np.stack([s.features for s in train if s.label == 0])
-        fakes = np.stack([s.features for s in train if s.label == 1])
+        x_train, y_train, _, _ = draw_stream_data(stream, Rng(3))[0]
+        reals = x_train[y_train == 0]
+        fakes = x_train[y_train == 1]
         assert np.linalg.norm(fakes.mean(axis=0) - reals.mean(axis=0)) < 0.2
 
 
@@ -161,13 +173,13 @@ class TestIngestion:
         )
         samples = load_feature_dataset(path)
         assert len(samples) == 3
-        assert np.array_equal(samples[0].features, [0.5, 1.5])
-        assert samples[1].label == 1
-        assert samples[2].task_index == 1
+        assert np.array_equal(samples.features[0], [0.5, 1.5])
+        assert samples.labels[1] == 1
+        assert samples.tasks[2] == 1
 
     def test_task_column_optional(self, tmp_path):
         path = self._write_csv(tmp_path / "d.csv", "f0,label\n1.0,0\n")
-        assert load_feature_dataset(path)[0].task_index == 0
+        assert load_feature_dataset(path).tasks[0] == 0
 
     def test_missing_label_column(self, tmp_path):
         path = self._write_csv(tmp_path / "d.csv", "f0,f1\n1.0,2.0\n")
@@ -203,12 +215,39 @@ class TestIngestion:
 
     def test_empty_file_returns_empty(self, tmp_path):
         path = self._write_csv(tmp_path / "d.csv", "")
-        assert load_feature_dataset(path) == []
+        assert len(load_feature_dataset(path)) == 0
 
     @pytest.mark.parametrize("text", ["f0,label\n", "f0,label\n\n\n"])
     def test_header_without_rows_returns_empty(self, tmp_path, text):
         path = self._write_csv(tmp_path / "d.csv", text)
-        assert load_feature_dataset(path) == []
+        assert len(load_feature_dataset(path)) == 0
+
+    @pytest.mark.parametrize(
+        "text, n_rows, scanned",
+        [
+            ("f0,label,task\n0.5,1,2\n1.5,0,2\n", 2, False),
+            ('f0,label,task\n"0.5",1,2\n1.5,0,2\n"2.5",1,3\n', 3, True),
+            ("f0,label\n\n1.0,0\n\n\n2.0,1\n\n", 2, False),
+            ('f0,label\n\n"1.0",0\n\n\n2.0,1\n\n', 2, True),
+            ("f0,label\n", 0, True),
+        ],
+        ids=["bare", "quoted", "blank_lines", "quoted_blank_lines", "header_only"],
+    )
+    def test_len_is_the_data_row_count(self, tmp_path, monkeypatch, text, n_rows, scanned):
+        # a file of bare numbers is parsed by column; quoted cells, or no row, go to the row scan
+        scans = []
+        inner = genreplay.streams._scan_rows
+
+        def counting(*args):
+            scans.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(genreplay.streams, "_scan_rows", counting)
+        samples = load_feature_dataset(self._write_csv(tmp_path / "d.csv", text))
+        assert bool(scans) == scanned
+        assert len(samples) == n_rows
+        assert samples.features.shape == (n_rows, 1)
+        assert samples.labels.shape == samples.tasks.shape == (n_rows,)
 
     @pytest.mark.parametrize(
         "row, found", [("1.0,0", 2), ("1.0,2.0,0,0", 4), ("   ", 1)]
@@ -229,15 +268,15 @@ class TestIngestion:
         with pytest.raises(ValueError, match="malformed row 7"):
             load_feature_dataset(path)
         path = self._write_csv(tmp_path / "d.csv", "f0,label\r\n\r\n1.0,0\r\n\r\n2.0,1\r\n")
-        assert [s.label for s in load_feature_dataset(path)] == [0, 1]
+        assert load_feature_dataset(path).labels.tolist() == [0, 1]
 
     def test_quoted_cells_read_as_bare_ones(self, tmp_path):
         bare = load_feature_dataset(self._write_csv(tmp_path / "a.csv", "f0,label,task\n0.5,1,2\n"))
         quoted = load_feature_dataset(
             self._write_csv(tmp_path / "b.csv", 'f0,label,task\n"0.5","1",2\n')
         )
-        assert [(s.features.tolist(), s.label, s.task_index) for s in quoted] == [([0.5], 1, 2)]
-        assert [(s.features.tolist(), s.label, s.task_index) for s in bare] == [([0.5], 1, 2)]
+        assert table_rows(quoted) == [([0.5], 1, 2)]
+        assert table_rows(bare) == [([0.5], 1, 2)]
 
     @pytest.mark.parametrize(
         "header, row",
@@ -252,8 +291,7 @@ class TestIngestion:
         text = f"{header}\n{row}\n"
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbf" + text.encode())
-        samples = load_feature_dataset(str(path))
-        assert [(s.features.tolist(), s.label, s.task_index) for s in samples] == [([0.5], 1, 2)]
+        assert table_rows(load_feature_dataset(str(path))) == [([0.5], 1, 2)]
 
     def test_byte_order_mark_keeps_row_numbers(self, tmp_path):
         path = tmp_path / "bom.csv"
@@ -269,39 +307,42 @@ class TestIngestion:
 
 
 class TestStreamFromSamples:
-    def _samples(self, n_per_task=12, n_tasks=2):
+    def _rows(self, n_per_task=12, n_tasks=2):
+        """(features, label, task id) triples."""
         rng = Rng(6)
-        out = []
-        for t in range(n_tasks):
-            for i in range(n_per_task):
-                out.append(
-                    Sample(rng.fork(f"{t}-{i}").normal(size=3), i % 2, t)
-                )
-        return out
+        return [
+            (rng.fork(f"{t}-{i}").normal(size=3), i % 2, t)
+            for t in range(n_tasks)
+            for i in range(n_per_task)
+        ]
+
+    def _samples(self, **kw):
+        return table(self._rows(**kw))
 
     def test_split_sizes(self):
         stream = stream_from_samples(self._samples(), Rng(1), test_fraction=0.25)
         assert stream.n_tasks == 2
-        for train, test in stream.tasks_data:
-            assert len(test) == 3 and len(train) == 9
+        for x_train, y_train, x_test, y_test in stream.tasks_data:
+            assert len(x_test) == len(y_test) == 3 and len(x_train) == len(y_train) == 9
 
     def test_zero_signatures(self):
         stream = stream_from_samples(self._samples(), Rng(1))
         assert all(sig.strength == 0.0 for sig in stream.replay_signatures)
 
     def test_empty_and_bad_fraction_raise(self):
+        empty = FeatureTable(np.empty((0, 3)), np.empty(0, dtype=int), np.empty(0, dtype=int))
         with pytest.raises(ValueError, match="no samples"):
-            stream_from_samples([], Rng(0))
+            stream_from_samples(empty, Rng(0))
         with pytest.raises(ValueError, match="test_fraction"):
             stream_from_samples(self._samples(), Rng(0), test_fraction=1.0)
 
     def test_single_class_task_named(self):
-        samples = [s for s in self._samples() if s.task_index == 0 or s.label == 1]
+        samples = table([r for r in self._rows() if r[2] == 0 or r[1] == 1])
         with pytest.raises(ValueError, match="task 1 has only one class"):
             stream_from_samples(samples, Rng(1))
 
     def test_single_task_rejected(self):
-        samples = [s for s in self._samples() if s.task_index == 0]
+        samples = table([r for r in self._rows() if r[2] == 0])
         with pytest.raises(ValueError, match="at least 2 tasks"):
             stream_from_samples(samples, Rng(1))
 
@@ -311,29 +352,36 @@ class TestStreamFromSamples:
         with pytest.raises(ValueError, match="task 0: the test split of 2 rows holds one class"):
             stream_from_samples(samples, Rng(1).fork("split"), test_fraction=0.05)
         stream = stream_from_samples(samples, Rng(0).fork("split"), test_fraction=0.05)
-        for train, test in stream.tasks_data:
-            assert {s.label for s in train} == {s.label for s in test} == {0, 1}
+        for _, y_train, _, y_test in stream.tasks_data:
+            assert set(y_train.tolist()) == set(y_test.tolist()) == {0, 1}
 
     def test_train_counts_match_split(self):
         # file task ids 3 and 7 name the tasks
-        samples = [
-            Sample(s.features, s.label, 3 + 4 * s.task_index) for s in self._samples(n_per_task=13)
-        ]
+        samples = table([(x, label, 3 + 4 * t) for x, label, t in self._rows(n_per_task=13)])
         stream = stream_from_samples(samples, Rng(1), test_fraction=0.25)
+        assert stream.task_ids == [3, 7]
         split = {
-            train[0].task_index: tuple(sum(s.label == label for s in train) for label in (0, 1))
-            for train, _ in stream.tasks_data
+            t: tuple(int(np.sum(y_train == label)) for label in (0, 1))
+            for t, (_, y_train, _, _) in zip(stream.task_ids, stream.tasks_data)
         }
         assert stream.train_counts == split
         assert sorted(stream.train_counts) == [3, 7]
         assert [sum(c) for c in stream.train_counts.values()] == [10, 10]
 
+    def test_task_id_beyond_int64_names_its_task(self, tmp_path):
+        big = 10**20
+        rows = "".join(f"0.{i},{i % 2},{t}\n" for t in (big, 0) for i in range(4))
+        path = tmp_path / "d.csv"
+        path.write_text("f0,label,task\n" + rows)
+        stream = stream_from_samples(load_feature_dataset(str(path)), Rng(0), test_fraction=0.5)
+        assert stream.train_counts == {0: (1, 1), big: (1, 1)}
+
     def test_task_grouping_errors_named(self):
-        one_class = [s for s in self._samples() if s.task_index == 0 or s.label == 1]
+        one_class = table([r for r in self._rows() if r[2] == 0 or r[1] == 1])
         with pytest.raises(ValueError, match="task 1 has only one class"):
             stream_from_samples(one_class, Rng(1))
         with pytest.raises(ValueError, match="at least 2 tasks"):
-            stream_from_samples([s for s in self._samples() if s.task_index == 0], Rng(1))
+            stream_from_samples(table([r for r in self._rows() if r[2] == 0]), Rng(1))
         with pytest.raises(ValueError, match="task 0 has too few samples to split"):
             stream_from_samples(self._samples(n_per_task=2), Rng(1), test_fraction=0.75)
 
@@ -341,4 +389,23 @@ class TestStreamFromSamples:
         stream = stream_from_samples(self._samples(), Rng(1))
         data = draw_stream_data(stream, Rng(2))
         assert len(data) == 2
-        assert data[0] == stream.tasks_data[0]
+        assert all(a is b for a, b in zip(data[0], stream.tasks_data[0]))
+
+    def test_stream_arrays_are_read_only(self):
+        # every cell and seed of a compare or ablate shares them
+        stream = stream_from_samples(self._samples(), Rng(1))
+        for arrays in stream.tasks_data:
+            assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            stream.tasks_data[0][0][0, 0] = 1.0
+
+    def test_split_rows_come_from_the_table(self):
+        # each task's train and test rows are its file rows, each once, with their labels
+        samples = self._samples()
+        stream = stream_from_samples(samples, Rng(1))
+        for t, (x_train, y_train, x_test, y_test) in zip(stream.task_ids, stream.tasks_data):
+            rows = np.vstack([x_train, x_test]).tolist()
+            labels = np.concatenate([y_train, y_test]).tolist()
+            assert sorted(zip(rows, labels)) == sorted(
+                (x, label) for x, label, task in table_rows(samples) if task == t
+            )

@@ -10,8 +10,7 @@ from genreplay.metrics import table_to_dict
 from genreplay.model import MLP
 from genreplay.numerics import AdamState, Rng, adam_step, finite_diff_grad
 from genreplay.replay import Signature, fit_generator, GeneratorPair, sample_replay
-from genreplay.samples import Sample
-from genreplay.streams import make_scenario, stream_from_samples
+from genreplay.streams import FeatureTable, draw_stream_data, make_scenario, stream_from_samples
 from genreplay.trainer import (
     STRATEGY_KINDS,
     Batch,
@@ -30,6 +29,12 @@ from genreplay.trainer import (
 )
 
 DIM = 6
+
+
+def table(rows):
+    """A FeatureTable of (features, label, task id) triples."""
+    features, labels, tasks = zip(*rows)
+    return FeatureTable(np.stack(features), np.array(labels), np.array(tasks))
 
 
 def tiny_stream(kind="domain_safe", n_tasks=2, seed=0, **kw):
@@ -520,10 +525,7 @@ class TestTrainTask:
         stream = tiny_stream()
         cfg = tiny_cfg(epochs=1)
         state = self._state(stream, cfg)
-        from genreplay.streams import draw_stream_data
-
-        train, _ = draw_stream_data(stream, Rng(cfg.seed).fork("data"))[0]
-        x, y = genreplay.trainer._arrays(train)
+        x, y, _, _ = draw_stream_data(stream, Rng(cfg.seed).fork("data"))[0]
         fit_task_generators(state, 0, x, y, stream.replay_signatures[0], cfg, Rng(0).fork("t0"))
         assert len(state.generator_pairs) == 1
         with pytest.raises(ValueError, match="already fitted"):
@@ -542,11 +544,11 @@ class TestTrainTask:
 
     def test_task_smaller_than_batch_raises(self):
         rng = Rng(12)
-        samples = [
-            Sample(rng.fork(f"{t}-{i}").normal(size=4), i % 2, t)
+        samples = table(
+            (rng.fork(f"{t}-{i}").normal(size=4), i % 2, t)
             for t in range(2)
             for i in range(20)
-        ]
+        )
         stream = stream_from_samples(samples, Rng(1), test_fraction=0.25)
         with pytest.raises(ValueError, match="task 0 has 15 training rows, fewer than batch_current=32"):
             run_incremental(stream, Strategy("adaptive"), TrainConfig(epochs=1))
@@ -554,11 +556,11 @@ class TestTrainTask:
     def test_small_later_task_raises_before_the_first_step(self, monkeypatch):
         # file task 5 splits into 15 training rows; task 2 into 30
         rng = Rng(12)
-        samples = [
-            Sample(rng.fork(f"{t}-{i}").normal(size=4), i % 2, t)
+        samples = table(
+            (rng.fork(f"{t}-{i}").normal(size=4), i % 2, t)
             for t, n in ((2, 40), (5, 20))
             for i in range(n)
-        ]
+        )
         stream = stream_from_samples(samples, Rng(1), test_fraction=0.25)
         calls = []
         inner = genreplay.trainer.train_task
@@ -572,6 +574,18 @@ class TestTrainTask:
         with pytest.raises(ValueError, match="task 5 has 15 training rows, fewer than batch_current=16"):
             run_incremental(stream, Strategy("lower_bound"), cfg)
         assert calls == []
+
+    def test_dataset_run_shares_the_stream_rows(self):
+        # the run reads the dataset stream's own arrays: its rows are not copied
+        rng = Rng(12)
+        samples = table(
+            (rng.fork(f"{t}-{i}").normal(size=4), i % 2, t) for t in range(2) for i in range(40)
+        )
+        stream = stream_from_samples(samples, Rng(1), test_fraction=0.25)
+        _, state = run_incremental(stream, Strategy("adaptive"), tiny_cfg(epochs=1), return_state=True)
+        assert len(state.stream_data) == 2
+        for drawn, own in zip(state.stream_data, stream.tasks_data):
+            assert all(np.shares_memory(a, b) for a, b in zip(drawn, own))
 
     @pytest.mark.parametrize("kind", ["adaptive", "lower_bound"])
     def test_gmm_components_above_class_rows_raise(self, kind):
@@ -588,11 +602,11 @@ class TestTrainTask:
         # one task has 8 fake rows, too few after the split for 8 components;
         # no pair is ever fitted on the final task
         rng = Rng(3)
-        samples = [
-            Sample(rng.fork(f"{t}-{i}").normal(size=4), label, t)
+        samples = table(
+            (rng.fork(f"{t}-{i}").normal(size=4), label, t)
             for t in (0, 1)
             for i, label in enumerate([0] * 30 + [1] * 8 if t == few_fakes_task else [0, 1] * 20)
-        ]
+        )
         stream = stream_from_samples(samples, Rng(1), test_fraction=0.25)
         n_fake = stream.train_counts[few_fakes_task][1]
         assert n_fake < 8

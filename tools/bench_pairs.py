@@ -25,11 +25,19 @@ SIDES = ("parent", "change")
 
 
 def parse_seeds(text):
-    """'11-20' or '11,12,15' -> list of ints."""
-    if "-" in text:
-        lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    """'11-20' or '11,12,15' -> list of ints; a range A-B with A > B gives none.
+
+    Anything else ('21-30,40', '3-', 'a', '-5') raises ValueError naming text.
+    """
+    lo, dash, hi = text.partition("-")
+    try:
+        if dash:
+            return list(range(int(lo), int(hi) + 1))
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(
+            f"--seeds {text!r} is neither a range A-B nor a comma-separated list of integers"
+        ) from None
 
 
 def parse_output(text):
@@ -147,7 +155,10 @@ def main(argv=None):
     workloads = [w for w in args.workloads.split(",") if w]
     if not workloads:
         parser.error(f"--workloads {args.workloads!r} names no workload")
-    seeds = parse_seeds(args.seeds)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as exc:
+        parser.error(str(exc))
     if not seeds:
         parser.error(f"--seeds {args.seeds!r} names no seed")
 
