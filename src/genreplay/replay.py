@@ -143,10 +143,17 @@ def _hard_assignment_init(x, seed_means):
 
 
 def fit_generator(samples, kind, n_components, replay_signature, rng):
-    """Maximum-likelihood density fit; the signature is stored, not baked in."""
+    """Maximum-likelihood density fit; the signature is stored, not baked in.
+
+    Raises ValueError naming the first row of samples that holds a NaN or an
+    infinity, and RuntimeError when EM leaves a component empty twice.
+    """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2 or x.shape[0] < n_components:
         raise ValueError("need at least n_components samples with uniform dimension")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"sample row {int(np.argmin(finite))} is not finite")
     if kind == "gaussian":
         mean = x.mean(axis=0)
         var = np.maximum(x.var(axis=0), VAR_FLOOR)
@@ -156,12 +163,16 @@ def fit_generator(samples, kind, n_components, replay_signature, rng):
     if kind != "gmm":
         raise ValueError(f"unknown generator kind {kind!r}")
 
-    n = x.shape[0]
+    n, d = x.shape
     k = n_components
-    # component-major: the E- and M-steps work on (k, n) arrays, so their
-    # elementwise steps and sums run along n, not along k
-    xt = np.ascontiguousarray(x.T)
-    x2t = xt**2
+    # one (2d, n) array per fit: rows x**2 then x, so both steps are one product
+    # with it. E-step: the log of weight times diagonal gaussian density is
+    # [-0.5/var, mean/var] @ [x**2; x] plus a per-component constant. M-step:
+    # resp @ its transpose gives the weighted sums of x**2 and x together.
+    xs = np.empty((2 * d, n))
+    np.square(x.T, out=xs[:d])
+    xs[d:] = x.T
+    coef = np.empty((k, 2 * d))
     means, variances, weights = _hard_assignment_init(x, _kmeanspp_means(x, k, rng))
     trace = []
     prev_ll = -np.inf
@@ -169,19 +180,21 @@ def fit_generator(samples, kind, n_components, replay_signature, rng):
     it = 0
     while it < EM_MAX_ITERS:
         it += 1
-        # (k, n) log of weight times diagonal gaussian density; the quadratic
-        # form sum((x - mean)**2 / var) expanded into three matrix products
-        quad = (
-            (1.0 / variances) @ x2t
-            - 2.0 * ((means / variances) @ xt)
-            + np.sum(means**2 / variances, axis=1)[:, None]
+        np.divide(-0.5, variances, out=coef[:, :d])
+        np.divide(means, variances, out=coef[:, d:])
+        const = np.log(weights) - 0.5 * (
+            np.log(2.0 * np.pi * variances).sum(axis=1) + (means * coef[:, d:]).sum(axis=1)
         )
-        log_const = np.sum(np.log(2.0 * np.pi * variances), axis=1)[:, None]
-        log_resp = np.log(weights)[:, None] - 0.5 * (log_const + quad)
-        log_norm = np.logaddexp.reduce(log_resp, axis=0)
-        ll = float(log_norm.sum())
+        # (k, n) log_resp, shifted by each row's max before the exp
+        resp = coef @ xs
+        resp += const[:, None]
+        top = resp.max(axis=0)
+        resp -= top
+        np.exp(resp, out=resp)
+        total = resp.sum(axis=0)
+        ll = float(top.sum() + np.log(total).sum())
         trace.append(ll)
-        resp = np.exp(log_resp - log_norm)
+        resp /= total
         nk = resp.sum(axis=1)
         if (nk < 1e-10).any():
             if reseeded:
@@ -195,9 +208,9 @@ def fit_generator(samples, kind, n_components, replay_signature, rng):
             it = 0
             continue
         weights = nk / n
-        means = (resp @ x) / nk[:, None]
-        sq = resp @ x2t.T / nk[:, None] - means**2
-        variances = np.maximum(sq, VAR_FLOOR)
+        moments = (resp @ xs.T) / nk[:, None]
+        means = moments[:, d:]
+        variances = np.maximum(moments[:, :d] - means**2, VAR_FLOOR)
         if np.isfinite(prev_ll) and abs(ll - prev_ll) <= EM_TOL * (abs(prev_ll) + 1.0):
             break
         prev_ll = ll

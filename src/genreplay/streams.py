@@ -71,9 +71,14 @@ class TaskStream:
         return self.tasks[0].dim
 
     @property
+    def task_ids(self):
+        """Each task's name in errors: its index in the stream."""
+        return list(range(self.n_tasks))
+
+    @property
     def train_counts(self):
         """{task index: (real, fake) training rows}, as draw_stream_data draws them."""
-        return {t: (self.n_train_per_class, self.n_train_per_class) for t in range(self.n_tasks)}
+        return {t: (self.n_train_per_class, self.n_train_per_class) for t in self.task_ids}
 
 
 def _unit(dim, axis):

@@ -378,18 +378,31 @@ def train_task(
     return alpha
 
 
-def fit_task_generators(state, task_index, x_train, y_train, replay_signature, cfg, rng):
+def fit_task_generators(
+    state, task_index, x_train, y_train, replay_signature, cfg, rng, task_id=None
+):
     """Fit and freeze the task's generator pair (and its replay pool, if configured).
 
-    x_train (n, dim) and y_train (n,) are the task's training rows.
+    x_train (n, dim) and y_train (n,) are the task's training rows. A fit that
+    fails re-raises its error naming the task (task_id, or task_index when
+    task_id is None) and the class whose rows it could not fit.
     """
     if any(p.task_index == task_index for p in state.generator_pairs):
         raise ValueError(f"generators for task {task_index} already fitted")
-    reals = x_train[y_train == LABEL_REAL]
-    fakes = x_train[y_train == LABEL_FAKE]
     n_comp = 1 if cfg.generator_kind == "gaussian" else cfg.gmm_components
-    g_real = fit_generator(reals, cfg.generator_kind, n_comp, replay_signature, rng.fork("real"))
-    g_fake = fit_generator(fakes, cfg.generator_kind, n_comp, replay_signature, rng.fork("fake"))
+    fitted = []
+    for name, label in (("real", LABEL_REAL), ("fake", LABEL_FAKE)):
+        rows = x_train[y_train == label]
+        try:
+            fitted.append(
+                fit_generator(rows, cfg.generator_kind, n_comp, replay_signature, rng.fork(name))
+            )
+        except (ValueError, RuntimeError) as exc:
+            task = task_index if task_id is None else task_id
+            raise type(exc)(
+                f"task {task}: cannot fit the {name} generator on {len(rows)} rows: {exc}"
+            ) from exc
+    g_real, g_fake = fitted
     pair = GeneratorPair(task_index, g_real, g_fake)
     state.generator_pairs.append(pair)
     if cfg.replay_pool_size:
@@ -452,7 +465,8 @@ def run_incremental(stream, strategy, cfg, loss_cfg=None, dcs_cfg=None, return_s
         )
         if strategy.uses_replay and k + 1 < stream.n_tasks:
             fit_task_generators(
-                state, k, x_train, y_train, stream.replay_signatures[k], cfg, task_rng.fork("fit")
+                state, k, x_train, y_train, stream.replay_signatures[k], cfg, task_rng.fork("fit"),
+                task_id=stream.task_ids[k],
             )
         evals = {t: evaluate(state.model, *data[t][2:]) for t in range(k + 1)}
         per_step.append(evals)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -157,3 +158,13 @@ def test_empty_seeds_or_workloads_exit_2_before_any_pass(monkeypatch, capsys, tm
 def test_summary_of_no_pairs_raises():
     with pytest.raises(ValueError, match="no pairs"):
         bench_pairs.summarize([], DIRECTIONS)
+
+
+@pytest.mark.parametrize("stdout", ["", "fingerprint abc\nnot json\n"])
+def test_unparsable_pass_names_checkout_workload_and_seed(monkeypatch, stdout):
+    def fake_run(cmd, cwd, capture_output, text):
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    with pytest.raises(RuntimeError, match="^cannot parse the output of /ck/parent, workload no_replay, seed 21: "):
+        bench_pairs.run_pass("/ck/parent", "no_replay", 21, 30, trace=0)

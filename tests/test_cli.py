@@ -409,6 +409,26 @@ class TestRunVerb:
         assert main(["run", "--config", write_config(tmp_path)]) == 1
         assert "error: training diverged" in capsys.readouterr().err
 
+    def test_failed_generator_fit_exits_1_naming_the_task(self, tmp_path, capsys):
+        # task 7's real rows are two points, 50 copies each; EM at k=3 empties a component
+        rows = ["f0,f1,label,task"]
+        for i in range(100):
+            rows.append(f"{2 * (i % 2)},{1 + 2 * (i % 2)},0,7")
+            rows.append(f"{0.01 * i},{1 - 0.02 * i},1,7")
+        for i in range(40):
+            rows.append(f"{0.03 * i},{0.02 * i},{i % 2},9")
+        path = write_dataset_config(
+            tmp_path, strategy="adaptive",
+            train=dict(TINY_TRAIN, arch=[4], generator_kind="gmm", gmm_components=3),
+        )
+        (tmp_path / "data.csv").write_text("\n".join(rows) + "\n")
+        assert main(["validate", "--config", path]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "error: task 7: cannot fit the real generator on " in err
+        assert "EM degenerate component after re-seeding" in err
+
     @pytest.mark.parametrize("verb", ["validate", "run"])
     def test_one_class_split_exits_2_naming_the_seed(self, tmp_path, capsys, verb):
         # seed 1 splits task 0 into a one-class test split; seed 0 splits it well

@@ -74,6 +74,16 @@ class TestGaussianFit:
             fit_generator(np.zeros((4, DIM)), "vae", 1, zero_sig(), Rng(0))
 
 
+@pytest.mark.parametrize("kind, k", [("gaussian", 1), ("gmm", 3)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_row_raises_naming_it(kind, k, bad):
+    x = Rng(7).fork("x").normal(size=(40, DIM))
+    x[12, 3] = bad
+    x[30, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^sample row 12 is not finite$"):
+        fit_generator(x, kind, k, zero_sig(), Rng(0))
+
+
 class TestGmmFit:
     def _two_cluster_data(self, rng, n=2000):
         a = np.array([3.0, 0.0, 0.0, 0.0, 0.0]) + 0.3 * rng.fork("a").normal(size=(n, DIM))
@@ -140,6 +150,21 @@ class TestEStep:
         x = centers[comps] + spreads[comps] * rng.fork("x").normal(size=(n, d))
         g = fit_generator(x, "gmm", k, zero_sig(d), rng.fork("fit"))
         weights, means, variances, trace = _reference_em(x, k, rng.fork("fit"))
+        assert len(g.loglik_trace) == len(trace)
+        assert np.allclose(g.loglik_trace, trace, rtol=1e-12, atol=0)
+        assert np.allclose(g.means, means, rtol=1e-9, atol=1e-12)
+        assert np.allclose(g.variances, variances, rtol=1e-9, atol=1e-12)
+        assert np.allclose(g.weights, weights, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_cluster_near_the_iteration_cap(self, seed):
+        # the benchmark's regime: three components on one cluster of 1,300 rows
+        # in 16 dimensions converge slowly, where separated clusters stop early
+        rng = Rng(seed)
+        x = rng.fork("x").normal(size=(1300, 16)) * rng.fork("s").uniform(0.5, 2.0, size=16)
+        g = fit_generator(x, "gmm", 3, zero_sig(16), rng.fork("fit"))
+        weights, means, variances, trace = _reference_em(x, 3, rng.fork("fit"))
+        assert len(trace) > EM_MAX_ITERS // 2
         assert len(g.loglik_trace) == len(trace)
         assert np.allclose(g.loglik_trace, trace, rtol=1e-12, atol=0)
         assert np.allclose(g.means, means, rtol=1e-9, atol=1e-12)

@@ -531,6 +531,26 @@ class TestTrainTask:
         with pytest.raises(ValueError, match="already fitted"):
             fit_task_generators(state, 0, x, y, stream.replay_signatures[0], cfg, Rng(0).fork("t0"))
 
+    @pytest.mark.parametrize("task_id, named", [(None, "task 0"), (7, "task 7")])
+    def test_failed_fit_names_task_and_class(self, task_id, named):
+        # two distinct real rows cannot hold three components, on any rng seed
+        reals = np.repeat([[0.0, 1.0], [2.0, 3.0]], 50, axis=0)
+        fakes = Rng(1).fork("f").normal(size=(100, 2))
+        x = np.vstack([reals, fakes])
+        y = np.repeat([0, 1], 100)
+        cfg = tiny_cfg(generator_kind="gmm", gmm_components=3)
+        model = MLP([2, 4], Rng(0))
+        state = RunState(model=model, adam=AdamState(model.n_params))
+        with pytest.raises(
+            RuntimeError,
+            match=f"^{named}: cannot fit the real generator on 100 rows: "
+            "EM degenerate component after re-seeding$",
+        ):
+            fit_task_generators(
+                state, 0, x, y, Signature(np.zeros(2), 0.0), cfg, Rng(0), task_id=task_id
+            )
+        assert state.generator_pairs == []
+
     def test_empty_training_data_raises(self):
         stream = tiny_stream()
         cfg = tiny_cfg()

@@ -121,7 +121,13 @@ def run_pass(checkout, workload, seed, seconds, trace):
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
-    return parse_output(proc.stdout)
+    try:
+        return parse_output(proc.stdout)
+    except ValueError as exc:
+        raise RuntimeError(
+            f"cannot parse the output of {checkout}, workload {workload}, seed {seed}: {exc}\n"
+            f"{proc.stdout}"
+        ) from exc
 
 
 def timed_pairs(checkouts, workload, seeds, seconds, log):
