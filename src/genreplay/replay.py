@@ -185,7 +185,7 @@ def fit_generator(samples, kind, n_components, replay_signature, rng):
         const = np.log(weights) - 0.5 * (
             np.log(2.0 * np.pi * variances).sum(axis=1) + (means * coef[:, d:]).sum(axis=1)
         )
-        # (k, n) log_resp, shifted by each row's max before the exp
+        # (k, n) log_resp, each sample shifted by its max over the k components
         resp = coef @ xs
         resp += const[:, None]
         top = resp.max(axis=0)

@@ -166,5 +166,6 @@ def test_unparsable_pass_names_checkout_workload_and_seed(monkeypatch, stdout):
         return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
-    with pytest.raises(RuntimeError, match="^cannot parse the output of /ck/parent, workload no_replay, seed 21: "):
+    message = "^cannot parse the output of /ck/parent, workload no_replay, seed 21: "
+    with pytest.raises(RuntimeError, match=message):
         bench_pairs.run_pass("/ck/parent", "no_replay", 21, 30, trace=0)

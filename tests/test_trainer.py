@@ -533,7 +533,7 @@ class TestTrainTask:
 
     @pytest.mark.parametrize("task_id, named", [(None, "task 0"), (7, "task 7")])
     def test_failed_fit_names_task_and_class(self, task_id, named):
-        # two distinct real rows cannot hold three components, on any rng seed
+        # two points, 50 copies each: EM at k=3 empties a component, even after a re-seed
         reals = np.repeat([[0.0, 1.0], [2.0, 3.0]], 50, axis=0)
         fakes = Rng(1).fork("f").normal(size=(100, 2))
         x = np.vstack([reals, fakes])
