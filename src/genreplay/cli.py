@@ -163,8 +163,9 @@ def load_config(path, verb, seeds_override=None, out_override=None):
     seed from Rng(seed).fork("split"), so a split that holds one class is
     rejected naming its seed. Each seed's stream then gets the check
     run_incremental makes before its first step (trainer.check_stream), and
-    its error names the seed. The verb's cells are kept in cfg["cells"] (see
-    _cells); ablate warns here about duplicate grid cells it skips.
+    its error names the seed. out_dir must be a directory or creatable as
+    one. The verb's cells are kept in cfg["cells"] (see _cells); ablate and
+    validate warn here about duplicate grid cells that ablate skips.
     """
     try:
         with open(path) as fh:
@@ -219,6 +220,12 @@ def load_config(path, verb, seeds_override=None, out_override=None):
         raise ConfigError("out_dir: missing required field 'out_dir'")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError(f"out_dir: need a non-empty string, got {out_dir!r}")
+    # the nearest path that exists at or above out_dir must be a directory; nothing is created
+    existing = os.path.abspath(out_dir)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"out_dir: cannot create {out_dir!r}: {existing} is not a directory")
     cfg["out_dir"] = out_dir
 
     if verb == "validate":
@@ -228,7 +235,7 @@ def load_config(path, verb, seeds_override=None, out_override=None):
         verbs = [verb]
     for v in verbs:
         cfg["cells"], duplicates = _cells(raw, v, cfg["loss"], cfg["dcs"])
-    if verb == "ablate" and duplicates:
+    if duplicates:
         print(f"warning: {duplicates} duplicate grid cells skipped", file=sys.stderr)
     return cfg
 

@@ -6,7 +6,7 @@ generator's own artifact: when that direction lines up with a later task's
 forgery direction, generated-real replays start to look like fakes.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +47,7 @@ def signature_similarity(a, b):
 class GeneratorModel:
     """Diagonal Gaussian or mixture sampler with an attached signature."""
 
-    def __init__(self, kind, weights, means, variances, signature, loglik_trace=None):
+    def __init__(self, weights, means, variances, signature, loglik_trace=None):
         weights = np.asarray(weights, dtype=float)
         means = np.asarray(means, dtype=float)
         variances = np.asarray(variances, dtype=float)
@@ -55,7 +55,6 @@ class GeneratorModel:
             raise ValueError("component weights must be positive and sum to 1")
         if (variances < VAR_FLOOR - 1e-12).any():
             raise ValueError("variances below the jitter floor")
-        self.kind = kind
         self.weights = weights
         # Generator.choice(p=weights)'s own table, built once instead of per draw
         cumulative = weights.cumsum()
@@ -90,9 +89,16 @@ class GeneratorModel:
 
 @dataclass(frozen=True)
 class GeneratorPair:
+    """A stored task's fitted generators, and its fixed replay pool if it has one.
+
+    pool is None or (gen-real rows, gen-fake rows), drawn once from the pair;
+    equality and hashing ignore it.
+    """
+
     task_index: int
     g_real: GeneratorModel
     g_fake: GeneratorModel
+    pool: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         sr, sf = self.g_real.signature, self.g_fake.signature
@@ -157,9 +163,7 @@ def fit_generator(samples, kind, n_components, replay_signature, rng):
     if kind == "gaussian":
         mean = x.mean(axis=0)
         var = np.maximum(x.var(axis=0), VAR_FLOOR)
-        return GeneratorModel(
-            "gaussian", [1.0], mean[None, :], var[None, :], replay_signature
-        )
+        return GeneratorModel([1.0], mean[None, :], var[None, :], replay_signature)
     if kind != "gmm":
         raise ValueError(f"unknown generator kind {kind!r}")
 
@@ -214,7 +218,7 @@ def fit_generator(samples, kind, n_components, replay_signature, rng):
         if np.isfinite(prev_ll) and abs(ll - prev_ll) <= EM_TOL * (abs(prev_ll) + 1.0):
             break
         prev_ll = ll
-    return GeneratorModel("gmm", weights, means, variances, replay_signature, trace)
+    return GeneratorModel(weights, means, variances, replay_signature, trace)
 
 
 def sample_replay(pair, n_real, n_fake, rng):

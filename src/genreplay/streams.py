@@ -8,9 +8,12 @@ direction (domain-safe) or aligned with a later forgery direction
 (domain-risky).
 """
 
+import codecs
 import csv
+import io
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -340,36 +343,50 @@ def load_feature_dataset(path):
     The header names the columns: at least one feature column, and one
     label and at most one task column. Label must be 0 (real) or 1 (fake), and
     label and task cells must be integer literals. A row whose cell count
-    differs from the header's, that fails to parse, or that holds a NaN or
-    inf feature raises with its 1-based row number; blank lines are skipped
-    but still counted. A file without a header gives a table of 0 rows and 0
-    feature columns.
+    differs from the header's, that fails to parse, that holds a NaN or inf
+    feature, or that holds a byte that is not UTF-8 raises with its 1-based
+    row number; blank lines are skipped but still counted. A file without a
+    header gives a table of 0 rows and 0 feature columns.
     """
-    # utf-8-sig drops the byte-order mark that spreadsheet exports put before the header
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            return _table(np.empty((0, 0)), [], [])
-        header = [h.strip() for h in header]
-        if "label" not in header:
-            raise ValueError(f"{path}: header must contain a 'label' column")
-        for name in ("label", "task"):
-            if header.count(name) > 1:
-                raise ValueError(f"{path}: header holds the {name!r} column more than once")
-        label_col = header.index("label")
-        task_col = header.index("task") if "task" in header else None
-        feat_cols = [
-            i for i, h in enumerate(header) if i != label_col and i != task_col
-        ]
-        if not feat_cols:
-            raise ValueError(f"{path}: header holds no feature column")
-        columns = _parse_columns(fh, len(header), label_col, task_col, feat_cols)
-        if columns is None:
-            # no row, a bad row, or rows that need the csv module's quoting:
-            # the row-by-row scan decides, and names the row it rejects
-            fh.seek(0)
-            return _scan_rows(path, fh, len(header), label_col, task_col, feat_cols)
-    return _table(*columns)
+    try:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports put before the header
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                return _table(np.empty((0, 0)), [], [])
+            header = [h.strip() for h in header]
+            if "label" not in header:
+                raise ValueError(f"{path}: header must contain a 'label' column")
+            for name in ("label", "task"):
+                if header.count(name) > 1:
+                    raise ValueError(f"{path}: header holds the {name!r} column more than once")
+            label_col = header.index("label")
+            task_col = header.index("task") if "task" in header else None
+            feat_cols = [i for i, h in enumerate(header) if i != label_col and i != task_col]
+            if not feat_cols:
+                raise ValueError(f"{path}: header holds no feature column")
+            columns = _parse_columns(fh, len(header), label_col, task_col, feat_cols)
+            if columns is None:
+                # no row, a bad row, or rows that need the csv module's quoting:
+                # the row-by-row scan decides, and names the row it rejects
+                fh.seek(0)
+                return _scan_rows(path, fh, len(header), label_col, task_col, feat_cols)
+        return _table(*columns)
+    except UnicodeDecodeError:
+        # the decoder's offset counts from its own read chunk, not from the file
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path):
+    """A ValueError naming the row of the first byte of path that is not UTF-8."""
+    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the rows csv.reader starts up to and including the bad byte's row
+        text = raw[: exc.start].decode("utf-8") + "x"
+        row_no = sum(1 for _ in csv.reader(io.StringIO(text, newline="")))
+        return ValueError(f"{path}: row {row_no}: byte {raw[exc.start]:#04x} is not UTF-8")
 
 
 def _table(feats, labels, tasks):

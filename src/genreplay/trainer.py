@@ -7,7 +7,7 @@ blended between the two with a fixed or confusion-driven weight.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -75,14 +75,6 @@ class Strategy:
     @property
     def row(self):
         return STRATEGY_TABLE[self.kind]
-
-    @property
-    def uses_replay(self):
-        return self.row.uses_replay
-
-    @property
-    def keeps_gen_real(self):
-        return self.row.keeps_gen_real
 
     @property
     def name(self):
@@ -154,7 +146,6 @@ class RunState:
     generator_pairs: list = field(default_factory=list)
     dcs_history: list = field(default_factory=list)
     loss_trace: list = field(default_factory=list)
-    replay_pools: dict = field(default_factory=dict)
     # per task: (x_train, y_train, x_test, y_test), as the run drew them
     stream_data: list = field(default_factory=list)
 
@@ -211,21 +202,21 @@ class Batch(NamedTuple):
     layout: BatchLayout
 
 
-def draw_replay(pairs, layout, n_batches, rng, dim, pools=None):
+def draw_replay(pairs, layout, n_batches, rng, dim):
     """The replay rows of n_batches batches, as one (n_batches, n_replay, dim) array.
 
     Block b holds batch b's rows after its current ones, in layout's order:
-    every pair's gen-fake rows, then every pair's gen-real rows. A task in
-    pools draws with replacement from its fixed pool on fork pool{i}, every
-    batch's real rows then every batch's fake rows; any other pair samples its
-    generators once, on forks pair{i}/real and pair{i}/fake.
+    every pair's gen-fake rows, then every pair's gen-real rows. A pair with a
+    pool draws with replacement from it on fork pool{i}, every batch's real
+    rows then every batch's fake rows; any other pair samples its generators
+    once, on forks pair{i}/real and pair{i}/fake.
     """
     fakes, reals = [np.empty((n_batches, 0, dim))], []
     for i, pair in enumerate(pairs):
         real_shape = (n_batches, layout.real_counts[i])
         fake_shape = (n_batches, layout.fake_counts[i])
-        if pools is not None and pair.task_index in pools:
-            real_arr, fake_arr = pools[pair.task_index]
+        if pair.pool is not None:
+            real_arr, fake_arr = pair.pool
             pool_rng = rng.fork(f"pool{i}")
             reals.append(real_arr[pool_rng.integers(0, len(real_arr), size=real_shape)])
             fakes.append(fake_arr[pool_rng.integers(0, len(fake_arr), size=fake_shape)])
@@ -240,7 +231,7 @@ def _batch(x, labels, replay, layout):
     return Batch(np.concatenate([x, replay]), np.concatenate([labels, layout.replay_labels]), layout)
 
 
-def assemble_batch(x, labels, pairs, cfg, rng, include_gen_real=True, pools=None):
+def assemble_batch(x, labels, pairs, cfg, rng, include_gen_real=True):
     """Current rows plus replay draws split round-robin over stored pairs.
 
     x (n_current, input_dim) and labels (n_current,) are the current chunk.
@@ -248,7 +239,7 @@ def assemble_batch(x, labels, pairs, cfg, rng, include_gen_real=True, pools=None
     BatchLayout), drawn from rng as draw_replay draws one batch.
     """
     layout = batch_layout(len(x), len(pairs), cfg, include_gen_real)
-    return _batch(x, labels, draw_replay(pairs, layout, 1, rng, x.shape[1], pools)[0], layout)
+    return _batch(x, labels, draw_replay(pairs, layout, 1, rng, x.shape[1])[0], layout)
 
 
 def batch_objective(model, batch, strategy, alpha, loss_cfg):
@@ -335,8 +326,6 @@ def train_task(
     generator pair is fitted apart, by fit_task_generators, and only when a
     later task replays it.
     """
-    if len(x_train) == 0:
-        raise ValueError("task has no training data")
     if len(x_train) < cfg.batch_current:
         raise ValueError(
             f"task {task_index} has {len(x_train)} training rows, "
@@ -344,10 +333,9 @@ def train_task(
         )
     loss_cfg = loss_cfg or LossConfig()
     dcs_cfg = dcs_cfg or DcsConfig()
-    pairs = state.generator_pairs if strategy.uses_replay else []
-    pools = state.replay_pools if cfg.replay_pool_size else None
+    pairs = state.generator_pairs if strategy.row.uses_replay else []
     current_fakes = x_train[y_train == LABEL_FAKE]
-    layout = batch_layout(cfg.batch_current, len(pairs), cfg, strategy.keeps_gen_real)
+    layout = batch_layout(cfg.batch_current, len(pairs), cfg, strategy.row.keeps_gen_real)
 
     for epoch in range(cfg.epochs):
         epoch_rng = rng.fork(f"epoch{epoch}")
@@ -361,9 +349,7 @@ def train_task(
         epoch_rng.fork("shuffle").shuffle(order)
         n_batches = len(order) // cfg.batch_current
         # the whole epoch's replay, before its first step
-        replay = draw_replay(
-            pairs, layout, n_batches, epoch_rng.fork("replay"), x_train.shape[1], pools
-        )
+        replay = draw_replay(pairs, layout, n_batches, epoch_rng.fork("replay"), x_train.shape[1])
         for b in range(n_batches):
             rows = order[b * cfg.batch_current : (b + 1) * cfg.batch_current]
             batch = _batch(x_train[rows], y_train[rows], replay[b], layout)
@@ -381,7 +367,7 @@ def train_task(
 def fit_task_generators(
     state, task_index, x_train, y_train, replay_signature, cfg, rng, task_id=None
 ):
-    """Fit and freeze the task's generator pair (and its replay pool, if configured).
+    """Fit and freeze the task's generator pair, with its replay pool if one is configured.
 
     x_train (n, dim) and y_train (n,) are the task's training rows. A fit that
     fails re-raises its error naming the task (task_id, or task_index when
@@ -402,12 +388,11 @@ def fit_task_generators(
             raise type(exc)(
                 f"task {task}: cannot fit the {name} generator on {len(rows)} rows: {exc}"
             ) from exc
-    g_real, g_fake = fitted
-    pair = GeneratorPair(task_index, g_real, g_fake)
-    state.generator_pairs.append(pair)
+    pair = GeneratorPair(task_index, *fitted)
     if cfg.replay_pool_size:
         size = cfg.replay_pool_size
-        state.replay_pools[task_index] = sample_replay(pair, size, size, rng.fork("pool"))
+        pair = replace(pair, pool=sample_replay(pair, size, size, rng.fork("pool")))
+    state.generator_pairs.append(pair)
 
 
 def evaluate(model, x, labels):
@@ -463,7 +448,7 @@ def run_incremental(stream, strategy, cfg, loss_cfg=None, dcs_cfg=None, return_s
         last_alpha = train_task(
             state, k, x_train, y_train, strategy, cfg, task_rng, loss_cfg=loss_cfg, dcs_cfg=dcs_cfg,
         )
-        if strategy.uses_replay and k + 1 < stream.n_tasks:
+        if strategy.row.uses_replay and k + 1 < stream.n_tasks:
             fit_task_generators(
                 state, k, x_train, y_train, stream.replay_signatures[k], cfg, task_rng.fork("fit"),
                 task_id=stream.task_ids[k],

@@ -332,6 +332,26 @@ class TestValidateVerb:
         assert not os.path.exists(tmp_path / "out")
 
 
+    def test_duplicate_grid_cells_warn(self, tmp_path, capsys):
+        path = write_config(tmp_path, grid={"normalizer": ["tanh", "tanh"]})
+        assert main(["validate", "--config", path]) == 0
+        captured = capsys.readouterr()
+        assert "config OK" in captured.out
+        assert "warning: 1 duplicate grid cells skipped" in captured.err
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("under", [False, True], ids=["is_a_file", "under_a_file"])
+    def test_out_dir_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, verb, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out_dir = blocker / "out" / "run" if under else blocker
+        path = write_config(tmp_path, out_dir=str(out_dir))
+        assert main([verb, "--config", path]) == 2
+        assert (
+            f"config error: out_dir: cannot create {str(out_dir)!r}: {blocker} is not a directory"
+        ) in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory\n"
+
 class TestRunVerb:
     def test_artifacts_written(self, tmp_path):
         out = str(tmp_path / "out")
@@ -453,12 +473,21 @@ class TestRunVerb:
         (["label,task", "0,0", "1,1"], 0.25, "data.csv: header holds no feature column"),
         (["f0,label,label,task", "0.1,0,0,0"], 0.25, "data.csv: header holds the 'label' column more than once"),
         (["f0,label,task,task", "0.1,0,0,0"], 0.25, "data.csv: header holds the 'task' column more than once"),
+        # a bad byte in the data rows, named by its row, not by an offset in the decoder's chunk
+        ("not_utf8", 0.25, "data.csv: row 40: byte 0xff is not UTF-8"),
     ])
     def test_dataset_errors_exit_2_at_validate(self, tmp_path, capsys, rows, fraction, message):
         path = write_dataset_config(tmp_path, rows_per_task=24, test_fraction=fraction)
         data = tmp_path / "data.csv"
         if rows is None:
             data.unlink()
+        elif rows == "not_utf8":
+            # pad every row so that the bad byte lies past the first 8 KB
+            lines = data.read_bytes().replace(b"\n", b"," + b"0" * 300 + b"\n").splitlines()
+            lines[0] = b"f0,f1,label,task,pad"
+            lines[39] = lines[39].replace(b",", b",\xff", 1)
+            data.write_bytes(b"\n".join(lines) + b"\n")
+            assert data.read_bytes().index(b"\xff") > 8192
         elif rows != "keep":
             data.write_text("\n".join(rows) + "\n")
         for verb in ("validate", "run"):

@@ -213,7 +213,7 @@ class TestSampling:
         k = len(weights)
         means = np.arange(k * DIM, dtype=float).reshape(k, DIM)
         variances = np.linspace(0.5, 2.0, k * DIM).reshape(k, DIM)
-        g = GeneratorModel("gmm", weights, means, variances, Signature(np.eye(DIM)[1], 0.7))
+        g = GeneratorModel(weights, means, variances, Signature(np.eye(DIM)[1], 0.7))
         for n in (1, 7, 300):
             ref = Rng(67).fork(f"n{n}")
             comps = ref.gen.choice(k, size=n, p=g.weights)
@@ -228,7 +228,7 @@ class TestSampling:
         k = len(weights)
         means = np.arange(k * DIM, dtype=float).reshape(k, DIM)
         variances = np.linspace(0.5, 2.0, k * DIM).reshape(k, DIM)
-        g = GeneratorModel("gmm", weights, means, variances, Signature(np.eye(DIM)[1], 0.7))
+        g = GeneratorModel(weights, means, variances, Signature(np.eye(DIM)[1], 0.7))
         for n in (0, 1, 7):
             for n_batches in (1, 4):
                 rows = g.sample((n_batches, n), Rng(68).fork(f"n{n}b{n_batches}"))

@@ -299,6 +299,20 @@ class TestIngestion:
         with pytest.raises(ValueError, match="row 3: label must be 0 or 1, got 2"):
             load_feature_dataset(str(path))
 
+    @pytest.mark.parametrize("bad_row", [1, 2, 1501])
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_byte_that_is_not_utf8_reports_row(self, tmp_path, bad_row, bom):
+        lines = [b"f0,f1,label,task"] + [b"%d.5,1.25,%d,%d" % (i, i % 2, i // 1000) for i in range(2000)]
+        lines[bad_row - 1] = lines[bad_row - 1][:2] + b"\xff" + lines[bad_row - 1][2:]
+        data = bom + b"\n".join(lines) + b"\n"
+        if bad_row == 1501:
+            # past the first 8 KB that a text decoder reads in one chunk
+            assert data.index(b"\xff") > 8192
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{path}: row {bad_row}: byte 0xff is not UTF-8$"):
+            load_feature_dataset(str(path))
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_reports_row(self, tmp_path, value):
         path = self._write_csv(tmp_path / "d.csv", f"f0,f1,label\n1.0,2.0,0\n1.0,{value},1\n")

@@ -1,5 +1,7 @@
 """Incremental trainer: batching, strategies, objective gradients, full runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -120,10 +122,10 @@ class TestStrategy:
         assert float(text) == alpha
 
     def test_replay_flags(self):
-        assert not Strategy("lower_bound").uses_replay
-        assert Strategy("fake_only_replay").uses_replay
-        assert not Strategy("fake_only_replay").keeps_gen_real
-        assert Strategy("adaptive").keeps_gen_real
+        assert not Strategy("lower_bound").row.uses_replay
+        assert Strategy("fake_only_replay").row.uses_replay
+        assert not Strategy("fake_only_replay").row.keeps_gen_real
+        assert Strategy("adaptive").row.keeps_gen_real
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown strategy"):
@@ -174,8 +176,8 @@ class TestBatching:
     def test_fixed_pool_draws_come_from_pool(self):
         pair = make_pair(0, 10)
         pool_rows = pair.g_real.sample(5, Rng(3).fork("pr"))
-        pool = {0: (pool_rows, pair.g_fake.sample(5, Rng(3).fork("pf")))}
-        batch = assemble_batch(*current_chunk(), [pair], tiny_cfg(), Rng(4), pools=pool)
+        pooled = replace(pair, pool=(pool_rows, pair.g_fake.sample(5, Rng(3).fork("pf"))))
+        batch = assemble_batch(*current_chunk(), [pooled], tiny_cfg(), Rng(4))
         gen_reals = batch.x[batch.layout.n_current + batch.layout.n_fake :]
         known = {tuple(r) for r in pool_rows}
         assert len(gen_reals) and all(tuple(r) in known for r in gen_reals)
@@ -195,7 +197,7 @@ def make_gmm_pair(task_index, seed, dim=DIM):
     )
 
 
-def epoch_replay(pairs, real_counts, fake_counts, n_batches, rng, pools=None, dim=DIM):
+def epoch_replay(pairs, real_counts, fake_counts, n_batches, rng, dim=DIM):
     """Each batch's replay rows, drawn pair by pair once per epoch on rng's fork paths.
 
     Every draw is one flat draw for all n_batches batches, split batch by batch.
@@ -203,9 +205,9 @@ def epoch_replay(pairs, real_counts, fake_counts, n_batches, rng, pools=None, di
     """
     parts = [np.empty((n_batches, 0, dim))]
     for i, pair in enumerate(pairs):
-        if pools is not None and pair.task_index in pools:
+        if pair.pool is not None:
             pool_rng = rng.fork(f"pool{i}")
-            for arr, n in zip(pools[pair.task_index], (real_counts[i], fake_counts[i])):
+            for arr, n in zip(pair.pool, (real_counts[i], fake_counts[i])):
                 idx = pool_rng.integers(0, len(arr), size=n_batches * n)
                 parts.append(arr[idx].reshape(n_batches, n, dim))
         else:
@@ -221,12 +223,12 @@ class TestEpochReplay:
 
     N_BATCHES = 5
 
-    def _pools(self, pairs, size=7):
-        return {
-            p.task_index: (p.g_real.sample(size, Rng(30).fork(f"r{p.task_index}")),
-                           p.g_fake.sample(size, Rng(30).fork(f"f{p.task_index}")))
+    def _pooled(self, pairs, size=7):
+        return [
+            replace(p, pool=(p.g_real.sample(size, Rng(30).fork(f"r{p.task_index}")),
+                             p.g_fake.sample(size, Rng(30).fork(f"f{p.task_index}"))))
             for p in pairs
-        }
+        ]
 
     @pytest.mark.parametrize(
         "case",
@@ -243,29 +245,28 @@ class TestEpochReplay:
             batch_gen_real=2 if case == "fewer_real_than_pairs" else 7,
             batch_gen_fake=0 if case == "no_gen_fake" else 5,
         )
-        pools = None
         if case == "pools":
-            pools = self._pools(pairs)
+            pairs = self._pooled(pairs)
         elif case == "some_pooled":
-            pools = self._pools(pairs[1:])
+            pairs = pairs[:1] + self._pooled(pairs[1:])
         include_gen_real = case != "no_gen_real"
         layout = batch_layout(4, len(pairs), cfg, include_gen_real)
         if case == "fewer_real_than_pairs":
             assert layout.real_counts == [1, 1, 0]
         counts = layout.real_counts, layout.fake_counts
         rng = Rng(21).fork("replay")
-        replay = draw_replay(pairs, layout, self.N_BATCHES, rng, DIM, pools)
+        replay = draw_replay(pairs, layout, self.N_BATCHES, rng, DIM)
         n_replay = sum(layout.real_counts) + sum(layout.fake_counts)
         assert replay.shape == (self.N_BATCHES, n_replay, DIM)
         # the parent's rows for the same forks, permuted into role order
         perm = role_order(layout)[4:] - 4
         assert sorted(perm) == list(range(n_replay))
-        want = epoch_replay(pairs, *counts, self.N_BATCHES, rng, pools)
+        want = epoch_replay(pairs, *counts, self.N_BATCHES, rng)
         assert np.array_equal(replay, want[:, perm])
         # assemble_batch is the one-batch case
         x, labels = current_chunk(4)
-        batch = assemble_batch(x, labels, pairs, cfg, rng, include_gen_real, pools)
-        want = epoch_replay(pairs, *counts, 1, rng, pools)[0]
+        batch = assemble_batch(x, labels, pairs, cfg, rng, include_gen_real)
+        want = epoch_replay(pairs, *counts, 1, rng)[0]
         assert np.array_equal(batch.x, np.concatenate([x, want[perm]]))
         assert batch.layout[:4] == layout[:4]
         assert np.array_equal(batch.labels, np.concatenate([labels, layout.replay_labels]))
@@ -294,10 +295,9 @@ class TestEpochReplay:
         state, task_index, x_train, y_train, strategy, cfg, rng, loss_cfg, dcs_cfg
     ):
         """train_task written as a loop over batches of epoch_replay's rows, in role order."""
-        pairs = state.generator_pairs if strategy.uses_replay else []
-        pools = state.replay_pools if cfg.replay_pool_size else None
+        pairs = state.generator_pairs if strategy.row.uses_replay else []
         current_fakes = x_train[y_train == 1]
-        layout = batch_layout(cfg.batch_current, len(pairs), cfg, strategy.keeps_gen_real)
+        layout = batch_layout(cfg.batch_current, len(pairs), cfg, strategy.row.keeps_gen_real)
         replay_perm = role_order(layout)[cfg.batch_current :] - cfg.batch_current
         alpha = None
         for epoch in range(cfg.epochs):
@@ -312,7 +312,7 @@ class TestEpochReplay:
             n_batches = len(order) // cfg.batch_current
             replay = epoch_replay(
                 pairs, layout.real_counts, layout.fake_counts, n_batches,
-                epoch_rng.fork("replay"), pools, dim=x_train.shape[1],
+                epoch_rng.fork("replay"), dim=x_train.shape[1],
             )[:, replay_perm]
             for b in range(n_batches):
                 rows = order[b * cfg.batch_current : (b + 1) * cfg.batch_current]
@@ -357,7 +357,7 @@ class TestBatchObjective:
         batch = assemble_batch(
             *current_chunk(seed=seed), [make_pair(0, seed + 50)],
             TrainConfig(batch_gen_real=6, batch_gen_fake=6), rng.fork("batch"),
-            include_gen_real=strategy.keeps_gen_real,
+            include_gen_real=strategy.row.keeps_gen_real,
         )
         _, grad = batch_objective(model, batch, strategy, alpha, loss_cfg)
 
@@ -551,11 +551,39 @@ class TestTrainTask:
             )
         assert state.generator_pairs == []
 
+    @pytest.mark.parametrize("size", [None, 9])
+    def test_pool_is_stored_on_its_pair(self, size):
+        stream = tiny_stream()
+        cfg = tiny_cfg(replay_pool_size=size)
+        state = self._state(stream, cfg)
+        x, y, _, _ = draw_stream_data(stream, Rng(cfg.seed).fork("data"))[0]
+        rng = Rng(5).fork("fit")
+        fit_task_generators(state, 0, x, y, stream.replay_signatures[0], cfg, rng)
+        (pair,) = state.generator_pairs
+        if size is None:
+            assert pair.pool is None
+            return
+        real, fake = pair.pool
+        assert real.shape == fake.shape == (size, stream.dim)
+        want_real, want_fake = sample_replay(pair, size, size, rng.fork("pool"))
+        assert np.array_equal(real, want_real)
+        assert np.array_equal(fake, want_fake)
+
+    def test_pooled_pair_hashes_and_compares_no_arrays(self):
+        pair = make_pair(0, 10)
+        pooled = replace(pair, pool=(np.zeros((3, DIM)), np.ones((3, DIM))))
+        other = replace(pair, pool=(np.ones((4, DIM)), np.zeros((4, DIM))))
+        # a tuple == on these arrays would raise, so equality must skip the pool
+        assert pooled == other == pair
+        assert hash(pooled) == hash(other) == hash(pair)
+        assert len({pooled, other, pair}) == 1
+        assert pooled != make_pair(0, 11)
+
     def test_empty_training_data_raises(self):
         stream = tiny_stream()
         cfg = tiny_cfg()
         state = self._state(stream, cfg)
-        with pytest.raises(ValueError, match="no training data"):
+        with pytest.raises(ValueError, match="^task 0 has 0 training rows, fewer than batch_current=16$"):
             train_task(state, 0, np.empty((0, stream.dim)), np.empty(0), Strategy("adaptive"), cfg, Rng(0))
 
     def test_batch_current_below_one_raises(self):
@@ -654,10 +682,10 @@ class TestTrainTask:
             tiny_stream(n_tasks=n_tasks), strategy, tiny_cfg(epochs=1, replay_pool_size=pool),
             return_state=True,
         )
-        replayed = list(range(n_tasks - 1)) if strategy.uses_replay else []
+        replayed = list(range(n_tasks - 1)) if strategy.row.uses_replay else []
         assert len(calls) == 2 * len(replayed)
         assert [p.task_index for p in state.generator_pairs] == replayed
-        assert sorted(state.replay_pools) == (replayed if pool else [])
+        assert all((p.pool is not None) == bool(pool) for p in state.generator_pairs)
 
     def test_alpha_recomputed_every_epoch(self):
         stream = tiny_stream(n_tasks=2)
