@@ -175,6 +175,8 @@ def load_config(path, verb, seeds_override=None, out_override=None):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     _check_keys("", raw, _TOP_KEYS)
     if ("scenario" in raw) == ("dataset" in raw):
         raise ConfigError("exactly one of 'scenario' or 'dataset' is required")
@@ -386,9 +388,7 @@ def _write_comparison(out_dir, summaries):
     winners = {}
     finals = {s["strategy"]: s["steps"][-1] for s in summaries}
     for metric in _COMPARE_METRICS:
-        scored = {n: v[metric] for n, v in finals.items() if v[metric] is not None}
-        if not scored:
-            continue
+        scored = {n: v[metric] for n, v in finals.items()}
         # a performance drop is better lower, every other metric higher
         if metric.startswith("pd_"):
             winners[f"lowest_final_{metric}"] = min(scored, key=scored.get)

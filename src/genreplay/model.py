@@ -70,10 +70,6 @@ class MLP:
         return self.widths[0]
 
     @property
-    def feature_dim(self):
-        return self.widths[-1]
-
-    @property
     def n_params(self):
         return self.params.size
 

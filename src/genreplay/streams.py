@@ -8,12 +8,10 @@ direction (domain-safe) or aligned with a later forgery direction
 (domain-risky).
 """
 
-import codecs
 import csv
-import io
+import re
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +37,6 @@ MAX_SCENARIO_MAGNITUDE = 1e3
 
 @dataclass(frozen=True)
 class DomainSpec:
-    name: str
     real_mean: np.ndarray
     fake_mean: np.ndarray
     class_var: float
@@ -52,8 +49,6 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class TaskStream:
-    kind: str
-    seed: int
     tasks: list
     replay_signatures: list
     n_train_per_class: int = DEFAULT_N_TRAIN
@@ -82,12 +77,6 @@ class TaskStream:
     def train_counts(self):
         """{task index: (real, fake) training rows}, as draw_stream_data draws them."""
         return {t: (self.n_train_per_class, self.n_train_per_class) for t in self.task_ids}
-
-
-def _unit(dim, axis):
-    v = np.zeros(dim)
-    v[axis] = 1.0
-    return v
 
 
 def make_scenario(
@@ -157,11 +146,9 @@ def make_scenario(
         if t > 0:
             base = base + real_drift * tasks[t - 1].forgery_signature.vector
         base = base + base_shift * rng.normal(size=dim) / np.sqrt(dim)
-        forgery_dir = np.zeros(dim)
-        forgery_dir[t] = 1.0
+        forgery_dir = np.eye(dim)[t]
         tasks.append(
             DomainSpec(
-                name=f"task{t + 1}",
                 real_mean=base,
                 fake_mean=base + forgery_dir * forgery_strength,
                 class_var=class_spread**2,
@@ -178,7 +165,7 @@ def make_scenario(
     offset_cap = forgery_strength / 3.2
     replay_sigs = []
     for t in range(n_tasks):
-        safe_sig = Signature(_unit(dim, n_tasks + t), replay_strength)
+        safe_sig = Signature(np.eye(dim)[n_tasks + t], replay_strength)
         offset = final.real_mean - tasks[t].real_mean
         offset_norm = float(np.linalg.norm(offset))
         if offset_norm > offset_cap:
@@ -194,8 +181,6 @@ def make_scenario(
             replay_sigs.append(risky_sig if t % 2 == 0 else safe_sig)
 
     return TaskStream(
-        kind=kind,
-        seed=rng.seed,
         tasks=tasks,
         replay_signatures=replay_sigs,
         n_train_per_class=n_train_per_class,
@@ -345,48 +330,48 @@ def load_feature_dataset(path):
     label and task cells must be integer literals. A row whose cell count
     differs from the header's, that fails to parse, that holds a NaN or inf
     feature, or that holds a byte that is not UTF-8 raises with its 1-based
-    row number; blank lines are skipped but still counted. A file without a
-    header gives a table of 0 rows and 0 feature columns.
+    row number; blank lines are skipped but still counted. The header is
+    checked first, then the first bad row in file order is reported. A file
+    without a header gives a table of 0 rows and 0 feature columns.
     """
-    try:
-        # utf-8-sig drops the byte-order mark that spreadsheet exports put before the header
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            header = next(csv.reader(fh), None)
-            if header is None:
-                return _table(np.empty((0, 0)), [], [])
-            header = [h.strip() for h in header]
-            if "label" not in header:
-                raise ValueError(f"{path}: header must contain a 'label' column")
-            for name in ("label", "task"):
-                if header.count(name) > 1:
-                    raise ValueError(f"{path}: header holds the {name!r} column more than once")
-            label_col = header.index("label")
-            task_col = header.index("task") if "task" in header else None
-            feat_cols = [i for i, h in enumerate(header) if i != label_col and i != task_col]
-            if not feat_cols:
-                raise ValueError(f"{path}: header holds no feature column")
-            columns = _parse_columns(fh, len(header), label_col, task_col, feat_cols)
-            if columns is None:
-                # no row, a bad row, or rows that need the csv module's quoting:
-                # the row-by-row scan decides, and names the row it rejects
-                fh.seek(0)
-                return _scan_rows(path, fh, len(header), label_col, task_col, feat_cols)
-        return _table(*columns)
-    except UnicodeDecodeError:
-        # the decoder's offset counts from its own read chunk, not from the file
-        raise _not_utf8(path) from None
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put before
+    # the header; a byte that is not UTF-8 reaches the row checks as a lone
+    # surrogate (_check_utf8)
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            return _table(np.empty((0, 0)), [], [])
+        _check_utf8(path, 1, header)
+        header = [h.strip() for h in header]
+        if "label" not in header:
+            raise ValueError(f"{path}: header must contain a 'label' column")
+        for name in ("label", "task"):
+            if header.count(name) > 1:
+                raise ValueError(f"{path}: header holds the {name!r} column more than once")
+        label_col = header.index("label")
+        task_col = header.index("task") if "task" in header else None
+        feat_cols = [i for i, h in enumerate(header) if i != label_col and i != task_col]
+        if not feat_cols:
+            raise ValueError(f"{path}: header holds no feature column")
+        columns = _parse_columns(fh, len(header), label_col, task_col, feat_cols)
+        if columns is None:
+            # no row, a bad row, or rows that need the csv module's quoting:
+            # the row-by-row scan decides, and names the row it rejects
+            fh.seek(0)
+            return _scan_rows(path, fh, len(header), label_col, task_col, feat_cols)
+    return _table(*columns)
 
 
-def _not_utf8(path):
-    """A ValueError naming the row of the first byte of path that is not UTF-8."""
-    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the rows csv.reader starts up to and including the bad byte's row
-        text = raw[: exc.start].decode("utf-8") + "x"
-        row_no = sum(1 for _ in csv.reader(io.StringIO(text, newline="")))
-        return ValueError(f"{path}: row {row_no}: byte {raw[exc.start]:#04x} is not UTF-8")
+# what errors="surrogateescape" decodes a byte b that is not UTF-8 to: chr(0xDC00 + b)
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _check_utf8(path, row_no, cells):
+    """Raise a ValueError naming row_no when one of its cells holds a byte that is not UTF-8."""
+    for cell in cells:
+        found = _ESCAPED_BYTE.search(cell)
+        if found:
+            raise ValueError(f"{path}: row {row_no}: byte {ord(found[0]) - 0xDC00:#04x} is not UTF-8")
 
 
 def _table(feats, labels, tasks):
@@ -433,6 +418,7 @@ def _scan_rows(path, fh, n_cells, label_col, task_col, feat_cols):
     for row_no, row in enumerate(reader, start=2):
         if not row:
             continue
+        _check_utf8(path, row_no, row)
         if len(row) != n_cells:
             raise ValueError(f"{path}: row {row_no}: expected {n_cells} cells, found {len(row)}")
         try:

@@ -155,6 +155,22 @@ def test_empty_seeds_or_workloads_exit_2_before_any_pass(monkeypatch, capsys, tm
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("workloads", ["sweep_adaptiv", "sweep_adaptive,typo"])
+def test_unknown_workload_exits_2_before_any_pass(monkeypatch, capsys, tmp_path, workloads):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass ran")
+
+    monkeypatch.setattr(bench_pairs, "run_pass", no_pass)
+    root = str(_PATH.parents[1])
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", root, "--change", root, "--workloads", workloads,
+                          "--seeds", "21-22", "--out", str(tmp_path / "out.json")])
+    assert exc.value.code == 2
+    unknown = workloads.split(",")[-1]
+    assert f"--workloads names {unknown!r}, which is not one of sweep_adaptive," in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_summary_of_no_pairs_raises():
     with pytest.raises(ValueError, match="no pairs"):
         bench_pairs.summarize([], DIRECTIONS)

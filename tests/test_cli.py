@@ -108,6 +108,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="strategy"):
             load_config(str(path), "run")
 
+    def test_missing_grid_for_ablate(self, tmp_path):
+        with pytest.raises(ConfigError, match="missing required field 'grid'"):
+            load_config(write_config(tmp_path), "ablate")
+
     def test_compare_needs_two_strategies(self, tmp_path):
         path = write_config(tmp_path, strategies=["adaptive"])
         with pytest.raises(ConfigError, match=">= 2"):
@@ -126,6 +130,13 @@ class TestConfigValidation:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/cfg.json", "run")
+
+    @pytest.mark.parametrize("text, found", [("[]", "list"), ('"x"', "str"), ("3", "int")])
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, text, found):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert f"config error: config must be a JSON object, got {found}\n" == capsys.readouterr().err
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -173,7 +184,7 @@ class TestConfigValidation:
         assert list(cfg["streams"]) == [4, 7]
         for seed, stream in cfg["streams"].items():
             expected = make_scenario(rng=Rng(seed).fork("scenario"), **scenario)
-            assert (stream.kind, stream.seed, stream.n_tasks, stream.dim) == ("domain_risky", seed, 3, 7)
+            assert (stream.n_tasks, stream.dim) == (3, 7)
             assert (stream.n_train_per_class, stream.n_test_per_class) == (20, 9)
             for task, want in zip(stream.tasks, expected.tasks):
                 assert task.class_var == pytest.approx(0.4**2)
@@ -246,10 +257,15 @@ class TestValidateVerb:
             ({"grid": {"rs_metric": ["manhattan"]}}, "grid"),
             ({"grid": {"rs_metric": "l2"}}, "grid.rs_metric"),
             ({"grid": {"normalizer": []}}, "grid.normalizer"),
+            ({"scenario": []}, "config section 'scenario' must be an object"),
+            ({"strategy": {"fixed_alpha": 0.2}}, "strategy: missing required field 'kind'"),
+            ({"scenario": {"n_tasks": 2, "dim": 6}}, "scenario: missing required field 'kind'"),
+            ({"out_dir": None}, "out_dir: missing required field 'out_dir'"),
         ],
         ids=[
             "epochs_0", "dim_too_small", "probe_cap_0", "eps_cos_negative", "grid_rs_metric",
-            "grid_axis_not_a_list", "grid_axis_empty",
+            "grid_axis_not_a_list", "grid_axis_empty", "section_not_an_object", "strategy_without_kind",
+            "scenario_without_kind", "no_out_dir",
         ],
     )
     def test_checks_run_would_fail_exit_2(self, tmp_path, capsys, overrides, section):
@@ -275,11 +291,14 @@ class TestValidateVerb:
             ("train", "batch_current", 8.5, "batch_current must be an integer, got 8.5"),
             ("train", "arch", [8.5], "arch[0] must be an integer, got 8.5"),
             ("dcs", "probe_cap", 2.5, "probe_cap must be an integer, got 2.5"),
+            ("train", "generator_kind", "vae", "unknown generator kind 'vae'"),
+            ("train", "arch", [], "arch needs at least one hidden width"),
         ],
         ids=[
             "beta1_1.5", "beta2_1", "eps_0", "init_scale_negative", "lr_negative",
             "gmm_components_0", "replay_pool_size_0", "replay_pool_size_negative",
             "epochs_bool", "epochs_float", "batch_current_float", "arch_float", "probe_cap_float",
+            "generator_kind_unknown", "arch_empty",
         ],
     )
     def test_bad_train_or_dcs_value_exits_2(self, tmp_path, capsys, section, key, value, message):

@@ -20,7 +20,7 @@ class TestConstruction:
     def test_dims(self):
         m = small_model()
         assert m.input_dim == 4
-        assert m.feature_dim == 8
+        assert m.forward(np.zeros(4)).features.shape == (1, 8)
 
     def test_bad_widths_raise(self):
         with pytest.raises(ValueError):

@@ -236,6 +236,19 @@ class TestSampling:
                 flat = g.sample(n_batches * n, Rng(68).fork(f"n{n}b{n_batches}"))
                 assert np.array_equal(rows, flat.reshape(n_batches, n, DIM))
 
+    @pytest.mark.parametrize(
+        "weights, variances, message",
+        [
+            ([0.5, 0.4], [[1.0] * DIM] * 2, "component weights must be positive and sum to 1"),
+            ([1.2, -0.2], [[1.0] * DIM] * 2, "component weights must be positive and sum to 1"),
+            ([0.5, 0.5], [[1.0] * DIM, [VAR_FLOOR / 2] * DIM], "variances below the jitter floor"),
+        ],
+        ids=["weights_sum", "weight_negative", "variance_below_floor"],
+    )
+    def test_invalid_parameters_raise(self, weights, variances, message):
+        with pytest.raises(ValueError, match=message):
+            GeneratorModel(weights, np.zeros((2, DIM)), variances, zero_sig())
+
 
 class TestPair:
     def _pair(self, seed=47, strength=1.0):

@@ -9,6 +9,7 @@ import genreplay.streams
 from genreplay.numerics import Rng
 from genreplay.streams import (
     MAX_SCENARIO_MAGNITUDE,
+    DatasetStream,
     FeatureTable,
     TaskStream,
     draw_stream_data,
@@ -98,7 +99,12 @@ class TestScenarioGeometry:
         with pytest.raises(ValueError, match="dim"):
             make_scenario("domain_safe", 4, 7, Rng(0))
         with pytest.raises(ValueError, match="2 tasks"):
-            TaskStream("domain_safe", 0, [], [])
+            TaskStream([], [])
+        stream = scenario("mixed")
+        with pytest.raises(ValueError, match="one replay signature per task"):
+            TaskStream(stream.tasks, stream.replay_signatures[:-1])
+        with pytest.raises(ValueError, match="2 tasks"):
+            DatasetStream(tasks_data=[()], replay_signatures=[None], task_ids=[0])
 
     @pytest.mark.parametrize(
         "name", ["forgery_strength", "replay_strength", "class_spread", "base_shift", "real_drift"]
@@ -311,6 +317,27 @@ class TestIngestion:
         path = tmp_path / "d.csv"
         path.write_bytes(data)
         with pytest.raises(ValueError, match=f"^{path}: row {bad_row}: byte 0xff is not UTF-8$"):
+            load_feature_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            # a bad byte after a malformed row: the malformed row is reported
+            (b"f0,label\n1.0,0\nx,1\n1.0,0\n1\xff.0,1\n", "malformed row 3: .*"),
+            # a bad byte in a row after a header that cannot train: the header is reported
+            (b"f0,f1\n1.0,2.0\n1\xff,2.0\n", "header must contain a 'label' column"),
+            # a bad byte comes before its own row's other faults
+            (b"f0,label\n1.0,0\n1\xff.0,0,5\nx,1\n", "row 3: byte 0xff is not UTF-8"),
+            (b'f0,label\n1.0,0\n"1\xfe.0",1\n', "row 3: byte 0xfe is not UTF-8"),
+            # a quoted cell spanning two lines is one row
+            (b'f0,label\n"1.0\n",0\n"2.0\xfe",1\n', "row 3: byte 0xfe is not UTF-8"),
+        ],
+        ids=["malformed_row_first", "header_first", "byte_before_cell_count", "quoted", "quoted_newline"],
+    )
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, data, message):
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{path}: {message}$"):
             load_feature_dataset(str(path))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -170,6 +170,10 @@ def main(argv=None):
 
     checkouts = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in spec["workloads"]]
+    for workload in workloads:
+        if workload not in known:
+            parser.error(f"--workloads names {workload!r}, which is not one of {', '.join(known)}")
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     def log(msg):
