@@ -10,24 +10,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import centroid
-from .numerics import check_count
 
 DISTANCE_METRICS = ("l2", "cosine_distance")
 NORMALIZERS = ("tanh", "sigmoid", "linear_over_5")
+# the most rows of each pool that compute_alpha feeds through the model
+PROBE_CAP = 512
 
 
 @dataclass(frozen=True)
 class DcsConfig:
     distance_metric: str = "l2"
     normalizer: str = "tanh"
-    probe_cap: int = 512
 
     def __post_init__(self):
         if self.distance_metric not in DISTANCE_METRICS:
             raise ValueError(f"unknown distance_metric {self.distance_metric!r}")
         if self.normalizer not in NORMALIZERS:
             raise ValueError(f"unknown normalizer {self.normalizer!r}")
-        check_count("probe_cap", self.probe_cap, 1)
 
 
 @dataclass(frozen=True)
@@ -81,14 +80,14 @@ def compute_alpha(model, past_gen_real, current_fakes, cfg, rng, task_index=0, e
 
     past_gen_real is an (n_real, input_dim) array of generated-real rows and
     current_fakes an (n_fake, input_dim) array of the current task's fake
-    rows. Each pool is cut to cfg.probe_cap rows by a draw without
+    rows. Each pool is cut to PROBE_CAP rows by a draw without
     replacement, then both are fed through the model and compared by their
     feature centroids.
     """
     if len(past_gen_real) == 0 or len(current_fakes) == 0:
         raise ValueError("both sample pools must be non-empty")
-    real_pool = _subsample(np.asarray(past_gen_real, dtype=float), cfg.probe_cap, rng.fork("gen-real"))
-    fake_pool = _subsample(np.asarray(current_fakes, dtype=float), cfg.probe_cap, rng.fork("cur-fake"))
+    real_pool = _subsample(np.asarray(past_gen_real, dtype=float), PROBE_CAP, rng.fork("gen-real"))
+    fake_pool = _subsample(np.asarray(current_fakes, dtype=float), PROBE_CAP, rng.fork("cur-fake"))
     f_real = model.forward(real_pool).features
     f_fake = model.forward(fake_pool).features
     s, alpha = confusion_score(f_real, f_fake, cfg)

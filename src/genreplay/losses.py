@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_real
-
 RS_METRICS = ("cosine", "l2")
 RS_GRANULARITIES = ("sample_wise", "centroid_based")
 
+# padding on the cosine's norms; a real centroid with a norm up to it is rejected
+EPS_COS = 1e-8
 # smoothing inside the L2 distance so its gradient is defined everywhere
 _L2_SMOOTH = 1e-12
 
@@ -23,16 +23,12 @@ _L2_SMOOTH = 1e-12
 class LossConfig:
     rs_metric: str = "cosine"
     rs_granularity: str = "sample_wise"
-    eps_cos: float = 1e-8
 
     def __post_init__(self):
         if self.rs_metric not in RS_METRICS:
             raise ValueError(f"unknown rs_metric {self.rs_metric!r}")
         if self.rs_granularity not in RS_GRANULARITIES:
             raise ValueError(f"unknown rs_granularity {self.rs_granularity!r}")
-        check_real("eps_cos", self.eps_cos)
-        if self.eps_cos <= 0:
-            raise ValueError("eps_cos must be positive")
 
 
 @dataclass(frozen=True)
@@ -121,7 +117,7 @@ def rs_loss_with_grads(fake_features, real_centroid, real_count, cfg):
     if cfg.rs_metric == "cosine":
         # np.linalg.norm's formula for a 1-d float array
         nc = np.sqrt(c @ c)
-        if nc <= cfg.eps_cos:
+        if nc <= EPS_COS:
             raise ValueError("degenerate geometry: real centroid has ~zero norm under cosine metric")
 
     m = fake.shape[0]
@@ -129,7 +125,7 @@ def rs_loss_with_grads(fake_features, real_centroid, real_count, cfg):
     # centroid-based: the fake side is one row, its centroid
     rows = fake.sum(axis=0, keepdims=True) / m if centroid_based else fake
     if cfg.rs_metric == "cosine":
-        vals, d_rows, d_c_rows = _cos_rows_with_grads(rows, c, nc, cfg.eps_cos)
+        vals, d_rows, d_c_rows = _cos_rows_with_grads(rows, c, nc, EPS_COS)
     else:
         dist, d_rows, d_c_rows = _dist_rows_with_grads(rows, c)
         vals, d_rows, d_c_rows = -dist, -d_rows, -d_c_rows

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .confusion import DcsConfig, compute_alpha
+from .confusion import PROBE_CAP, DcsConfig, compute_alpha
 from .losses import LossConfig, ce_loss_batch, centroid, combine_losses, rs_loss_with_grads
 from .metrics import TaskEval, accuracy, auc, build_table
 from .model import MLP
@@ -99,13 +99,8 @@ class TrainConfig:
     batch_current: int = 32
     batch_gen_real: int = 12
     batch_gen_fake: int = 12
-    lr: float = 2e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     arch: tuple = (64, 64)
-    init_scale: float = 1.0
     generator_kind: str = "gaussian"
     gmm_components: int = 2
     replay_pool_size: int | None = None
@@ -118,16 +113,6 @@ class TrainConfig:
         check_count("gmm_components", self.gmm_components, 1)
         if self.replay_pool_size is not None:
             check_count("replay_pool_size", self.replay_pool_size, 1)
-        for name in ("lr", "beta1", "beta2", "eps", "init_scale"):
-            check_real(name, getattr(self, name))
-        if not self.lr > 0:
-            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps!r}")
-        if not self.init_scale >= 0:
-            raise ValueError(f"init_scale must be >= 0, got {self.init_scale!r}")
         if self.generator_kind not in ("gaussian", "gmm"):
             raise ValueError(f"unknown generator kind {self.generator_kind!r}")
         if not isinstance(self.arch, (list, tuple)):
@@ -281,17 +266,12 @@ def batch_objective(model, batch, strategy, alpha, loss_cfg):
         d_feat[n_cf:] = w_rs * d_gr
 
     grad = model.backward(rec, d_yp, d_feat)
-    if n_gr == 0:
-        # degenerate batch: no gen-real part, the combination reduces to l_cf
-        breakdown = combine_losses(0.0, 0.0, l_cf, 1.0)
-    else:
-        breakdown = combine_losses(l_ce_gr, l_rs, l_cf, alpha)
-    return breakdown, grad
+    return combine_losses(l_ce_gr, l_rs, l_cf, alpha), grad
 
 
-def _alpha_pool(pairs, probe_cap, rng):
+def _alpha_pool(pairs, rng):
     # an even share of fresh gen-real draws per past task, as one array
-    per = max(1, math.ceil(probe_cap / len(pairs)))
+    per = math.ceil(PROBE_CAP / len(pairs))
     return np.concatenate(
         [sample_replay(pair, per, 0, rng.fork(f"pair{i}"))[0] for i, pair in enumerate(pairs)]
     )
@@ -301,7 +281,7 @@ def _resolve_alpha(state, strategy, current_fakes, dcs_cfg, rng, task_index, epo
     """Alpha for the coming epoch (None when none applies), plus its confusion record."""
     if strategy.fixed_alpha is not None or strategy.row.alpha != "dcs" or not state.generator_pairs:
         return strategy.fixed_alpha, None
-    pool = _alpha_pool(state.generator_pairs, dcs_cfg.probe_cap, rng.fork("pool"))
+    pool = _alpha_pool(state.generator_pairs, rng.fork("pool"))
     record = compute_alpha(
         state.model, pool, current_fakes, dcs_cfg, rng.fork("probe"),
         task_index=task_index, epoch=epoch,
@@ -357,10 +337,7 @@ def train_task(
                 state.model, batch, strategy, 1.0 if alpha is None else alpha, loss_cfg
             )
             state.loss_trace.append(breakdown.l_overall)
-            adam_step(
-                state.model.params, grad, state.adam,
-                lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
-            )
+            adam_step(state.model.params, grad, state.adam)
     return alpha
 
 
@@ -437,7 +414,7 @@ def run_incremental(stream, strategy, cfg, loss_cfg=None, dcs_cfg=None, return_s
     rng = Rng(cfg.seed)
     # per task (x_train, y_train, x_test, y_test); a dataset stream's own arrays, not copies
     data = draw_stream_data(stream, rng.fork("data"))
-    model = MLP([stream.dim] + list(cfg.arch), rng.fork("init"), cfg.init_scale)
+    model = MLP([stream.dim] + list(cfg.arch), rng.fork("init"))
     state = RunState(model=model, adam=AdamState(model.n_params), stream_data=data)
 
     per_step = []

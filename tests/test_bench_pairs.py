@@ -155,19 +155,29 @@ def test_empty_seeds_or_workloads_exit_2_before_any_pass(monkeypatch, capsys, tm
     assert not (tmp_path / "out.json").exists()
 
 
-@pytest.mark.parametrize("workloads", ["sweep_adaptiv", "sweep_adaptive,typo"])
-def test_unknown_workload_exits_2_before_any_pass(monkeypatch, capsys, tmp_path, workloads):
+@pytest.mark.parametrize(
+    "workloads, out, message",
+    [
+        ("sweep_adaptiv", "out.json", "--workloads names 'sweep_adaptiv', which is not one of sweep_adaptive,"),
+        ("sweep_adaptive,typo", "out.json", "--workloads names 'typo', which is not one of sweep_adaptive,"),
+        ("no_replay,no_replay", "out.json", "--workloads names 'no_replay' more than once"),
+        ("no_replay", "missing/out.json", "--out '{out}' is not a file path in an existing directory"),
+        ("no_replay", "", "--out '{out}' is not a file path in an existing directory"),
+    ],
+    ids=["unknown", "unknown_second", "repeated", "out_dir_missing", "out_is_a_directory"],
+)
+def test_unknown_workload_exits_2_before_any_pass(monkeypatch, capsys, tmp_path, workloads, out, message):
     def no_pass(*args, **kwargs):
         raise AssertionError("a pass ran")
 
     monkeypatch.setattr(bench_pairs, "run_pass", no_pass)
     root = str(_PATH.parents[1])
+    out = str(tmp_path / out)
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(["--parent", root, "--change", root, "--workloads", workloads,
-                          "--seeds", "21-22", "--out", str(tmp_path / "out.json")])
+                          "--seeds", "21-22", "--out", out])
     assert exc.value.code == 2
-    unknown = workloads.split(",")[-1]
-    assert f"--workloads names {unknown!r}, which is not one of sweep_adaptive," in capsys.readouterr().err
+    assert message.format(out=out) in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
 
 

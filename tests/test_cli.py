@@ -89,6 +89,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown key scenario.tasks"):
             load_config(path, "run")
 
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("train", "lr", 2e-4), ("train", "beta1", 0.9), ("train", "beta2", 0.999),
+         ("train", "eps", 1e-8), ("train", "init_scale", 1.0), ("loss", "eps_cos", 1e-8),
+         ("dcs", "probe_cap", 512)],
+    )
+    def test_constant_named_as_a_key_exits_2(self, tmp_path, capsys, verb, section, key, value):
+        # these are constants of the code, not config fields, even at their own value
+        base = TINY_TRAIN if section == "train" else {}
+        path = write_config(tmp_path, **{section: dict(base, **{key: value})})
+        assert main([verb, "--config", path]) == 2
+        assert f"config error: unknown key {section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_scenario_and_dataset_exclusive(self, tmp_path):
         path = write_config(tmp_path, dataset={"path": "x.csv"})
         with pytest.raises(ConfigError, match="exactly one"):
@@ -157,12 +172,11 @@ class TestConfigValidation:
             "n_train_per_class": 20, "n_test_per_class": 9,
         }
         train = {
-            "epochs": 2, "batch_current": 16, "batch_gen_real": 4, "batch_gen_fake": 6, "lr": 1e-3,
-            "beta1": 0.8, "beta2": 0.99, "eps": 1e-7, "arch": [8, 4], "init_scale": 0.5,
+            "epochs": 2, "batch_current": 16, "batch_gen_real": 4, "batch_gen_fake": 6, "arch": [8, 4],
             "generator_kind": "gmm", "gmm_components": 3, "replay_pool_size": 100,
         }
-        loss = {"rs_metric": "l2", "rs_granularity": "centroid_based", "eps_cos": 1e-6}
-        dcs = {"distance_metric": "cosine_distance", "normalizer": "sigmoid", "probe_cap": 64}
+        loss = {"rs_metric": "l2", "rs_granularity": "centroid_based"}
+        dcs = {"distance_metric": "cosine_distance", "normalizer": "sigmoid"}
         strategy = {"kind": "no_gen_real_sup", "fixed_alpha": 0.2}
         sections = {"scenario": scenario, "train": train, "loss": loss, "dcs": dcs, "strategy": strategy}
         for name, cls in (("train", TrainConfig), ("loss", LossConfig), ("dcs", DcsConfig), ("strategy", Strategy)):
@@ -252,8 +266,8 @@ class TestValidateVerb:
         [
             ({"train": dict(TINY_TRAIN, epochs=0)}, "train"),
             ({"scenario": dict(TINY_SCENARIO, dim=6, n_tasks=4)}, "scenario"),
-            ({"dcs": {"probe_cap": 0}}, "dcs"),
-            ({"loss": {"eps_cos": -1}}, "loss"),
+            ({"dcs": {"distance_metric": "cityblock"}}, "dcs"),
+            ({"loss": {"rs_granularity": "pairwise"}}, "loss"),
             ({"grid": {"rs_metric": ["manhattan"]}}, "grid"),
             ({"grid": {"rs_metric": "l2"}}, "grid.rs_metric"),
             ({"grid": {"normalizer": []}}, "grid.normalizer"),
@@ -263,7 +277,7 @@ class TestValidateVerb:
             ({"out_dir": None}, "out_dir: missing required field 'out_dir'"),
         ],
         ids=[
-            "epochs_0", "dim_too_small", "probe_cap_0", "eps_cos_negative", "grid_rs_metric",
+            "epochs_0", "dim_too_small", "distance_metric_unknown", "rs_granularity_unknown", "grid_rs_metric",
             "grid_axis_not_a_list", "grid_axis_empty", "section_not_an_object", "strategy_without_kind",
             "scenario_without_kind", "no_out_dir",
         ],
@@ -278,11 +292,6 @@ class TestValidateVerb:
     @pytest.mark.parametrize(
         "section, key, value, message",
         [
-            ("train", "beta1", 1.5, "beta1 and beta2 must lie in [0, 1)"),
-            ("train", "beta2", 1.0, "beta1 and beta2 must lie in [0, 1)"),
-            ("train", "eps", 0, "eps must be > 0"),
-            ("train", "init_scale", -1, "init_scale must be >= 0"),
-            ("train", "lr", -1, "lr must be finite and > 0"),
             ("train", "gmm_components", 0, "gmm_components must be >= 1"),
             ("train", "replay_pool_size", 0, "replay_pool_size must be >= 1"),
             ("train", "replay_pool_size", -5, "replay_pool_size must be >= 1"),
@@ -290,14 +299,13 @@ class TestValidateVerb:
             ("train", "epochs", 1.5, "epochs must be an integer, got 1.5"),
             ("train", "batch_current", 8.5, "batch_current must be an integer, got 8.5"),
             ("train", "arch", [8.5], "arch[0] must be an integer, got 8.5"),
-            ("dcs", "probe_cap", 2.5, "probe_cap must be an integer, got 2.5"),
+            ("dcs", "normalizer", "relu", "unknown normalizer 'relu'"),
             ("train", "generator_kind", "vae", "unknown generator kind 'vae'"),
             ("train", "arch", [], "arch needs at least one hidden width"),
         ],
         ids=[
-            "beta1_1.5", "beta2_1", "eps_0", "init_scale_negative", "lr_negative",
             "gmm_components_0", "replay_pool_size_0", "replay_pool_size_negative",
-            "epochs_bool", "epochs_float", "batch_current_float", "arch_float", "probe_cap_float",
+            "epochs_bool", "epochs_float", "batch_current_float", "arch_float", "normalizer_unknown",
             "generator_kind_unknown", "arch_empty",
         ],
     )
@@ -775,29 +783,30 @@ class TestInputsThatWouldBreakTraining:
         "section, key, literal, message",
         [
             ("scenario", "class_spread", "NaN", "config holds the non-finite number NaN"),
-            ("loss", "eps_cos", "NaN", "config holds the non-finite number NaN"),
+            ("strategy", "fixed_alpha", "NaN", "config holds the non-finite number NaN"),
             ("scenario", "real_drift", "NaN", "config holds the non-finite number NaN"),
-            ("train", "init_scale", "Infinity", "config holds the non-finite number Infinity"),
-            ("train", "eps", "Infinity", "config holds the non-finite number Infinity"),
-            ("train", "lr", "-Infinity", "config holds the non-finite number -Infinity"),
+            ("scenario", "base_shift", "Infinity", "config holds the non-finite number Infinity"),
+            ("scenario", "replay_strength", "Infinity", "config holds the non-finite number Infinity"),
+            ("scenario", "base_shift", "-Infinity", "config holds the non-finite number -Infinity"),
             ("scenario", "forgery_strength", "1e999", "config holds the non-finite number 1e999"),
-            ("train", "lr", HUGE_INT, f"train: lr must be a finite number, got {HUGE_INT}"),
+            ("scenario", "base_shift", HUGE_INT, f"scenario: base_shift must be a finite number, got {HUGE_INT}"),
             ("scenario", "forgery_strength", HUGE_INT,
              f"scenario: forgery_strength must be a finite number, got {HUGE_INT}"),
             ("scenario", "class_spread", HUGE_INT, f"scenario: class_spread must be a finite number, got {HUGE_INT}"),
-            ("train", "init_scale", HUGE_INT, f"train: init_scale must be a finite number, got {HUGE_INT}"),
-            ("loss", "eps_cos", HUGE_INT, f"loss: eps_cos must be a finite number, got {HUGE_INT}"),
+            ("strategy", "fixed_alpha", HUGE_INT, f"strategy: fixed_alpha must be a finite number, got {HUGE_INT}"),
+            ("scenario", "replay_strength", HUGE_INT,
+             f"scenario: replay_strength must be a finite number, got {HUGE_INT}"),
             ("strategy", "fixed_alpha", "true", "strategy: fixed_alpha must be a finite number, got True"),
-            ("train", "lr", "true", "train: lr must be a finite number, got True"),
+            ("scenario", "base_shift", "true", "scenario: base_shift must be a finite number, got True"),
             ("scenario", "real_drift", "false", "scenario: real_drift must be a finite number, got False"),
-            ("loss", "eps_cos", '"0.1"', "loss: eps_cos must be a finite number, got '0.1'"),
+            ("scenario", "class_spread", '"0.1"', "scenario: class_spread must be a finite number, got '0.1'"),
         ],
         ids=[
-            "class_spread_nan", "eps_cos_nan", "real_drift_nan", "init_scale_inf",
-            "eps_inf", "lr_minus_inf", "forgery_strength_1e999",
-            "lr_huge_int", "forgery_strength_huge_int", "class_spread_huge_int",
-            "init_scale_huge_int", "eps_cos_huge_int", "fixed_alpha_bool", "lr_bool",
-            "real_drift_bool", "eps_cos_string",
+            "class_spread_nan", "fixed_alpha_nan", "real_drift_nan", "base_shift_inf",
+            "replay_strength_inf", "base_shift_minus_inf", "forgery_strength_1e999",
+            "base_shift_huge_int", "forgery_strength_huge_int", "class_spread_huge_int",
+            "fixed_alpha_huge_int", "replay_strength_huge_int", "fixed_alpha_bool", "base_shift_bool",
+            "real_drift_bool", "class_spread_string",
         ],
     )
     def test_non_finite_number_exits_2(self, tmp_path, capsys, verb, section, key, literal, message):
@@ -870,3 +879,15 @@ def test_import_loads_no_scipy():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_module_entry_point_exits_with_mains_status(tmp_path):
+    # python -m genreplay.cli, as README documents it, passes main's status to the shell
+    src = os.path.dirname(os.path.dirname(genreplay.cli.__file__))
+    path = write_config(tmp_path, scenario=dict(TINY_SCENARIO, kind="weird"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "genreplay.cli", "validate", "--config", path],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr

@@ -1,8 +1,11 @@
 """Confusion score: centroid distances, normalizers, and live alpha probing."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import genreplay.confusion
 from genreplay.confusion import (
     DcsConfig,
     compute_alpha,
@@ -27,15 +30,12 @@ class TestConfig:
         cfg = DcsConfig()
         assert cfg.distance_metric == "l2"
         assert cfg.normalizer == "tanh"
-        assert cfg.probe_cap == 512
 
     def test_invalid_values_raise(self):
         with pytest.raises(ValueError, match="distance_metric"):
             DcsConfig(distance_metric="cityblock")
         with pytest.raises(ValueError, match="normalizer"):
             DcsConfig(normalizer="relu")
-        with pytest.raises(ValueError, match="probe_cap"):
-            DcsConfig(probe_cap=0)
 
 
 class TestDistance:
@@ -133,9 +133,10 @@ class TestComputeAlpha:
         rng_data = Rng(5)
         real = np.stack([np.abs(rng_data.fork(f"r{i}").normal(size=4)) for i in range(40)])
         fake = self._rows(1.0, 40)
-        cfg = DcsConfig(probe_cap=8)
-        a = compute_alpha(model, real, fake, cfg, Rng(7))
-        b = compute_alpha(model, real, fake, cfg, Rng(7))
+        cfg = DcsConfig()
+        with mock.patch.object(genreplay.confusion, "PROBE_CAP", 8):
+            a = compute_alpha(model, real, fake, cfg, Rng(7))
+            b = compute_alpha(model, real, fake, cfg, Rng(7))
+            c = compute_alpha(model, real, fake, cfg, Rng(8))
         assert a == b
-        c = compute_alpha(model, real, fake, cfg, Rng(8))
         assert c.s != a.s  # different probe draw picks a different subsample

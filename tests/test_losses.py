@@ -34,8 +34,6 @@ class TestConfig:
             LossConfig(rs_metric="manhattan")
         with pytest.raises(ValueError, match="rs_granularity"):
             LossConfig(rs_granularity="pairwise")
-        with pytest.raises(ValueError, match="eps_cos"):
-            LossConfig(eps_cos=0.0)
 
 
 class TestCrossEntropy:

@@ -3,6 +3,7 @@ AUC against pairwise counts, and CSV ingestion against the arrays written."""
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from genreplay import losses
 from genreplay.losses import LossConfig, ce_loss_batch, rs_loss_with_grads
 from genreplay.metrics import auc
 from genreplay.numerics import finite_diff_grad
@@ -28,12 +30,12 @@ def close(analytic, numeric):
 
 @st.composite
 def rs_inputs(draw):
-    """(fake rows, real rows, eps_cos), some fake rows zeroed.
+    """(fake rows, real rows, an EPS_COS value), some fake rows zeroed.
 
     Rows that are not zero keep a norm of at least 0.1, so a finite
     difference step never crosses the kink of the norm at 0. A zero row sits
     on that kink; the cosine's eps-padded norm makes it differentiable there,
-    but only on the scale of eps_cos, so zero rows come with eps_cos 0.5.
+    but only on the scale of EPS_COS, so zero rows come with EPS_COS 0.5.
     """
     m = draw(st.integers(1, 4))
     n_real = draw(st.integers(1, 3))
@@ -54,11 +56,11 @@ def rs_inputs(draw):
 @given(inputs=rs_inputs())
 def test_rs_gradients_match_finite_differences(metric, granularity, inputs):
     fake, real, eps_cos = inputs
-    cfg = LossConfig(rs_metric=metric, rs_granularity=granularity, eps_cos=eps_cos)
+    cfg = LossConfig(rs_metric=metric, rs_granularity=granularity)
     c = real.mean(axis=0)
     fake_side = fake.mean(axis=0, keepdims=True) if granularity == "centroid_based" else fake
     if metric == "cosine":
-        # rs_loss rejects a centroid norm up to eps_cos
+        # rs_loss rejects a centroid norm up to EPS_COS
         assume(np.linalg.norm(c) >= max(0.1, 2.0 * eps_cos))
         if granularity == "centroid_based":
             # the fake centroid is the row the norm acts on
@@ -69,17 +71,17 @@ def test_rs_gradients_match_finite_differences(metric, granularity, inputs):
         # the smoothed distance has its kink where a fake row meets the centroid
         assume(np.linalg.norm(fake_side - c, axis=1).min() >= 0.1)
 
-    _, d_fake, d_real = rs_loss_with_grads(fake, c, len(real), cfg)
-
     def loss_of_fake(flat):
         return rs_loss_with_grads(flat.reshape(fake.shape), c, len(real), cfg)[0]
 
     def loss_of_real(flat):
         return rs_loss_with_grads(fake, flat.reshape(real.shape).mean(axis=0), len(real), cfg)[0]
 
-    assert close(d_fake.ravel(), finite_diff_grad(loss_of_fake, fake.ravel(), h=H))
-    # d_real is the gradient for each real row behind the centroid
-    assert close(np.tile(d_real, len(real)), finite_diff_grad(loss_of_real, real.ravel(), h=H))
+    with mock.patch.object(losses, "EPS_COS", eps_cos):
+        _, d_fake, d_real = rs_loss_with_grads(fake, c, len(real), cfg)
+        assert close(d_fake.ravel(), finite_diff_grad(loss_of_fake, fake.ravel(), h=H))
+        # d_real is the gradient for each real row behind the centroid
+        assert close(np.tile(d_real, len(real)), finite_diff_grad(loss_of_real, real.ravel(), h=H))
 
 
 @PROPERTY

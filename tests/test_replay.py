@@ -46,6 +46,13 @@ class TestSignature:
         e0 = Signature(np.array([1.0, 0.0]), 1.0)
         assert signature_similarity(e0, Signature(np.array([1.0, 0.0]), 0.0)) == 0.0
 
+    def test_zero_vector_similarity_is_zero(self):
+        # a nonzero strength along no direction: the cosine would be 0/0
+        e0 = Signature(np.array([1.0, 0.0]), 1.0)
+        zero = Signature(np.zeros(2), 1.0)
+        assert signature_similarity(e0, zero) == 0.0
+        assert signature_similarity(zero, e0) == 0.0
+
     def test_dim_mismatch_raises(self):
         with pytest.raises(ValueError, match="dimensions"):
             signature_similarity(Signature(np.ones(2), 1.0), Signature(np.ones(3), 1.0))

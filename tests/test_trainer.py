@@ -325,10 +325,7 @@ class TestEpochReplay:
                     state.model, batch, strategy, 1.0 if alpha is None else alpha, loss_cfg
                 )
                 state.loss_trace.append(breakdown.l_overall)
-                adam_step(
-                    state.model.params, grad, state.adam,
-                    lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
-                )
+                adam_step(state.model.params, grad, state.adam)
         return alpha
 
     @pytest.mark.parametrize(
@@ -402,12 +399,18 @@ class TestBatchObjective:
         assert b.l_c == pytest.approx(0.3 * b.l_ce_gen_real + 0.7 * b.l_rs)
         assert b.l_overall == pytest.approx(b.l_c + b.l_cf)
 
-    def test_no_gen_real_batch_reduces_to_cf(self):
+    @pytest.mark.parametrize(
+        "strategy, alpha", [(Strategy("lower_bound"), 1.0), (Strategy("fixed_alpha", 0.3), 0.3)],
+        ids=["lower_bound", "fixed_alpha_0.3"],
+    )
+    def test_no_gen_real_batch_reduces_to_cf(self, strategy, alpha):
+        # a task-0 batch: no stored pairs, so no gen-real rows; the batch's alpha is reported
         model = MLP([DIM, 8], Rng(1).fork("init"))
         batch = assemble_batch(*current_chunk(), [], tiny_cfg(), Rng(0))
-        b, _ = batch_objective(model, batch, Strategy("lower_bound"), 1.0, LossConfig())
-        assert b.l_ce_gen_real == 0.0 and b.l_rs == 0.0
-        assert b.l_overall == pytest.approx(b.l_cf)
+        b, _ = batch_objective(model, batch, strategy, alpha, LossConfig())
+        assert b.l_ce_gen_real == 0.0 and b.l_rs == 0.0 and b.l_c == 0.0
+        assert b.l_overall == b.l_cf
+        assert b.alpha == alpha
 
 
 def parent_objective(model, x, labels, idx, strategy, alpha, loss_cfg):

@@ -161,12 +161,19 @@ def main(argv=None):
     workloads = [w for w in args.workloads.split(",") if w]
     if not workloads:
         parser.error(f"--workloads {args.workloads!r} names no workload")
+    for workload in workloads:
+        if workloads.count(workload) > 1:
+            parser.error(f"--workloads names {workload!r} more than once")
     try:
         seeds = parse_seeds(args.seeds)
     except ValueError as exc:
         parser.error(str(exc))
     if not seeds:
         parser.error(f"--seeds {args.seeds!r} names no seed")
+    # the file is written after every pass, so a path it cannot be written at must fail now
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        parser.error(f"--out {args.out!r} is not a file path in an existing directory")
 
     checkouts = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
