@@ -17,10 +17,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from decimal import ROUND_HALF_UP, Decimal
-from functools import partial
 from inspect import Parameter, signature
 from itertools import product
-from math import ceil
 
 import numpy as np
 
@@ -309,7 +307,7 @@ def _run_one_seed(cfg, cell, seed, out_dir):
     )
 
     _, _, x_test, y_test = state.stream_data[-1]
-    proj = _pca_2d(state.model.forward(x_test).features)
+    proj = _pca_2d(state.model.features(x_test))
     _write_csv(
         os.path.join(out_dir, "projection.csv"),
         ["x", "y", "label", "origin"],
@@ -345,24 +343,39 @@ def _cell_dir(out_dir, verb, cell):
     return os.path.join(out_dir, f"{name}__rs-{rs}__dcs-{dcs}__norm-{norm}__{gran}")
 
 
+# the config a pool worker runs from, set once per worker by _init_worker
+_WORKER_CFG = None
+
+
+def _init_worker(cfg):
+    global _WORKER_CFG
+    _WORKER_CFG = cfg
+
+
+def _run_in_worker(cell, seed, out_dir):
+    return _run_one_seed(_WORKER_CFG, cell, seed, out_dir)
+
+
 def _execute(cfg, verb, jobs):
-    """Run every cell over the seeds, write each cell's median_summary.json, and return the summaries."""
-    seeds = cfg["seeds"]
-    # a pool starts all its workers up front, so never more than one per seed
-    workers = min(jobs, len(seeds))
+    """Run every cell over the seeds, write each cell's median_summary.json, and return the summaries.
+
+    All (cell, seed) runs share one pool, so no worker idles at a cell's end.
+    """
+    seeds, cells = cfg["seeds"], cfg["cells"]
     os.makedirs(cfg["out_dir"], exist_ok=True)
+    bases = [_cell_dir(cfg["out_dir"], verb, cell) for cell in cells]
+    runs = [(cell, s, os.path.join(base, f"seed_{s}")) for cell, base in zip(cells, bases) for s in seeds]
+    # a pool starts all its workers up front, so never more than one per run
+    workers = min(jobs, len(runs))
+    if workers > 1:
+        # cfg (with every seed's stream) reaches each worker once, through the initializer
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(cfg,)) as pool:
+            results = list(pool.map(_run_in_worker, *zip(*runs)))
+    else:
+        results = [_run_one_seed(cfg, *run) for run in runs]
     summaries = []
-    for cell in cfg["cells"]:
-        base = _cell_dir(cfg["out_dir"], verb, cell)
-        run = partial(_run_one_seed, cfg, cell)
-        dirs = [os.path.join(base, f"seed_{s}") for s in seeds]
-        if workers > 1:
-            # one chunk per worker, so cfg (with every seed's stream) is pickled once per worker
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, seeds, dirs, chunksize=ceil(len(seeds) / workers)))
-        else:
-            results = list(map(run, seeds, dirs))
-        summary = _median_summary(results)
+    for i, (cell, base) in enumerate(zip(cells, bases)):
+        summary = _median_summary(results[i * len(seeds) : (i + 1) * len(seeds)])
         summary["strategy"] = cell[0].name
         _write_json(os.path.join(base, "median_summary.json"), summary)
         summaries.append(summary)

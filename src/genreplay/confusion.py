@@ -88,7 +88,7 @@ def compute_alpha(model, past_gen_real, current_fakes, cfg, rng, task_index=0, e
         raise ValueError("both sample pools must be non-empty")
     real_pool = _subsample(np.asarray(past_gen_real, dtype=float), PROBE_CAP, rng.fork("gen-real"))
     fake_pool = _subsample(np.asarray(current_fakes, dtype=float), PROBE_CAP, rng.fork("cur-fake"))
-    f_real = model.forward(real_pool).features
-    f_fake = model.forward(fake_pool).features
+    f_real = model.features(real_pool)
+    f_fake = model.features(fake_pool)
     s, alpha = confusion_score(f_real, f_fake, cfg)
     return DcsRecord(task_index=task_index, epoch=epoch, s=s, alpha=alpha)

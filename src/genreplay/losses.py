@@ -41,20 +41,33 @@ class BatchLossBreakdown:
     l_overall: float
 
 
-def ce_loss_batch(y_p, labels):
-    """Mean CE over a batch plus d(mean CE)/d y_p per sample."""
+def ce_loss_batch(y_p, labels, split=None):
+    """Mean CE over a batch plus d(mean CE)/d y_p per sample.
+
+    With split, rows [:split] and [split:] are two batches that share one pass
+    over the per-row terms. The result is then (mean CE of rows [:split], mean
+    CE of rows [split:], grad), where each part of grad is its own batch's
+    gradient: the bits of two separate calls. Both parts must be non-empty.
+    """
     y_p = np.asarray(y_p, dtype=float)
     y = np.asarray(labels, dtype=float)
-    if y_p.size == 0:
+    n = y_p.size
+    if split is not None and not 0 < split < n:
+        raise ValueError(f"split must lie in (0, {n}), got {split}")
+    if n == 0:
         return 0.0, y_p.copy()
     if (y_p <= 0.0).any() or (y_p >= 1.0).any():
         raise ValueError("y_p entries must lie strictly inside (0,1)")
-    n = y_p.size
     not_yp = 1.0 - y_p
     not_y = 1.0 - y
-    value = float((-(y * np.log(y_p) + not_y * np.log(not_yp))).sum() / n)
-    grad = (-(y / y_p) + not_y / not_yp) / n
-    return value, grad
+    terms = -(y * np.log(y_p) + not_y * np.log(not_yp))
+    grad = -(y / y_p) + not_y / not_yp
+    if split is None:
+        grad /= n
+        return float(terms.sum() / n), grad
+    grad[:split] /= split
+    grad[split:] /= n - split
+    return float(terms[:split].sum() / split), float(terms[split:].sum() / (n - split)), grad
 
 
 def centroid(features):

@@ -3,11 +3,17 @@
 Features are the activations of the last hidden layer; the head maps them to a
 single forgery probability. Backward works on a cached forward record, so the
 gradient always corresponds to the params the record was computed with.
+Callers that need no gradient read features and scores, which give forward's
+bits without keeping a record.
 """
 
 import numpy as np
 
 PROB_CLAMP = 1e-7
+# the most rows MLP.features feeds through a hidden layer at once
+BLOCK_ROWS = 64
+# MLP.features splits rows only when every hidden width is a multiple of this
+BLOCK_WIDTH_STEP = 8
 
 
 class ForwardRecord:
@@ -82,23 +88,24 @@ class MLP:
             raise ValueError(f"expected {self.n_params} params, got {flat.size}")
         self.params[...] = flat
 
-    def forward(self, x):
-        """Forward a batch (n, input_dim); a 1-d input (input_dim,) is read as one row."""
+    def _rows(self, x):
+        """x as a float (n, input_dim) array; a 1-d input (input_dim,) is read as one row."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
         if x.shape[1] != self.input_dim:
             raise ValueError(f"input dim {x.shape[1]} != model dim {self.input_dim}")
-        a = x
-        pre_acts = []
-        acts = []
-        for w, b in zip(self.weights, self.biases):
-            z = a @ w
-            z += b
-            a = np.maximum(z, 0.0)
-            pre_acts.append(z)
-            acts.append(a)
-        u = a @ self.head_w
+        return x
+
+    def _pre_act(self, li, a, out=None):
+        """Hidden layer li's pre-activation a @ w + b, written into out when given."""
+        z = np.matmul(a, self.weights[li], out=out)
+        z += self.biases[li]
+        return z
+
+    def _head(self, features):
+        """Forgery probabilities (n,) of an (n, width) feature array."""
+        u = features @ self.head_w
         u += self.head_b
         # clip(1 / (1 + exp(-u)), PROB_CLAMP, 1 - PROB_CLAMP), in place on one array
         y_p = np.exp(-u)
@@ -106,7 +113,52 @@ class MLP:
         np.divide(1.0, y_p, out=y_p)
         np.maximum(y_p, PROB_CLAMP, out=y_p)
         np.minimum(y_p, 1.0 - PROB_CLAMP, out=y_p)
-        return ForwardRecord(x, pre_acts, acts, a, y_p)
+        return y_p
+
+    def forward(self, x):
+        """Forward a batch (n, input_dim), keeping what backward needs; a 1-d input is one row."""
+        x = self._rows(x)
+        a = x
+        pre_acts = []
+        acts = []
+        for li in range(len(self.weights)):
+            z = self._pre_act(li, a)
+            a = np.maximum(z, 0.0)
+            pre_acts.append(z)
+            acts.append(a)
+        return ForwardRecord(x, pre_acts, acts, a, self._head(a))
+
+    def features(self, x):
+        """The (n, width) features of x, forward(x).features bit for bit, with no forward record.
+
+        The hidden layers run over balanced row blocks of at most BLOCK_ROWS
+        rows, reusing one block buffer per layer and writing the last layer
+        straight into the output, so a large n allocates only its result. A
+        one-row or one-column product takes numpy's matrix-vector path, which
+        rounds differently from the matrix product forward makes, so no block
+        holds a single row unless n is 1 (balanced blocks of n >= 2 rows hold
+        at least 2). A product whose column count is not a multiple of
+        BLOCK_WIDTH_STEP can round its last columns differently when its row
+        count changes, so a model with such a hidden width (width 1 included)
+        runs as one block.
+        """
+        x = self._rows(x)
+        n = len(x)
+        out = np.empty((n, self.widths[-1]))
+        blockable = all(w % BLOCK_WIDTH_STEP == 0 for w in self.widths[1:])
+        n_blocks = max(1, -(-n // BLOCK_ROWS)) if blockable else 1
+        edges = [n * i // n_blocks for i in range(n_blocks + 1)]
+        bufs = [np.empty((-(-n // n_blocks), w)) for w in self.widths[1:-1]]
+        for lo, hi in zip(edges, edges[1:]):
+            a = x[lo:hi]
+            for li, buf in enumerate(bufs + [out[lo:hi]]):
+                a = self._pre_act(li, a, out=buf[: hi - lo])
+                np.maximum(a, 0.0, out=a)
+        return out
+
+    def scores(self, x):
+        """forward(x).y_p bit for bit: the head applied once to all of features(x)."""
+        return self._head(self.features(x))
 
     def backward(self, record, d_yp=None, d_features=None):
         """Flat gradient of a scalar loss given upstream grads on y_p/features.

@@ -243,20 +243,19 @@ def batch_objective(model, batch, strategy, alpha, loss_cfg):
     n_cf = n_current + n_fake
     n_gr = len(labels) - n_cf
 
-    d_yp = np.zeros(len(labels))
-    d_feat = None
-
-    l_cf, g_cf = ce_loss_batch(rec.y_p[:n_cf], labels[:n_cf])
-    d_yp[:n_cf] = g_cf
-
     l_ce_gr = 0.0
     if strategy.row.supervised and n_gr:
-        l_ce_gr, g_gr = ce_loss_batch(rec.y_p[n_cf:], labels[n_cf:])
-        if alpha:
-            d_yp[n_cf:] = alpha * g_gr
+        # one pass over every row's CE term; gen-real rows are labelled real, so their
+        # gradient is positive and alpha 0 zeroes it
+        l_cf, l_ce_gr, d_yp = ce_loss_batch(rec.y_p, labels, split=n_cf)
+        d_yp[n_cf:] *= alpha
+    else:
+        d_yp = np.zeros(len(labels))
+        l_cf, d_yp[:n_cf] = ce_loss_batch(rec.y_p[:n_cf], labels[:n_cf])
 
     w_rs = 1.0 - alpha
     l_rs = 0.0
+    d_feat = None
     if w_rs and n_gr and n_fake:
         features = rec.features
         cent = centroid(features[n_cf:])
@@ -374,7 +373,7 @@ def fit_task_generators(
 
 def evaluate(model, x, labels):
     """A task's TaskEval on its test rows x (n, dim) with labels (n,)."""
-    scores = model.forward(x).y_p
+    scores = model.scores(x)
     overall, real_acc, fake_acc = accuracy(scores, labels)
     return TaskEval(auc=auc(scores, labels), acc=overall, acc_real=real_acc, acc_fake=fake_acc)
 

@@ -195,3 +195,31 @@ def test_unparsable_pass_names_checkout_workload_and_seed(monkeypatch, stdout):
     message = "^cannot parse the output of /ck/parent, workload no_replay, seed 21: "
     with pytest.raises(RuntimeError, match=message):
         bench_pairs.run_pass("/ck/parent", "no_replay", 21, 30, trace=0)
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["timed", "traced"])
+def test_file_keeps_what_was_measured_when_a_later_pass_fails(monkeypatch, tmp_path, traced):
+    # no_replay's first timed pass raises; traced, every timed pass succeeds and its first traced pass raises
+    fail_at = ("no_replay", int(traced))
+
+    def fake_run_pass(checkout, workload, seed, seconds, trace):
+        if (workload, trace) == fail_at:
+            raise RuntimeError("pass failed")
+        return bench_pairs.parse_output(canned_output(0.5, 2000.0))
+
+    root = Path(_PATH.parents[1])
+    monkeypatch.setattr(bench_pairs, "run_pass", fake_run_pass)
+    out = tmp_path / "out.json"
+    argv = ["--parent", str(root), "--change", str(root), "--workloads", "sweep_adaptive,no_replay",
+            "--seeds", "21-22", "--out", str(out)]
+    if traced:
+        argv += ["--traced-seed", "3"]
+    with pytest.raises(RuntimeError, match="pass failed"):
+        bench_pairs.main(argv)
+    written = json.loads(out.read_text())
+    assert list(written["summary"]) == (["sweep_adaptive", "no_replay"] if traced else ["sweep_adaptive"])
+    assert written["summary"]["sweep_adaptive"]["run_s.p50"]["pairs"] == 2
+    assert len(written["timed_pairs"]["sweep_adaptive"]) == 2
+    assert written["parent_commit"] == "c0ffee"
+    if traced:
+        assert list(written["traced_seed_3"]["sweep_adaptive"]) == ["parent", "change"]

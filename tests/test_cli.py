@@ -544,14 +544,18 @@ class TestRunVerb:
         ("run", "1,2", "64", [2]),
         ("run", "1", "3", []),
         ("run", "1,2,3", "2", [2]),
-        ("compare", "1,2", "64", [2, 2]),
-    ], ids=["run_jobs_64_seeds_2", "run_jobs_3_seed_1", "run_jobs_2_seeds_3", "compare_jobs_64_seeds_2"])
+        ("compare", "1,2", "64", [4]),
+        ("compare", "1", "2", [2]),
+    ], ids=["run_jobs_64_seeds_2", "run_jobs_3_seed_1", "run_jobs_2_seeds_3", "compare_jobs_64_seeds_2",
+            "compare_jobs_2_seed_1"])
     def test_at_most_one_worker_per_seed(self, tmp_path, monkeypatch, verb, seeds, jobs, pools):
+        # one pool for all of a verb's (cell, seed) runs, with at most one worker per run
         made = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 made.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -563,6 +567,8 @@ class TestRunVerb:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(genreplay.cli, "ProcessPoolExecutor", InProcessPool)
+        # the in-process initializer sets the worker's config here; restore it afterwards
+        monkeypatch.setattr(genreplay.cli, "_WORKER_CFG", None)
         path = write_config(tmp_path, strategies=["adaptive", "lower_bound"])
         assert main([verb, "--config", path, "--seeds", seeds, "--jobs", jobs]) == 0
         assert made == pools

@@ -4,7 +4,9 @@ MLP.forward, MLP.backward, ce_loss_batch and centroid compute their results in
 place, with fewer temporaries. Each test here writes the plain expression out
 and requires the same bits (np.array_equal or ==, no tolerance), so a change
 that reassociates or reorders the arithmetic fails here even when it stays
-within every gradient-check tolerance.
+within every gradient-check tolerance. The same holds for the passes that
+share that arithmetic: MLP.features and MLP.scores against forward, and
+ce_loss_batch's split against two separate calls.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from genreplay.losses import ce_loss_batch, centroid
-from genreplay.model import MLP, PROB_CLAMP
+from genreplay.model import BLOCK_ROWS, BLOCK_WIDTH_STEP, MLP, PROB_CLAMP
 from genreplay.numerics import Rng
 
 # extreme logits and probabilities overflow exp and 1/y_p on both sides alike
@@ -181,3 +183,66 @@ def test_centroid_matches_mean(data):
 def test_centroid_norm_matches_linalg_norm(c):
     # rs_loss_with_grads computes the centroid norm as sqrt(c @ c)
     assert np.sqrt(c @ c) == np.linalg.norm(c)
+
+
+@st.composite
+def model_and_rows(draw):
+    """A model of 1-3 hidden layers of widths 1-130 and a batch of 1-1,500 rows for it.
+
+    Half the batch sizes sit on a block edge, a multiple of BLOCK_ROWS or one
+    row either side of it. Half the models have only hidden widths that are
+    multiples of BLOCK_WIDTH_STEP, which MLP.features splits into blocks; the
+    others draw width 1 often. A large init scale and head bias push scores
+    past both clamps.
+    """
+    if draw(st.booleans()):
+        width = st.integers(1, 130 // BLOCK_WIDTH_STEP).map(lambda k: k * BLOCK_WIDTH_STEP)
+    else:
+        width = st.one_of(st.just(1), st.integers(1, 130))
+    widths = [draw(st.integers(1, 40))] + draw(st.lists(width, min_size=1, max_size=3))
+    scale = draw(st.sampled_from([0.5, 1.0, 8.0, 40.0]))
+    rng = Rng(draw(st.integers(0, 2**16)))
+    model = MLP(widths, rng.fork("init"), scale)
+    model.head_b = draw(st.sampled_from([0.0, 25.0, -25.0]))
+    edge = st.builds(lambda k, d: max(1, k * BLOCK_ROWS + d), st.integers(1, 23), st.sampled_from([-1, 0, 1]))
+    n = draw(st.one_of(edge, st.integers(1, 1500)))
+    x = rng.fork("x").normal(size=(n, widths[0])) * draw(st.sampled_from([1.0, 50.0]))
+    if draw(st.booleans()):
+        x[draw(st.integers(0, n - 1))] = np.nan
+    if n == 1 and draw(st.booleans()):
+        x = x[0]
+    return model, x
+
+
+@settings(PIN, max_examples=200)
+@given(case=model_and_rows())
+def test_features_and_scores_match_forward(case):
+    model, x = case
+    rec = model.forward(x)
+    assert same(model.features(x), rec.features)
+    assert same(model.scores(x), rec.y_p)
+
+
+def test_features_of_no_rows():
+    model = MLP([3, 5, 4], Rng(0))
+    assert model.features(np.empty((0, 3))).shape == (0, 4)
+
+
+@PIN
+@given(data=st.data())
+def test_ce_split_matches_two_calls(data):
+    n = data.draw(st.integers(2, 300))
+    y_p = data.draw(arrays(float, n, elements=probs))
+    labels = data.draw(arrays(int, n, elements=st.integers(0, 1)))
+    for split in range(1, n):
+        first, rest, grad = ce_loss_batch(y_p, labels, split=split)
+        want_first, grad_first = ce_loss_batch(y_p[:split], labels[:split])
+        want_rest, grad_rest = ce_loss_batch(y_p[split:], labels[split:])
+        assert (first, rest) == (want_first, want_rest)
+        assert np.array_equal(grad, np.concatenate([grad_first, grad_rest]))
+
+
+@pytest.mark.parametrize("split", [0, 5, -1])
+def test_ce_split_must_leave_both_parts_non_empty(split):
+    with pytest.raises(ValueError, match="split must lie in"):
+        ce_loss_batch(np.full(5, 0.5), np.zeros(5), split=split)

@@ -1,0 +1,58 @@
+"""Peak traced memory of the model's no-record passes: the alpha probe and evaluation.
+
+Both read features only, through MLP.features, which runs the hidden layers in
+row blocks of at most BLOCK_ROWS rows. Their peak must stay below the arrays
+they need, plus two blocks of hidden activations, plus SMALL_OBJECTS for the
+Rng forks and per-feature vectors. A pass that keeps a full forward record
+(every layer's pre-activations and activations) holds about four times the
+feature array and exceeds it.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from genreplay.confusion import DcsConfig, compute_alpha
+from genreplay.model import BLOCK_ROWS, MLP
+from genreplay.numerics import Rng
+from genreplay.trainer import evaluate
+
+WIDTHS = [10, 64, 64]
+FLOAT = 8
+TWO_BLOCKS = 2 * BLOCK_ROWS * WIDTHS[-1] * FLOAT
+SMALL_OBJECTS = 64 * 1024
+
+
+def traced_peak(fn):
+    """Peak bytes traced while fn runs, above what was live when it started; fn runs once before."""
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def model_and_rng():
+    rng = Rng(0)
+    return MLP(WIDTHS, rng.fork("init")), rng
+
+
+def test_alpha_probe_peak_is_its_features_plus_two_blocks():
+    model, rng = model_and_rng()
+    gen_real = rng.fork("real").normal(size=(512, WIDTHS[0]))
+    fakes = rng.fork("fake").normal(size=(400, WIDTHS[0])) + 1.0
+    peak = traced_peak(lambda: compute_alpha(model, gen_real, fakes, DcsConfig(), Rng(1)))
+    features = (512 + 400) * WIDTHS[-1] * FLOAT
+    assert peak < features + TWO_BLOCKS + SMALL_OBJECTS
+
+
+def test_evaluate_peak_is_its_features_and_scores_plus_two_blocks():
+    model, rng = model_and_rng()
+    x = rng.fork("x").normal(size=(600, WIDTHS[0]))
+    labels = np.repeat([0, 1], 300)
+    peak = traced_peak(lambda: evaluate(model, x, labels))
+    returned = 600 * WIDTHS[-1] * FLOAT + 600 * FLOAT
+    assert peak < returned + TWO_BLOCKS + SMALL_OBJECTS

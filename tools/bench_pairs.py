@@ -170,9 +170,10 @@ def main(argv=None):
         parser.error(str(exc))
     if not seeds:
         parser.error(f"--seeds {args.seeds!r} names no seed")
-    # the file is written after every pass, so a path it cannot be written at must fail now
-    out = Path(args.out)
-    if out.is_dir() or not out.parent.is_dir():
+    # the file is written after each workload's pairs and after each traced pass, so a
+    # path it cannot be written at must fail now
+    out_path = Path(args.out)
+    if out_path.is_dir() or not out_path.parent.is_dir():
         parser.error(f"--out {args.out!r} is not a file path in an existing directory")
 
     checkouts = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
@@ -196,32 +197,38 @@ def main(argv=None):
         "summary": {},
         "timed_pairs": {},
     }
+
+    def save():
+        out_path.write_text(json.dumps(out, indent=1) + "\n")
+
     for workload in workloads:
         pairs = timed_pairs(checkouts, workload, seeds, args.seconds, log)
         out["summary"][workload] = summarize(pairs, directions)
         out["timed_pairs"][workload] = [
             {k: _strip(v) if k in SIDES else v for k, v in pair.items()} for pair in pairs
         ]
-    env = {side: pairs[0][side].get("env", {}) for side in SIDES}
-    out["parent_commit"] = env["parent"].get("commit")
-    out["change_commit"] = env["change"].get("commit")
-    out["host"] = {
-        key: env["change"].get(src)
-        for key, src in (("vcpus", "nproc"), ("python", "python"),
-                         ("numpy", "numpy"), ("blas_threads", "blas_threads"))
-    }
+        if "host" not in out:
+            env = {side: pairs[0][side].get("env", {}) for side in SIDES}
+            out["parent_commit"] = env["parent"].get("commit")
+            out["change_commit"] = env["change"].get("commit")
+            out["host"] = {
+                key: env["change"].get(src)
+                for key, src in (("vcpus", "nproc"), ("python", "python"),
+                                 ("numpy", "numpy"), ("blas_threads", "blas_threads"))
+            }
+        save()
     if args.traced_seed is not None:
         out["commands"]["traced"] = (
             f"python3 bench/run.py --workload <w> --seed {args.traced_seed} --trace 1"
         )
-        out[f"traced_seed_{args.traced_seed}"] = {
-            workload: {
-                side: _strip(run_pass(checkouts[side], workload, args.traced_seed, None, trace=1))
-                for side in SIDES
-            }
-            for workload in workloads
-        }
-    Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
+        traced = out[f"traced_seed_{args.traced_seed}"] = {}
+        for workload in workloads:
+            traced[workload] = {}
+            for side in SIDES:
+                traced[workload][side] = _strip(
+                    run_pass(checkouts[side], workload, args.traced_seed, None, trace=1)
+                )
+                save()
     log(f"wrote {args.out}")
     return 0
 
