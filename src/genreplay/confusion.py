@@ -12,7 +12,7 @@ import numpy as np
 from .losses import centroid
 
 DISTANCE_METRICS = ("l2", "cosine_distance")
-NORMALIZERS = ("tanh", "sigmoid", "linear_over_5")
+NORMALIZERS = ("tanh", "linear_over_5")
 # the most rows of each pool that compute_alpha feeds through the model
 PROBE_CAP = 512
 
@@ -20,7 +20,7 @@ PROBE_CAP = 512
 @dataclass(frozen=True)
 class DcsConfig:
     distance_metric: str = "l2"
-    normalizer: str = "tanh"
+    normalizer: str = "linear_over_5"
 
     def __post_init__(self):
         if self.distance_metric not in DISTANCE_METRICS:
@@ -54,8 +54,6 @@ def normalize_score(s, normalizer):
         raise ValueError(f"confusion score must be >= 0, got {s}")
     if normalizer == "tanh":
         return float(np.tanh(s))
-    if normalizer == "sigmoid":
-        return float(1.0 / (1.0 + np.exp(-s)))
     if normalizer == "linear_over_5":
         return min(s / 5.0, 1.0)
     raise ValueError(f"unknown normalizer {normalizer!r}")

@@ -296,8 +296,8 @@ def train_task(
     strategy,
     cfg,
     rng,
-    loss_cfg=None,
-    dcs_cfg=None,
+    loss_cfg=LossConfig(),
+    dcs_cfg=DcsConfig(),
 ):
     """Train the model on one task's rows x_train (n, dim) with labels y_train (n,).
 
@@ -310,8 +310,6 @@ def train_task(
             f"task {task_index} has {len(x_train)} training rows, "
             f"fewer than batch_current={cfg.batch_current}"
         )
-    loss_cfg = loss_cfg or LossConfig()
-    dcs_cfg = dcs_cfg or DcsConfig()
     pairs = state.generator_pairs if strategy.row.uses_replay else []
     current_fakes = x_train[y_train == LABEL_FAKE]
     layout = batch_layout(cfg.batch_current, len(pairs), cfg, strategy.row.keeps_gen_real)
@@ -400,7 +398,9 @@ def check_stream(stream, cfg):
             )
 
 
-def run_incremental(stream, strategy, cfg, loss_cfg=None, dcs_cfg=None, return_state=False):
+def run_incremental(
+    stream, strategy, cfg, loss_cfg=LossConfig(), dcs_cfg=DcsConfig(), return_state=False
+):
     """Train through the stream; after each task, evaluate every seen task.
 
     check_stream runs before anything is drawn. A task's generator pair is
@@ -408,8 +408,6 @@ def run_incremental(stream, strategy, cfg, loss_cfg=None, dcs_cfg=None, return_s
     for a strategy that uses no replay.
     """
     check_stream(stream, cfg)
-    loss_cfg = loss_cfg or LossConfig()
-    dcs_cfg = dcs_cfg or DcsConfig()
     rng = Rng(cfg.seed)
     # per task (x_train, y_train, x_test, y_test); a dataset stream's own arrays, not copies
     data = draw_stream_data(stream, rng.fork("data"))

@@ -29,7 +29,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = DcsConfig()
         assert cfg.distance_metric == "l2"
-        assert cfg.normalizer == "tanh"
+        assert cfg.normalizer == "linear_over_5"
 
     def test_invalid_values_raise(self):
         with pytest.raises(ValueError, match="distance_metric"):
@@ -71,10 +71,6 @@ class TestNormalizers:
         assert normalize_score(1.0, "tanh") == pytest.approx(0.7615941559557649, abs=1e-12)
         assert normalize_score(3.0, "tanh") == pytest.approx(0.9950547536867305, abs=1e-12)
 
-    def test_sigmoid(self):
-        assert normalize_score(0.0, "sigmoid") == pytest.approx(0.5)
-        assert normalize_score(2.0, "sigmoid") == pytest.approx(1.0 / (1.0 + np.exp(-2.0)))
-
     def test_linear_over_5_with_clamp(self):
         assert normalize_score(1.0, "linear_over_5") == pytest.approx(0.2)
         assert normalize_score(5.0, "linear_over_5") == pytest.approx(1.0)
@@ -92,7 +88,7 @@ class TestNormalizers:
 class TestScore:
     def test_score_returns_distance_and_alpha(self):
         a, b = pools(1.0)
-        s, alpha = confusion_score(a, b, DcsConfig())
+        s, alpha = confusion_score(a, b, DcsConfig(normalizer="tanh"))
         assert s == pytest.approx(1.0)
         assert alpha == pytest.approx(np.tanh(1.0))
 
@@ -117,7 +113,8 @@ class TestComputeAlpha:
         model = self._identity_model()
         real = self._rows(0.0, 10)
         fake = self._rows(1.0, 10)
-        rec = compute_alpha(model, real, fake, DcsConfig(), Rng(3), task_index=2, epoch=1)
+        cfg = DcsConfig(normalizer="tanh")
+        rec = compute_alpha(model, real, fake, cfg, Rng(3), task_index=2, epoch=1)
         assert rec.s == pytest.approx(2.0)  # ||(1,1,1,1) - 0|| = 2
         assert rec.alpha == pytest.approx(np.tanh(2.0))
         assert rec.task_index == 2 and rec.epoch == 1
