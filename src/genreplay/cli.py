@@ -12,6 +12,7 @@ byte-identical CSVs.
 import argparse
 import json
 import math
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -343,6 +344,7 @@ def _cell_dir(out_dir, verb, cell):
     return os.path.join(out_dir, f"{name}__rs-{rs}__dcs-{dcs}__norm-{norm}__{gran}")
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # the config a pool worker runs from, set once per worker by _init_worker
 _WORKER_CFG = None
 
@@ -368,9 +370,21 @@ def _execute(cfg, verb, jobs):
     # a pool starts all its workers up front, so never more than one per run
     workers = min(jobs, len(runs))
     if workers > 1:
-        # cfg (with every seed's stream) reaches each worker once, through the initializer
-        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(cfg,)) as pool:
-            results = list(pool.map(_run_in_worker, *zip(*runs)))
+        # one BLAS thread per worker, as the products are small. A spawned worker reads the
+        # variables when it starts, and workers start while map submits, so they stay set
+        saved = {var: os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        try:
+            # cfg (with every seed's stream) reaches each worker once, through the initializer
+            spawn = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(
+                workers, mp_context=spawn, initializer=_init_worker, initargs=(cfg,)
+            ) as pool:
+                results = list(pool.map(_run_in_worker, *zip(*runs)))
+        finally:
+            for var in _BLAS_THREAD_VARS:
+                os.environ.pop(var, None)
+            os.environ.update(saved)
     else:
         results = [_run_one_seed(cfg, *run) for run in runs]
     summaries = []

@@ -88,7 +88,7 @@ def _cos_rows_with_grads(fake, c, nc, eps):
     nc_eps = nc + eps
     denom = nf_eps * nc_eps
     dot = np.vecdot(fake, c)
-    f_unit = np.zeros_like(fake)
+    f_unit = np.zeros(fake.shape)
     np.divide(fake, nf[:, None], out=f_unit, where=nf[:, None] > 0)
     c_unit = c / nc if nc > 0 else np.zeros_like(c)
     d_f = c / denom[:, None] - dot[:, None] * f_unit / (nf_eps**2 * nc_eps)[:, None]

@@ -43,8 +43,16 @@ class MLP:
         if scale < 0:
             raise ValueError("scale must be >= 0")
         self.widths = list(widths)
-        n = sum(a * b + b for a, b in zip(widths[:-1], widths[1:])) + widths[-1] + 1
-        self.params = np.zeros(n)
+        # where each layer's weights (slice, shape) and biases (slice) sit in a flat buffer,
+        # then head_w; worked out once, as every backward lays out its gradient by it
+        self._weight_slots, self._bias_slots, i = [], [], 0
+        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+            j = i + fan_in * fan_out
+            self._weight_slots.append((slice(i, j), (fan_in, fan_out)))
+            self._bias_slots.append(slice(j, j + fan_out))
+            i = j + fan_out
+        self._head_w_slot = slice(i, i + widths[-1])
+        self.params = np.zeros(i + widths[-1] + 1)
         self.weights, self.biases, self.head_w = self._views(self.params)
         for fan_in, w in zip(widths[:-1], self.weights):
             half = scale / np.sqrt(fan_in)
@@ -54,14 +62,8 @@ class MLP:
 
     def _views(self, flat):
         """Per-layer weight and bias views, and the head_w view, of a flat buffer."""
-        weights, biases = [], []
-        i = 0
-        for fan_in, fan_out in zip(self.widths[:-1], self.widths[1:]):
-            weights.append(flat[i : i + fan_in * fan_out].reshape(fan_in, fan_out))
-            i += fan_in * fan_out
-            biases.append(flat[i : i + fan_out])
-            i += fan_out
-        return tuple(weights), tuple(biases), flat[i : i + self.widths[-1]]
+        weights = tuple([flat[s].reshape(shape) for s, shape in self._weight_slots])
+        return weights, tuple([flat[s] for s in self._bias_slots]), flat[self._head_w_slot]
 
     @property
     def head_b(self):

@@ -236,6 +236,14 @@ class DatasetStream:
     def __post_init__(self):
         if len(self.tasks_data) < 2:
             raise ValueError("a stream needs at least 2 tasks")
+        # every cell and seed of a compare or ablate runs on them, so a write must raise
+        for arrays in self.tasks_data:
+            for a in arrays:
+                a.flags.writeable = False
+
+    def __reduce__(self):
+        # unpickling skips __post_init__ and leaves the arrays writeable; rebuild through it
+        return DatasetStream, (self.tasks_data, self.replay_signatures, self.task_ids)
 
     @property
     def n_tasks(self):
@@ -289,9 +297,6 @@ def stream_from_samples(samples, rng, test_fraction=0.25):
                     "add rows or change test_fraction"
                 )
         arrays = tuple(column[idx] for idx in (train, test) for column in (samples.features, samples.labels))
-        for a in arrays:
-            # every cell of a compare or ablate runs on them, so a write must raise
-            a.flags.writeable = False
         tasks_data.append(arrays)
     # ingested data carries no known generator artifact
     zero_sig = Signature(np.zeros(samples.features.shape[1]), 0.0)

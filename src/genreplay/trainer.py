@@ -212,10 +212,6 @@ def draw_replay(pairs, layout, n_batches, rng, dim):
     return np.concatenate(fakes + reals, axis=1)
 
 
-def _batch(x, labels, replay, layout):
-    return Batch(np.concatenate([x, replay]), np.concatenate([labels, layout.replay_labels]), layout)
-
-
 def assemble_batch(x, labels, pairs, cfg, rng, include_gen_real=True):
     """Current rows plus replay draws split round-robin over stored pairs.
 
@@ -224,7 +220,8 @@ def assemble_batch(x, labels, pairs, cfg, rng, include_gen_real=True):
     BatchLayout), drawn from rng as draw_replay draws one batch.
     """
     layout = batch_layout(len(x), len(pairs), cfg, include_gen_real)
-    return _batch(x, labels, draw_replay(pairs, layout, 1, rng, x.shape[1])[0], layout)
+    replay = draw_replay(pairs, layout, 1, rng, x.shape[1])[0]
+    return Batch(np.concatenate([x, replay]), np.concatenate([labels, layout.replay_labels]), layout)
 
 
 def batch_objective(model, batch, strategy, alpha, loss_cfg):
@@ -244,7 +241,9 @@ def batch_objective(model, batch, strategy, alpha, loss_cfg):
     n_gr = len(labels) - n_cf
 
     l_ce_gr = 0.0
-    if strategy.row.supervised and n_gr:
+    if not n_gr:
+        l_cf, d_yp = ce_loss_batch(rec.y_p, labels)
+    elif strategy.row.supervised:
         # one pass over every row's CE term; gen-real rows are labelled real, so their
         # gradient is positive and alpha 0 zeroes it
         l_cf, l_ce_gr, d_yp = ce_loss_batch(rec.y_p, labels, split=n_cf)
@@ -260,9 +259,9 @@ def batch_objective(model, batch, strategy, alpha, loss_cfg):
         features = rec.features
         cent = centroid(features[n_cf:])
         l_rs, d_gf, d_gr = rs_loss_with_grads(features[n_current:n_cf], cent, n_gr, loss_cfg)
-        d_feat = np.zeros_like(features)
-        d_feat[n_current:n_cf] = w_rs * d_gf
-        d_feat[n_cf:] = w_rs * d_gr
+        d_feat = np.zeros(features.shape)
+        np.multiply(w_rs, d_gf, out=d_feat[n_current:n_cf])
+        np.multiply(w_rs, d_gr, out=d_feat[n_cf:])
 
     grad = model.backward(rec, d_yp, d_feat)
     return combine_losses(l_ce_gr, l_rs, l_cf, alpha), grad
@@ -325,13 +324,17 @@ def train_task(
         order = np.arange(len(x_train))
         epoch_rng.fork("shuffle").shuffle(order)
         n_batches = len(order) // cfg.batch_current
-        # the whole epoch's replay, before its first step
+        # the whole epoch's batches before its first step, with float labels for ce_loss_batch
+        rows = order[: n_batches * cfg.batch_current].reshape(n_batches, cfg.batch_current)
         replay = draw_replay(pairs, layout, n_batches, epoch_rng.fork("replay"), x_train.shape[1])
+        xs = np.concatenate([x_train[rows], replay], axis=1)
+        ys = np.empty(xs.shape[:2])
+        ys[:, : cfg.batch_current] = y_train[rows]
+        ys[:, cfg.batch_current :] = layout.replay_labels
         for b in range(n_batches):
-            rows = order[b * cfg.batch_current : (b + 1) * cfg.batch_current]
-            batch = _batch(x_train[rows], y_train[rows], replay[b], layout)
             breakdown, grad = batch_objective(
-                state.model, batch, strategy, 1.0 if alpha is None else alpha, loss_cfg
+                state.model, Batch(xs[b], ys[b], layout), strategy,
+                1.0 if alpha is None else alpha, loss_cfg,
             )
             state.loss_trace.append(breakdown.l_overall)
             adam_step(state.model.params, grad, state.adam)

@@ -10,6 +10,7 @@ property-based checks.
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,9 +417,9 @@ def test_c09_determinism(tmp_path, capsys):
     csvs = []
     for root, _, files in os.walk(cfg["out_dir"]):
         csvs += [os.path.join(root, f) for f in files if f.endswith(".csv")]
-    before = {f: open(f, "rb").read() for f in csvs}
+    before = {f: Path(f).read_bytes() for f in csvs}
     assert cli_main(["run", "--config", str(path)]) == 0
-    identical = all(open(f, "rb").read() == before[f] for f in csvs)
+    identical = all(Path(f).read_bytes() == before[f] for f in csvs)
     ok = identical and len(csvs) >= 6
     report(capsys, "C9", "determinism", ok, f"{len(csvs)} CSV files byte-identical: {identical}")
 

@@ -560,7 +560,7 @@ class TestRunVerb:
         made = []
 
         class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers, initializer, initargs, mp_context=None):
                 made.append(max_workers)
                 initializer(*initargs)
 

@@ -1,5 +1,6 @@
 """Synthetic scenario streams and feature-file ingestion."""
 
+import pickle
 import re
 
 import numpy as np
@@ -433,12 +434,13 @@ class TestStreamFromSamples:
         assert all(a is b for a, b in zip(data[0], stream.tasks_data[0]))
 
     def test_stream_arrays_are_read_only(self):
-        # every cell and seed of a compare or ablate shares them
+        # every cell and seed of a compare or ablate shares them, in a pool worker too
         stream = stream_from_samples(self._samples(), Rng(1))
-        for arrays in stream.tasks_data:
-            assert not any(a.flags.writeable for a in arrays)
-        with pytest.raises(ValueError, match="read-only"):
-            stream.tasks_data[0][0][0, 0] = 1.0
+        for each in (stream, pickle.loads(pickle.dumps(stream))):
+            for arrays in each.tasks_data:
+                assert not any(a.flags.writeable for a in arrays)
+            with pytest.raises(ValueError, match="read-only"):
+                each.tasks_data[0][0][0, 0] = 1.0
 
     def test_split_rows_come_from_the_table(self):
         # each task's train and test rows are its file rows, each once, with their labels

@@ -331,7 +331,8 @@ class TestEpochReplay:
     @pytest.mark.parametrize(
         "strategy, kind, pool",
         [("adaptive", "gaussian", None), ("adaptive", "gmm", 40),
-         ("fake_only_replay", "gaussian", None), ("lower_bound", "gaussian", None)],
+         ("fake_only_replay", "gaussian", None), ("lower_bound", "gaussian", None),
+         ("no_gen_real_sup", "gaussian", None), ("full_replay", "gmm", 40)],
     )
     def test_train_task_trace_matches_per_batch_assembly(self, monkeypatch, strategy, kind, pool):
         stream = tiny_stream(n_tasks=3, seed=14)
