@@ -72,11 +72,12 @@ def _section(raw, name):
 
 
 def _build(where, factory, *args, **kwargs):
-    """factory(*args, **kwargs); its ValueError, TypeError or OSError becomes a ConfigError naming where."""
+    """factory(*args, **kwargs); its ValueError, TypeError, OSError or MemoryError becomes a
+    ConfigError naming where (a scenario's dim can ask for more memory than there is)."""
     try:
         return factory(*args, **kwargs)
-    except (ValueError, TypeError, OSError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    except (ValueError, TypeError, OSError, MemoryError) as exc:
+        raise ConfigError(f"{where}: {str(exc) or type(exc).__name__}") from exc
 
 
 def _parse_strategy(raw, where="strategy"):

@@ -75,9 +75,12 @@ class GeneratorModel:
         """Draw vectors, shifted by signature.vector * signature.strength.
 
         n is a count, giving (n, dim) rows, or a shape, giving shape + (dim,);
-        sample((b, n), rng) equals sample(b * n, rng).reshape(b, n, dim).
+        sample((b, n), rng) equals sample(b * n, rng).reshape(b, n, dim). A
+        negative count raises ValueError.
         """
         shape = (n,) if np.ndim(n) == 0 else tuple(n)
+        if min(shape, default=0) < 0:
+            raise ValueError(f"sample counts must be >= 0, got {shape}")
         if 0 in shape:
             return np.empty(shape + (self.dim,))
         # the same uniforms and lookup as rng.gen.choice(k, size=n, p=weights),
@@ -224,11 +227,10 @@ def fit_generator(samples, kind, n_components, replay_signature, rng):
 def sample_replay(pair, n_real, n_fake, rng):
     """Draw replay rows from a fitted pair: (gen-real rows, gen-fake rows).
 
-    The arrays have shapes (n_real, dim) and (n_fake, dim); gen-real rows carry
-    the real label and gen-fake rows the fake label.
+    n_real and n_fake are counts or shapes, as GeneratorModel.sample takes them,
+    so the arrays are (n_real, dim) and (n_fake, dim) for counts; gen-real rows
+    carry the real label and gen-fake rows the fake label.
     """
-    if n_real < 0 or n_fake < 0:
-        raise ValueError("replay counts must be >= 0")
     reals = pair.g_real.sample(n_real, rng.fork("real"))
     fakes = pair.g_fake.sample(n_fake, rng.fork("fake"))
     return reals, fakes

@@ -176,10 +176,10 @@ def batch_layout(n_current, n_pairs, cfg, include_gen_real=True):
 
 
 class Batch(NamedTuple):
-    """One assembled training batch of n rows.
+    """One assembled training batch of n rows, or a stack of them.
 
     x is (n, input_dim) and labels (n,) with 1 for fake, in the row order of
-    layout (see BatchLayout).
+    layout (see BatchLayout); a stack adds a leading batch axis to both.
     """
 
     x: np.ndarray
@@ -187,41 +187,37 @@ class Batch(NamedTuple):
     layout: BatchLayout
 
 
-def draw_replay(pairs, layout, n_batches, rng, dim):
-    """The replay rows of n_batches batches, as one (n_batches, n_replay, dim) array.
+def assemble_batch(x, labels, pairs, cfg, rng, include_gen_real=True):
+    """Current rows plus replay draws split round-robin over stored pairs.
 
-    Block b holds batch b's rows after its current ones, in layout's order:
-    every pair's gen-fake rows, then every pair's gen-real rows. A pair with a
-    pool draws with replacement from it on fork pool{i}, every batch's real
-    rows then every batch's fake rows; any other pair samples its generators
-    once, on forks pair{i}/real and pair{i}/fake.
+    x is one batch's current rows (n, dim) with labels (n,), or a stack of
+    batches (n_batches, n, dim) with labels (n_batches, n). Each batch's rows
+    follow layout's order (see BatchLayout), with float labels, which
+    ce_loss_batch reads without a copy. Each pair draws once for the whole
+    stack: a pair with a pool draws indices with replacement on fork pool{i},
+    the real rows then the fake rows; any other pair draws through
+    sample_replay on fork pair{i}.
     """
-    fakes, reals = [np.empty((n_batches, 0, dim))], []
+    lead, n = x.shape[:-2], x.shape[-2]
+    layout = batch_layout(n, len(pairs), cfg, include_gen_real)
+    fakes, reals = [], []
     for i, pair in enumerate(pairs):
-        real_shape = (n_batches, layout.real_counts[i])
-        fake_shape = (n_batches, layout.fake_counts[i])
+        real_shape = lead + (layout.real_counts[i],)
+        fake_shape = lead + (layout.fake_counts[i],)
         if pair.pool is not None:
             real_arr, fake_arr = pair.pool
             pool_rng = rng.fork(f"pool{i}")
             reals.append(real_arr[pool_rng.integers(0, len(real_arr), size=real_shape)])
             fakes.append(fake_arr[pool_rng.integers(0, len(fake_arr), size=fake_shape)])
         else:
-            pair_rng = rng.fork(f"pair{i}")
-            reals.append(pair.g_real.sample(real_shape, pair_rng.fork("real")))
-            fakes.append(pair.g_fake.sample(fake_shape, pair_rng.fork("fake")))
-    return np.concatenate(fakes + reals, axis=1)
-
-
-def assemble_batch(x, labels, pairs, cfg, rng, include_gen_real=True):
-    """Current rows plus replay draws split round-robin over stored pairs.
-
-    x (n_current, input_dim) and labels (n_current,) are the current chunk.
-    The pairs' gen-fake rows then their gen-real rows follow it (see
-    BatchLayout), drawn from rng as draw_replay draws one batch.
-    """
-    layout = batch_layout(len(x), len(pairs), cfg, include_gen_real)
-    replay = draw_replay(pairs, layout, 1, rng, x.shape[1])[0]
-    return Batch(np.concatenate([x, replay]), np.concatenate([labels, layout.replay_labels]), layout)
+            real, fake = sample_replay(pair, real_shape, fake_shape, rng.fork(f"pair{i}"))
+            reals.append(real)
+            fakes.append(fake)
+    rows = np.concatenate([x] + fakes + reals, axis=-2)
+    row_labels = np.empty(rows.shape[:-1])
+    row_labels[..., :n] = labels
+    row_labels[..., n:] = layout.replay_labels
+    return Batch(rows, row_labels, layout)
 
 
 def batch_objective(model, batch, strategy, alpha, loss_cfg):
@@ -311,7 +307,6 @@ def train_task(
         )
     pairs = state.generator_pairs if strategy.row.uses_replay else []
     current_fakes = x_train[y_train == LABEL_FAKE]
-    layout = batch_layout(cfg.batch_current, len(pairs), cfg, strategy.row.keeps_gen_real)
 
     for epoch in range(cfg.epochs):
         epoch_rng = rng.fork(f"epoch{epoch}")
@@ -324,13 +319,12 @@ def train_task(
         order = np.arange(len(x_train))
         epoch_rng.fork("shuffle").shuffle(order)
         n_batches = len(order) // cfg.batch_current
-        # the whole epoch's batches before its first step, with float labels for ce_loss_batch
+        # the whole epoch's batches before its first step; step b trains on views of row b
         rows = order[: n_batches * cfg.batch_current].reshape(n_batches, cfg.batch_current)
-        replay = draw_replay(pairs, layout, n_batches, epoch_rng.fork("replay"), x_train.shape[1])
-        xs = np.concatenate([x_train[rows], replay], axis=1)
-        ys = np.empty(xs.shape[:2])
-        ys[:, : cfg.batch_current] = y_train[rows]
-        ys[:, cfg.batch_current :] = layout.replay_labels
+        xs, ys, layout = assemble_batch(
+            x_train[rows], y_train[rows], pairs, cfg, epoch_rng.fork("replay"),
+            strategy.row.keeps_gen_real,
+        )
         for b in range(n_batches):
             breakdown, grad = batch_objective(
                 state.model, Batch(xs[b], ys[b], layout), strategy,

@@ -22,11 +22,6 @@ from genreplay.numerics import Rng
 from genreplay.streams import make_scenario
 from genreplay.trainer import Strategy, TrainConfig
 
-# a file this module opens and never closes fails the test that leaked it
-pytestmark = pytest.mark.filterwarnings(
-    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
-)
-
 TINY_SCENARIO = {
     "kind": "domain_safe",
     "n_tasks": 2,
@@ -37,6 +32,37 @@ TINY_SCENARIO = {
 TINY_TRAIN = {"epochs": 1, "batch_current": 16, "arch": [8, 8]}
 # an integer literal beyond float range; json parses it exactly
 HUGE_INT = "1" + "0" * 400
+# the variables a --jobs pool runs with at "1", one BLAS thread per worker
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.fixture
+def in_process_pools(monkeypatch):
+    """Run the CLI's process pools in this process; returns the pools it made.
+
+    Each pool made appends (max_workers, the BLAS thread variables as the pool
+    found them, None where unset).
+    """
+    made = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs, mp_context=None):
+            made.append((max_workers, {var: os.environ.get(var) for var in BLAS_THREAD_VARS}))
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(genreplay.cli, "ProcessPoolExecutor", InProcessPool)
+    # the in-process initializer sets the worker's config here; restore it afterwards
+    monkeypatch.setattr(genreplay.cli, "_WORKER_CFG", None)
+    return made
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -108,6 +134,29 @@ class TestConfigValidation:
         path = write_config(tmp_path, **{section: dict(base, **{key: value})})
         assert main([verb, "--config", path]) == 2
         assert f"config error: unknown key {section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "source, factory", [("scenario", "make_scenario"), ("dataset", "load_feature_dataset")]
+    )
+    @pytest.mark.parametrize(
+        "message", ["Unable to allocate 7.28 TiB for an array", ""], ids=["numpy", "bare"]
+    )
+    def test_memory_error_at_build_exits_2(
+        self, tmp_path, capsys, monkeypatch, verb, source, factory, message
+    ):
+        # a scenario's np.eye(dim) can ask for more memory than there is; raise in its place
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(genreplay.cli, factory, out_of_memory)
+        if source == "scenario":
+            path = write_config(tmp_path, scenario=dict(TINY_SCENARIO, dim=1_000_000))
+        else:
+            path = write_dataset_config(tmp_path)
+        assert main([verb, "--config", path]) == 2
+        assert capsys.readouterr().err == f"config error: {source}: {message or 'MemoryError'}\n"
         assert not (tmp_path / "out").exists()
 
     def test_scenario_and_dataset_exclusive(self, tmp_path):
@@ -555,30 +604,29 @@ class TestRunVerb:
         ("compare", "1", "2", [2]),
     ], ids=["run_jobs_64_seeds_2", "run_jobs_3_seed_1", "run_jobs_2_seeds_3", "compare_jobs_64_seeds_2",
             "compare_jobs_2_seed_1"])
-    def test_at_most_one_worker_per_seed(self, tmp_path, monkeypatch, verb, seeds, jobs, pools):
+    def test_at_most_one_worker_per_seed(self, tmp_path, in_process_pools, verb, seeds, jobs, pools):
         # one pool for all of a verb's (cell, seed) runs, with at most one worker per run
-        made = []
-
-        class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs, mp_context=None):
-                made.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(genreplay.cli, "ProcessPoolExecutor", InProcessPool)
-        # the in-process initializer sets the worker's config here; restore it afterwards
-        monkeypatch.setattr(genreplay.cli, "_WORKER_CFG", None)
         path = write_config(tmp_path, strategies=["adaptive", "lower_bound"])
         assert main([verb, "--config", path, "--seeds", seeds, "--jobs", jobs]) == 0
-        assert made == pools
+        assert [workers for workers, _ in in_process_pools] == pools
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["ok", "run_raises"])
+    def test_pool_gets_one_blas_thread_and_the_environment_is_restored(
+        self, tmp_path, monkeypatch, in_process_pools, fails
+    ):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        if fails:
+            def broken_run(*args):
+                raise RuntimeError("worker failed")
+
+            monkeypatch.setattr(genreplay.cli, "_run_one_seed", broken_run)
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path, "--seeds", "1,2", "--jobs", "2"]) == int(fails)
+        assert in_process_pools == [(2, dict.fromkeys(BLAS_THREAD_VARS, "1"))]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+        assert "OMP_NUM_THREADS" not in os.environ and "MKL_NUM_THREADS" not in os.environ
 
     def test_width_1_feature_layer_projects_onto_x(self, tmp_path):
         path = write_config(tmp_path, train=dict(TINY_TRAIN, arch=[8, 1]))

@@ -284,5 +284,11 @@ class TestPair:
         assert np.array_equal(fakes, pair.g_fake.sample(4, Rng(2).fork("fake")))
 
     def test_negative_counts_raise(self):
+        pair = self._pair()
         with pytest.raises(ValueError, match="counts"):
-            sample_replay(self._pair(), -1, 0, Rng(0))
+            sample_replay(pair, -1, 0, Rng(0))
+        with pytest.raises(ValueError, match="counts"):
+            sample_replay(pair, (2, 3), (2, -1), Rng(0))
+        for n in (-1, (3, -2), (-1, 0)):
+            with pytest.raises(ValueError, match="counts"):
+                pair.g_real.sample(n, Rng(0))

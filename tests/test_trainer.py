@@ -23,7 +23,6 @@ from genreplay.trainer import (
     batch_layout,
     batch_objective,
     check_stream,
-    draw_replay,
     fit_task_generators,
     run_incremental,
     split_round_robin,
@@ -219,7 +218,7 @@ def epoch_replay(pairs, real_counts, fake_counts, n_batches, rng, dim=DIM):
 
 
 class TestEpochReplay:
-    """draw_replay draws an epoch's replay with one draw per pair and role."""
+    """assemble_batch draws a stack's replay with one draw per pair and role."""
 
     N_BATCHES = 5
 
@@ -255,21 +254,26 @@ class TestEpochReplay:
             assert layout.real_counts == [1, 1, 0]
         counts = layout.real_counts, layout.fake_counts
         rng = Rng(21).fork("replay")
-        replay = draw_replay(pairs, layout, self.N_BATCHES, rng, DIM)
+        xs, ys = zip(*(current_chunk(4, seed=b) for b in range(self.N_BATCHES)))
+        stack = assemble_batch(np.stack(xs), np.stack(ys), pairs, cfg, rng, include_gen_real)
         n_replay = sum(layout.real_counts) + sum(layout.fake_counts)
-        assert replay.shape == (self.N_BATCHES, n_replay, DIM)
+        assert stack.x.shape == (self.N_BATCHES, 4 + n_replay, DIM)
+        assert stack.labels.shape == (self.N_BATCHES, 4 + n_replay)
+        assert stack.labels.dtype == float
+        assert stack.layout[:4] == layout[:4]
         # the parent's rows for the same forks, permuted into role order
         perm = role_order(layout)[4:] - 4
         assert sorted(perm) == list(range(n_replay))
         want = epoch_replay(pairs, *counts, self.N_BATCHES, rng)
-        assert np.array_equal(replay, want[:, perm])
-        # assemble_batch is the one-batch case
-        x, labels = current_chunk(4)
-        batch = assemble_batch(x, labels, pairs, cfg, rng, include_gen_real)
+        for b in range(self.N_BATCHES):
+            assert np.array_equal(stack.x[b], np.concatenate([xs[b], want[b, perm]]))
+            assert np.array_equal(stack.labels[b], np.concatenate([ys[b], layout.replay_labels]))
+        # one batch is the stack of one, on the same forks
+        batch = assemble_batch(xs[0], ys[0], pairs, cfg, rng, include_gen_real)
         want = epoch_replay(pairs, *counts, 1, rng)[0]
-        assert np.array_equal(batch.x, np.concatenate([x, want[perm]]))
+        assert np.array_equal(batch.x, np.concatenate([xs[0], want[perm]]))
         assert batch.layout[:4] == layout[:4]
-        assert np.array_equal(batch.labels, np.concatenate([labels, layout.replay_labels]))
+        assert np.array_equal(batch.labels, np.concatenate([ys[0], layout.replay_labels]))
 
     def test_layout_indices_match_roles(self):
         layout = batch_layout(4, 3, TrainConfig(batch_gen_real=2, batch_gen_fake=5))
@@ -346,6 +350,31 @@ class TestEpochReplay:
         assert len(state.loss_trace) == 3 * 2 * 6  # tasks, epochs, batches
         assert state.loss_trace == want_state.loss_trace
         assert table_to_dict(table) == table_to_dict(want_table)
+
+
+    @pytest.mark.parametrize(
+        "strategy, kind, pool",
+        [("adaptive", "gaussian", None), ("lower_bound", "gaussian", None), ("adaptive", "gmm", 40)],
+    )
+    def test_each_epoch_is_one_assemble_batch_call(self, monkeypatch, strategy, kind, pool):
+        calls = []
+        inner = genreplay.trainer.assemble_batch
+
+        def recording(x, labels, pairs, *args):
+            calls.append((x.shape, labels.shape, len(pairs)))
+            return inner(x, labels, pairs, *args)
+
+        monkeypatch.setattr(genreplay.trainer, "assemble_batch", recording)
+        stream = tiny_stream(n_tasks=3, seed=14)
+        cfg = tiny_cfg(
+            seed=14, batch_gen_real=5, batch_gen_fake=4, generator_kind=kind,
+            gmm_components=3, replay_pool_size=pool,
+        )
+        run_incremental(stream, Strategy(strategy), cfg)
+        # 3 tasks of 2 epochs, each epoch 6 batches of 16 current rows
+        n_pairs = [0, 1, 2] if strategy != "lower_bound" else [0, 0, 0]
+        want = [((6, 16, stream.dim), (6, 16), n) for n in n_pairs for _ in range(2)]
+        assert calls == want
 
 
 class TestBatchObjective:
