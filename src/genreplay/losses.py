@@ -56,7 +56,8 @@ def ce_loss_batch(y_p, labels, split=None):
         raise ValueError(f"split must lie in (0, {n}), got {split}")
     if n == 0:
         return 0.0, y_p.copy()
-    if (y_p <= 0.0).any() or (y_p >= 1.0).any():
+    # fmin and fmax skip NaN entries, which no bound comparison flags either
+    if np.fmin.reduce(y_p) <= 0.0 or np.fmax.reduce(y_p) >= 1.0:
         raise ValueError("y_p entries must lie strictly inside (0,1)")
     not_yp = 1.0 - y_p
     not_y = 1.0 - y

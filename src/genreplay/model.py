@@ -53,6 +53,8 @@ class MLP:
             i = j + fan_out
         self._head_w_slot = slice(i, i + widths[-1])
         self.params = np.zeros(i + widths[-1] + 1)
+        # the last gradient buffer backward was given as out, with its views
+        self._out_views = (None, None)
         self.weights, self.biases, self.head_w = self._views(self.params)
         for fan_in, w in zip(widths[:-1], self.weights):
             half = scale / np.sqrt(fan_in)
@@ -162,11 +164,15 @@ class MLP:
         """forward(x).y_p bit for bit: the head applied once to all of features(x)."""
         return self._head(self.features(x))
 
-    def backward(self, record, d_yp=None, d_features=None):
+    def backward(self, record, d_yp=None, d_features=None, out=None):
         """Flat gradient of a scalar loss given upstream grads on y_p/features.
 
         Upstream grads must already carry the loss's own batch averaging; this
-        only applies the chain rule through head and hidden layers.
+        only applies the chain rule through head and hidden layers. The
+        gradient goes into a fresh array, or into out when given: a
+        contiguous float64 array of shape (n_params,), which is returned. The
+        layer views of out are kept from one call to the next, so a caller
+        that passes the same buffer every step builds them once.
         """
         n = record.x.shape[0]
         if d_yp is None:
@@ -174,8 +180,12 @@ class MLP:
         d_yp = np.asarray(d_yp, dtype=float)
         if d_yp.shape != (n,):
             raise ValueError("d_yp length must match the batch size")
-        grad = np.empty(self.n_params)
-        g_ws, g_bs, g_head_w = self._views(grad)
+        if out is None:
+            grad = np.empty(self.n_params)
+            g_ws, g_bs, g_head_w = self._views(grad)
+        else:
+            grad = out
+            g_ws, g_bs, g_head_w = self._buffer_views(out)
         # du = d_yp * y_p * (1 - y_p), in that order
         du = d_yp * record.y_p
         du *= 1.0 - record.y_p
@@ -199,3 +209,18 @@ class MLP:
                 # no caller reads the gradient with respect to the input
                 da = dz @ self.weights[li].T
         return grad
+
+    def _buffer_views(self, out):
+        """_views(out), built only when out is not the buffer of the previous call."""
+        buf, views = self._out_views
+        if out is not buf:
+            if not (
+                isinstance(out, np.ndarray)
+                and out.dtype == np.float64
+                and out.shape == (self.n_params,)
+                and out.flags.c_contiguous
+            ):
+                raise ValueError(f"out must be a contiguous float64 array of shape ({self.n_params},)")
+            views = self._views(out)
+            self._out_views = (out, views)
+        return views

@@ -79,12 +79,13 @@ def check_real(name, value):
 
 
 class AdamState:
-    """Moment buffers for one flat parameter vector."""
+    """Moment buffers for one flat parameter vector, and adam_step's two scratch arrays."""
 
     def __init__(self, n_params):
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
         self.step_count = 0
+        self.scratch = (np.empty(n_params), np.empty(n_params))
 
 
 def adam_step(params, grads, state, lr=2e-4, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -92,7 +93,8 @@ def adam_step(params, grads, state, lr=2e-4, beta1=0.9, beta2=0.999, eps=1e-8):
 
     Returns params (a float array is updated in place, anything else is
     converted first). The arithmetic runs in the order of the out-of-place
-    formula in the comments, so both round alike.
+    formula in the comments, so both round alike; its temporaries live in
+    state.scratch. A NaN or infinite gradient raises before anything changes.
     """
     params = np.asarray(params, dtype=float)
     grads = np.asarray(grads, dtype=float)
@@ -104,24 +106,27 @@ def adam_step(params, grads, state, lr=2e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         raise ValueError("beta1 and beta2 must lie in [0, 1)")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not np.isfinite(grads).all():
+    # a finite sum of squares means every entry is finite; one that overflows is checked exactly
+    if not math.isfinite(np.vdot(grads, grads)) and not np.isfinite(grads).all():
         bad = np.flatnonzero(~np.isfinite(grads))
         raise FloatingPointError(f"non-finite gradient at index {bad[0]}")
 
     state.step_count += 1
     t = state.step_count
     m, v = state.m, state.v
+    a, b = state.scratch
     # m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g
+    np.multiply(1.0 - beta1, grads, out=a)
     m *= beta1
-    m += (1.0 - beta1) * grads
-    g2 = (1.0 - beta2) * grads
-    g2 *= grads
+    m += a
+    np.multiply(1.0 - beta2, grads, out=b)
+    b *= grads
     v *= beta2
-    v += g2
+    v += b
     # params -= lr * m_hat / (sqrt(v_hat) + eps)
-    step = m / (1.0 - beta1**t)
+    step = np.divide(m, 1.0 - beta1**t, out=a)
     step *= lr
-    denom = np.divide(v, 1.0 - beta2**t, out=g2)
+    denom = np.divide(v, 1.0 - beta2**t, out=b)
     np.sqrt(denom, out=denom)
     denom += eps
     step /= denom

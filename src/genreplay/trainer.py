@@ -220,14 +220,15 @@ def assemble_batch(x, labels, pairs, cfg, rng, include_gen_real=True):
     return Batch(rows, row_labels, layout)
 
 
-def batch_objective(model, batch, strategy, alpha, loss_cfg):
+def batch_objective(model, batch, strategy, alpha, loss_cfg, out=None):
     """Loss breakdown and flat parameter gradient for one assembled Batch.
 
     batch.x is (n, input_dim) and batch.labels (n,), in the row order of
     batch.layout. Current and gen-fake rows feed the label-supervised l_cf;
     gen-real rows feed the gen-real CE (when the strategy supervises them)
     and, with the gen-fake rows, the RS term, weighted by alpha as the
-    strategy's row says. The gradient is a flat (model.n_params,) vector.
+    strategy's row says. The gradient is a flat (model.n_params,) vector: a
+    fresh array, or out when given (see MLP.backward).
     """
     rec = model.forward(batch.x)
     labels = batch.labels
@@ -259,7 +260,7 @@ def batch_objective(model, batch, strategy, alpha, loss_cfg):
         np.multiply(w_rs, d_gf, out=d_feat[n_current:n_cf])
         np.multiply(w_rs, d_gr, out=d_feat[n_cf:])
 
-    grad = model.backward(rec, d_yp, d_feat)
+    grad = model.backward(rec, d_yp, d_feat, out=out)
     return combine_losses(l_ce_gr, l_rs, l_cf, alpha), grad
 
 
@@ -307,6 +308,8 @@ def train_task(
         )
     pairs = state.generator_pairs if strategy.row.uses_replay else []
     current_fakes = x_train[y_train == LABEL_FAKE]
+    # every step's gradient goes here; adam_step reads it before the next step writes it
+    grad_buf = np.empty(state.model.n_params)
 
     for epoch in range(cfg.epochs):
         epoch_rng = rng.fork(f"epoch{epoch}")
@@ -328,7 +331,7 @@ def train_task(
         for b in range(n_batches):
             breakdown, grad = batch_objective(
                 state.model, Batch(xs[b], ys[b], layout), strategy,
-                1.0 if alpha is None else alpha, loss_cfg,
+                1.0 if alpha is None else alpha, loss_cfg, out=grad_buf,
             )
             state.loss_trace.append(breakdown.l_overall)
             adam_step(state.model.params, grad, state.adam)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import subprocess
 from pathlib import Path
 
@@ -78,12 +79,34 @@ def test_summary_counts_wins_by_direction_and_ties():
     assert run_s["unit"] == "s"
     assert run_s["parent_q1_median_q3"] == [0.7425, 0.795, 0.8025]
     assert run_s["change_q1_median_q3"] == [0.6375, 0.645, 0.69]
+    # change/parent per pair: 0.7875, 0.81013, 1.08333, 1.0
+    assert run_s["change_over_parent_median"] == round((0.64 / 0.79 + 1.0) / 2, 5)
     steps = summary["steps_per_s"]
     assert (steps["change_wins"], steps["ties"]) == (2, 1)
     auc = summary["final_avg_auc"]
     assert (auc["change_wins"], auc["ties"]) == (0, 4)
     assert summary["fingerprints_equal_in_every_pair"] is True
     assert summary["failed"] == 0
+
+
+def test_paired_ratio_cancels_a_drift_the_quartiles_show():
+    # the host slows down pair by pair; the change is 10% faster in every pair
+    pairs = [pair((t, 1.0 / t), (0.9 * t, 1.0 / (0.9 * t))) for t in (0.5, 0.6, 0.7, 0.8, 0.9)]
+    summary = bench_pairs.summarize(pairs, DIRECTIONS)
+    run_s = summary["run_s.p50"]
+    assert run_s["change_over_parent_median"] == 0.9
+    assert summary["steps_per_s"]["change_over_parent_median"] == round(1 / 0.9, 5)
+    # unpaired, the change's median sits inside the parent's interquartile range
+    q1, _, q3 = run_s["parent_q1_median_q3"]
+    assert q1 < run_s["change_q1_median_q3"][1] < q3
+
+
+def test_paired_ratio_skips_a_zero_parent():
+    pairs = [pair((0.5, 0.0), (0.4, 2.0)), pair((0.5, 1.0), (0.4, 3.0))]
+    summary = bench_pairs.summarize(pairs, DIRECTIONS)
+    assert summary["steps_per_s"]["change_over_parent_median"] == 3.0
+    only_zero = bench_pairs.summarize([pair((0.5, 0.0), (0.4, 2.0))], DIRECTIONS)
+    assert only_zero["steps_per_s"]["change_over_parent_median"] is None
 
 
 def test_summary_skips_missing_values_and_counts_failures():
@@ -188,7 +211,7 @@ def test_summary_of_no_pairs_raises():
 
 @pytest.mark.parametrize("stdout", ["", "fingerprint abc\nnot json\n"])
 def test_unparsable_pass_names_checkout_workload_and_seed(monkeypatch, stdout):
-    def fake_run(cmd, cwd, capture_output, text):
+    def fake_run(cmd, cwd, capture_output, text, timeout):
         return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
@@ -223,3 +246,28 @@ def test_file_keeps_what_was_measured_when_a_later_pass_fails(monkeypatch, tmp_p
     assert written["parent_commit"] == "c0ffee"
     if traced:
         assert list(written["traced_seed_3"]["sweep_adaptive"]) == ["parent", "change"]
+
+
+@pytest.mark.parametrize("trace, seconds", [(0, 30), (1, 2.5)], ids=["timed", "traced"])
+def test_pass_timeout_follows_seconds(monkeypatch, trace, seconds):
+    seen = {}
+
+    def fake_run(cmd, cwd, capture_output, text, timeout):
+        seen["timeout"] = timeout
+        return subprocess.CompletedProcess(cmd, 0, stdout=canned_output(0.5, 2000.0), stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    bench_pairs.run_pass("/ck/change", "no_replay", 21, seconds, trace=trace)
+    assert seen["timeout"] == bench_pairs.pass_timeout(seconds) > 10 * seconds
+
+
+def test_hung_pass_is_stopped_and_names_its_command(monkeypatch, tmp_path):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text("import time\ntime.sleep(60)\n")
+    monkeypatch.setattr(bench_pairs, "pass_timeout", lambda seconds: 0.5)
+    message = (
+        r"^\S+ bench/run\.py --workload no_replay --seed 21 --trace 0 --seconds 30 in "
+        + re.escape(str(tmp_path)) + r" did not finish within 0\.5 s$"
+    )
+    with pytest.raises(RuntimeError, match=message):
+        bench_pairs.run_pass(tmp_path, "no_replay", 21, 30, trace=0)

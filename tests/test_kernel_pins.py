@@ -1,12 +1,13 @@
 """Exact pins of the training step's in-place kernel against its out-of-place formulas.
 
 MLP.forward, MLP.backward, ce_loss_batch and centroid compute their results in
-place, with fewer temporaries. Each test here writes the plain expression out
-and requires the same bits (np.array_equal or ==, no tolerance), so a change
-that reassociates or reorders the arithmetic fails here even when it stays
-within every gradient-check tolerance. The same holds for the passes that
-share that arithmetic: MLP.features and MLP.scores against forward, and
-ce_loss_batch's split against two separate calls.
+place, with fewer temporaries; MLP.backward can also write into a caller's
+buffer. Each test here writes the plain expression out and requires the same
+bits (np.array_equal or ==, no tolerance), so a change that reassociates or
+reorders the arithmetic fails here even when it stays within every
+gradient-check tolerance. The same holds for the passes that share that
+arithmetic: MLP.features and MLP.scores against forward, and ce_loss_batch's
+split against two separate calls.
 """
 
 import numpy as np
@@ -140,6 +141,54 @@ def test_backward_matches_out_of_place_expressions(case, data):
     assert same(model.backward(rec, None, d_feat), want_feat_only)
 
 
+@PIN
+@given(case=model_and_batch(), data=st.data())
+def test_backward_into_one_reused_buffer_matches_out_of_place_expressions(case, data):
+    model, x = case
+    x = np.nan_to_num(np.atleast_2d(x))
+    rec = model.forward(x)
+    n, d = rec.features.shape
+    d_yp = data.draw(arrays(float, n, elements=st.floats(-5.0, 5.0)))
+    d_feat = data.draw(arrays(float, (n, d), elements=st.floats(-5.0, 5.0)))
+    # NaN fill: an entry backward failed to write would show
+    buf = np.full(model.n_params, np.nan)
+    for upstream in (None, np.zeros((n, d)), d_feat, None):
+        got = model.backward(rec, d_yp, upstream, out=buf)
+        assert got is buf
+        assert same(buf, reference_backward(model, rec, d_yp, upstream))
+
+
+def test_backward_without_out_returns_a_fresh_array_each_call():
+    # C1 holds one gradient while its probes compute others
+    rng = Rng(4)
+    model = MLP([6, 8, 8], rng.fork("init"))
+    rec = model.forward(rng.fork("x").normal(size=(10, 6)))
+    d_yp = rng.fork("d").normal(size=10)
+    first = model.backward(rec, d_yp)
+    kept = first.copy()
+    model.backward(rec, d_yp, out=np.empty(model.n_params))
+    second = model.backward(rec, 2.0 * d_yp)
+    assert second is not first
+    assert not np.shares_memory(first, second)
+    assert same(first, kept)
+    assert not same(second, kept)
+
+
+@pytest.mark.parametrize(
+    "make_out",
+    [lambda n: np.empty(n - 1), lambda n: np.empty(n + 1), lambda n: np.empty((1, n)),
+     lambda n: np.empty(n, dtype=np.float32), lambda n: np.empty(n, dtype=int),
+     lambda n: np.empty(2 * n)[::2], lambda n: [0.0] * n],
+    ids=["short", "long", "2d", "float32", "int", "strided", "list"],
+)
+def test_backward_rejects_an_out_of_the_wrong_size_or_dtype(make_out):
+    model = MLP([3, 4], Rng(0))
+    rec = model.forward(np.ones((2, 3)))
+    message = rf"out must be a contiguous float64 array of shape \({model.n_params},\)"
+    with pytest.raises(ValueError, match=message):
+        model.backward(rec, np.ones(2), out=make_out(model.n_params))
+
+
 def test_backward_with_ce_upstream_on_a_training_sized_batch():
     rng = Rng(3)
     model = MLP([16, 64, 64], rng.fork("init"))
@@ -148,9 +197,11 @@ def test_backward_with_ce_upstream_on_a_training_sized_batch():
     rec = model.forward(x)
     _, d_yp = ce_loss_batch(rec.y_p, labels)
     d_feat = rng.fork("f").normal(size=rec.features.shape)
+    buf = np.empty(model.n_params)
     for upstream in (None, np.zeros_like(d_feat), d_feat):
         want = reference_backward(model, rec, d_yp, upstream)
         assert same(model.backward(rec, d_yp, upstream), want)
+        assert same(model.backward(rec, d_yp, upstream, out=buf), want)
 
 
 probs = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)

@@ -51,6 +51,17 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             ce_loss_batch([0.5, 1.0], [1, 0])
 
+    @pytest.mark.parametrize("y_p", [[np.nan, 0.0], [1.0, np.nan]])
+    def test_nan_does_not_hide_a_boundary_value(self, y_p):
+        with pytest.raises(ValueError, match="strictly inside"):
+            ce_loss_batch(y_p, [1, 0])
+
+    @pytest.mark.parametrize("y_p", [[np.nan, 0.5], [np.nan, np.nan]])
+    def test_nan_alone_passes_the_bounds_check(self, y_p):
+        value, grad = ce_loss_batch(y_p, [1, 0])
+        assert np.isnan(value)
+        assert np.isnan(grad[0])
+
     def test_batch_mean_and_gradient(self):
         y_p = np.array([0.5, 0.8])
         labels = np.array([1, 0])

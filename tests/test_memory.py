@@ -1,11 +1,17 @@
-"""Peak traced memory of the model's no-record passes: the alpha probe and evaluation.
+"""Peak traced memory of the model's no-record passes and of a training epoch.
 
-Both read features only, through MLP.features, which runs the hidden layers in
-row blocks of at most BLOCK_ROWS rows. Their peak must stay below the arrays
-they need, plus two blocks of hidden activations, plus SMALL_OBJECTS for the
-Rng forks and per-feature vectors. A pass that keeps a full forward record
-(every layer's pre-activations and activations) holds about four times the
-feature array and exceeds it.
+The alpha probe and evaluation read features only, through MLP.features,
+which runs the hidden layers in row blocks of at most BLOCK_ROWS rows. Their
+peak must stay below the arrays they need, plus two blocks of hidden
+activations, plus SMALL_OBJECTS for the Rng forks and per-feature vectors. A
+pass that keeps a full forward record (every layer's pre-activations and
+activations) holds about four times the feature array and exceeds it.
+
+A training epoch holds its batches, one step's forward record and backward
+temporaries, and one parameter-sized array: the gradient buffer it passes to
+every step. Adam's temporaries live on AdamState, made before the epoch. A
+step that allocates its own gradient or Adam temporaries holds two or three
+parameter-sized arrays and exceeds the bound.
 """
 
 import tracemalloc
@@ -14,8 +20,8 @@ import numpy as np
 
 from genreplay.confusion import DcsConfig, compute_alpha
 from genreplay.model import BLOCK_ROWS, MLP
-from genreplay.numerics import Rng
-from genreplay.trainer import evaluate
+from genreplay.numerics import AdamState, Rng
+from genreplay.trainer import RunState, Strategy, TrainConfig, evaluate, train_task
 
 WIDTHS = [10, 64, 64]
 FLOAT = 8
@@ -56,3 +62,21 @@ def test_evaluate_peak_is_its_features_and_scores_plus_two_blocks():
     peak = traced_peak(lambda: evaluate(model, x, labels))
     returned = 600 * WIDTHS[-1] * FLOAT + 600 * FLOAT
     assert peak < returned + TWO_BLOCKS + SMALL_OBJECTS
+
+
+def test_training_epoch_peak_is_one_gradient_plus_one_step():
+    dim, hidden, batch, n = 16, 128, 32, 192
+    cfg = TrainConfig(epochs=1, batch_current=batch, arch=(hidden, hidden))
+    rng = Rng(0)
+    model = MLP([dim, hidden, hidden], rng.fork("init"))
+    state = RunState(model=model, adam=AdamState(model.n_params))
+    x = rng.fork("x").normal(size=(n, dim))
+    labels = np.repeat([0, 1], n // 2)
+    peak = traced_peak(lambda: train_task(state, 0, x, labels, Strategy("lower_bound"), cfg, rng))
+    epoch_arrays = n * dim * FLOAT + n * FLOAT
+    gradient = model.n_params * FLOAT
+    # two pre-activations and two activations of (batch, hidden)
+    forward_record = 4 * batch * hidden * FLOAT
+    # two upstream gradients of (batch, hidden) and a ReLU mask
+    backward_temporaries = 2 * batch * hidden * FLOAT + batch * hidden
+    assert peak < epoch_arrays + gradient + forward_record + backward_temporaries + SMALL_OBJECTS

@@ -184,6 +184,41 @@ class TestAdam:
         with pytest.raises(FloatingPointError, match="index 1"):
             adam_step(np.zeros(3), g, AdamState(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_changes_nothing(self, bad):
+        rng = Rng(5)
+        params, state = rng.fork("p").normal(size=40), AdamState(40)
+        for t in range(3):
+            adam_step(params, rng.fork(f"g{t}").normal(size=40), state)
+        before = params.copy(), state.m.copy(), state.v.copy()
+        grads = rng.fork("bad").normal(size=40)
+        grads[[7, 30]] = bad
+        with pytest.raises(FloatingPointError, match="non-finite gradient at index 7$"):
+            adam_step(params, grads, state)
+        assert state.step_count == 3
+        for got, want in zip((params, state.m, state.v), before):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("big", [1e155, 1e200])
+    def test_finite_gradient_whose_squares_overflow_takes_a_normal_step(self, big):
+        # g @ g overflows for both; (1 - beta2) * g * g stays finite at 1e155 but not at 1e200,
+        # where v is inf and those entries stay put
+        rng = Rng(6)
+        params = rng.fork("p").normal(size=33)
+        ref, m, v = params.copy(), np.zeros(33), np.zeros(33)
+        state = AdamState(33)
+        with np.errstate(over="ignore"):
+            for t in range(1, 4):
+                grads = rng.fork(f"g{t}").normal(size=33)
+                grads[[2, 20]] = big, -big
+                assert not np.isfinite(grads @ grads)
+                adam_step(params, grads, state)
+                ref, m, v = self._out_of_place(ref, grads, m, v, t, 2e-4, 0.9, 0.999, 1e-8)
+                assert np.array_equal(params, ref)
+                assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        assert state.step_count == 3
+        assert np.isfinite(params).all()
+
 
 class TestFiniteDiff:
     def test_quadratic_gradient(self):

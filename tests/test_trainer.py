@@ -513,6 +513,13 @@ class TestObjectiveMatchesParentLayout:
             assert got == want
             assert np.array_equal(grad, want_grad)
 
+            # into a caller's buffer, as train_task runs it: same bits
+            buf = np.full(model.n_params, np.nan)
+            got_out, grad_out = batch_objective(model, batch, strategy, alpha, loss_cfg, out=buf)
+            assert got_out == got
+            assert grad_out is buf
+            assert np.array_equal(buf, grad)
+
             # the parent's interleaved rows: same losses, gradient summed in another row order
             perm = role_order(batch.layout)
             x, labels = np.empty_like(batch.x), np.empty_like(batch.labels)
@@ -539,7 +546,7 @@ class TestObjectiveMatchesParentLayout:
         assert len(calls) == 16
         assert 12 not in calls
 
-        def objective_with_gen_real_ce(model, batch, strategy, alpha, loss_cfg):
+        def objective_with_gen_real_ce(model, batch, strategy, alpha, loss_cfg, out=None):
             idx = slice_indices(batch.layout, len(batch.labels))
             return parent_objective(model, batch.x, batch.labels, idx, strategy, alpha, loss_cfg)
 

@@ -9,9 +9,11 @@ pass (`--trace 0`), one after the other; which side goes first flips from pair
 to pair, so a drift in machine speed falls on both sides alike. With
 --traced-seed, each side then runs one traced pass (`--trace 1`) per workload.
 The output has the shape of the BENCH_*.json files at the repository root:
-per-pair results, and per metric the parent's and the change's quartiles and
-the change's wins. Standard library only; each pass runs in its own
-interpreter from the root of its checkout.
+per-pair results, and per metric the parent's and the change's quartiles, the
+median over pairs of change/parent (a paired statistic, so a drift in machine
+speed cancels) and the change's wins. Standard library only; each pass runs in
+its own interpreter from the root of its checkout, and one that outlives
+pass_timeout(--seconds) is stopped and fails naming its command.
 """
 
 import argparse
@@ -68,18 +70,21 @@ def quartiles(values, digits=5):
 
 
 def summarize(pairs, directions):
-    """Per metric: both sides' quartiles and the change's wins and ties over pairs.
+    """Per metric: both sides' quartiles, the paired ratio, and the change's wins and ties.
 
     pairs is a non-empty list of {"parent": parsed, "change": parsed} (see
     parse_output); directions maps a metric name to "higher" or "lower", the
     better side. A pair where either side has no value for a metric does not
-    count for it.
+    count for it. change_over_parent_median is the median over pairs of
+    change/parent, rounded; pairs whose parent value is 0 have no ratio, and
+    with none left it is None.
     """
     if not pairs:
         raise ValueError("no pairs to summarize")
     summary = {}
     for name, better in directions.items():
         values = {side: [] for side in SIDES}
+        ratios = []
         unit = None
         wins = ties = 0
         for pair in pairs:
@@ -90,6 +95,8 @@ def summarize(pairs, directions):
             unit = metric["parent"]["unit"]
             values["parent"].append(parent)
             values["change"].append(change)
+            if parent:
+                ratios.append(change / parent)
             if change == parent:
                 ties += 1
             elif (change < parent) == (better == "lower"):
@@ -100,6 +107,7 @@ def summarize(pairs, directions):
             "unit": unit,
             "parent_q1_median_q3": quartiles(values["parent"]),
             "change_q1_median_q3": quartiles(values["change"]),
+            "change_over_parent_median": round(statistics.median(ratios), 5) if ratios else None,
             "change_wins": wins,
             "ties": ties,
             "pairs": len(values["parent"]),
@@ -111,14 +119,30 @@ def summarize(pairs, directions):
     return summary
 
 
+def pass_timeout(seconds):
+    """How long one pass may run: ten times --seconds, plus five minutes for set-up and its seeds."""
+    return 10 * seconds + 300
+
+
 def run_pass(checkout, workload, seed, seconds, trace):
+    """One bench/run.py pass in checkout, parsed; a timed pass (trace 0) runs for seconds.
+
+    A pass that exits non-zero, prints what parse_output cannot read, or runs
+    past pass_timeout(seconds) raises RuntimeError naming it.
+    """
     cmd = [
         sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
         "--trace", str(trace),
     ]
     if not trace:
         cmd += ["--seconds", str(seconds)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    timeout = pass_timeout(seconds)
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        raise RuntimeError(
+            f"{' '.join(cmd)} in {checkout} did not finish within {timeout:g} s"
+        ) from None
     if proc.returncode:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     try:
@@ -226,7 +250,7 @@ def main(argv=None):
             traced[workload] = {}
             for side in SIDES:
                 traced[workload][side] = _strip(
-                    run_pass(checkouts[side], workload, args.traced_seed, None, trace=1)
+                    run_pass(checkouts[side], workload, args.traced_seed, args.seconds, trace=1)
                 )
                 save()
     log(f"wrote {args.out}")
