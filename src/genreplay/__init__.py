@@ -6,7 +6,7 @@ weighting direct supervision of generated-real replays against a relative
 separation objective according to how confusable they are with current fakes.
 """
 
-from .confusion import DcsConfig, DcsRecord, compute_alpha, confusion_distance, confusion_score, normalize_score
+from .confusion import DcsConfig, DcsRecord, compute_alpha, confusion_score
 from .losses import BatchLossBreakdown, LossConfig, centroid, combine_losses, rs_loss
 from .metrics import MetricsTable, accuracy, auc, build_table, performance_drop
 from .model import MLP
@@ -24,9 +24,8 @@ __all__ = [
     "LossConfig", "MLP", "MetricsTable", "Rng", "RunState", "Sample",
     "Signature", "Strategy", "TaskStream", "TrainConfig", "accuracy",
     "adam_step", "assemble_batch", "auc", "build_table", "centroid",
-    "combine_losses", "compute_alpha", "confusion_distance",
-    "confusion_score", "finite_diff_grad", "fit_generator", "fit_task_generators",
-    "load_feature_dataset", "make_scenario", "normalize_score",
-    "performance_drop", "rs_loss", "run_incremental", "sample_replay",
+    "combine_losses", "compute_alpha", "confusion_score", "finite_diff_grad",
+    "fit_generator", "fit_task_generators", "load_feature_dataset",
+    "make_scenario", "performance_drop", "rs_loss", "run_incremental", "sample_replay",
     "signature_similarity", "train_task",
 ]

@@ -25,9 +25,8 @@ import numpy as np
 
 from .confusion import DcsConfig
 from .losses import LossConfig
-from .metrics import DERIVED_COLUMNS, table_columns, table_row_values, table_to_dict
+from .metrics import DERIVED_COLUMNS, LABEL_FAKE, table_columns, table_row_values, table_to_dict
 from .numerics import Rng
-from .samples import LABEL_FAKE
 from .streams import load_feature_dataset, make_scenario, stream_from_samples
 from .trainer import Strategy, TrainConfig, check_stream, run_incremental
 

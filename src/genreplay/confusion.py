@@ -2,14 +2,19 @@
 
 A small centroid distance means replayed "real" samples resemble the fakes the
 detector is currently learning, so direct supervision on them is risky and the
-weight alpha should be low. Distance and normalizer variants are configurable.
+weight alpha should be low. This module owns the whole score: it draws the
+probe's gen-real rows from the stored pairs, cuts both pools to PROBE_CAP rows,
+and maps the feature-centroid distance to alpha. Distance and normalizer
+variants are configurable.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .losses import centroid
+from .replay import sample_replay
 
 DISTANCE_METRICS = ("l2", "cosine_distance")
 NORMALIZERS = ("tanh", "linear_over_5")
@@ -37,56 +42,48 @@ class DcsRecord:
     alpha: float
 
 
-def confusion_distance(past_gen_real_features, current_fake_features, cfg):
+def confusion_score(past_gen_real_features, current_fake_features, cfg):
+    """(s, alpha) for two feature pools: their centroid distance and its normalized weight."""
     a = centroid(past_gen_real_features)
     b = centroid(current_fake_features)
     if cfg.distance_metric == "l2":
-        return float(np.linalg.norm(a - b))
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("degenerate geometry: zero-norm centroid under cosine distance")
-    return float(1.0 - (a @ b) / (na * nb))
+        s = float(np.linalg.norm(a - b))
+    else:
+        na = np.linalg.norm(a)
+        nb = np.linalg.norm(b)
+        if na == 0.0 or nb == 0.0:
+            raise ValueError("degenerate geometry: zero-norm centroid under cosine distance")
+        # cosine distance of raw features can exceed 0 only; clip fp noise at 0
+        s = max(float(1.0 - (a @ b) / (na * nb)), 0.0)
+    if cfg.normalizer == "tanh":
+        return s, float(np.tanh(s))
+    return s, min(s / 5.0, 1.0)
 
 
-def normalize_score(s, normalizer):
-    if s < 0:
-        raise ValueError(f"confusion score must be >= 0, got {s}")
-    if normalizer == "tanh":
-        return float(np.tanh(s))
-    if normalizer == "linear_over_5":
-        return min(s / 5.0, 1.0)
-    raise ValueError(f"unknown normalizer {normalizer!r}")
-
-
-def confusion_score(past_gen_real_features, current_fake_features, cfg):
-    """Distance and normalized alpha for directly supplied feature pools."""
-    s = confusion_distance(past_gen_real_features, current_fake_features, cfg)
-    # cosine distance of raw features can exceed 0 only; clip fp noise at 0
-    s = max(s, 0.0)
-    return s, normalize_score(s, cfg.normalizer)
-
-
-def _subsample(rows, cap, rng):
-    if len(rows) <= cap:
+def _subsample(rows, rng):
+    if len(rows) <= PROBE_CAP:
         return rows
-    return rows[rng.choice(len(rows), size=cap, replace=False)]
+    return rows[rng.choice(len(rows), size=PROBE_CAP, replace=False)]
 
 
-def compute_alpha(model, past_gen_real, current_fakes, cfg, rng, task_index=0, epoch=0):
-    """Alpha from model features of (subsampled) input rows.
+def compute_alpha(model, pairs, current_fakes, cfg, rng, task_index=0, epoch=0):
+    """The confusion record of the stored pairs against the current task's fakes.
 
-    past_gen_real is an (n_real, input_dim) array of generated-real rows and
-    current_fakes an (n_fake, input_dim) array of the current task's fake
-    rows. Each pool is cut to PROBE_CAP rows by a draw without
-    replacement, then both are fed through the model and compared by their
-    feature centroids.
+    Each of the k GeneratorPairs draws ceil(PROBE_CAP / k) fresh gen-real rows
+    on fork pool/pair{i} (a pair's replay pool is not read). current_fakes is
+    an (n_fake, input_dim) array of the current task's fake rows. Each pool is
+    cut to PROBE_CAP rows by a draw without replacement on fork probe/gen-real
+    or probe/cur-fake, then both are fed through the model and compared by
+    their feature centroids.
     """
-    if len(past_gen_real) == 0 or len(current_fakes) == 0:
+    if not len(pairs) or not len(current_fakes):
         raise ValueError("both sample pools must be non-empty")
-    real_pool = _subsample(np.asarray(past_gen_real, dtype=float), PROBE_CAP, rng.fork("gen-real"))
-    fake_pool = _subsample(np.asarray(current_fakes, dtype=float), PROBE_CAP, rng.fork("cur-fake"))
-    f_real = model.features(real_pool)
-    f_fake = model.features(fake_pool)
-    s, alpha = confusion_score(f_real, f_fake, cfg)
+    per = math.ceil(PROBE_CAP / len(pairs))
+    pool_rng, probe_rng = rng.fork("pool"), rng.fork("probe")
+    gen_real = np.concatenate(
+        [sample_replay(pair, per, 0, pool_rng.fork(f"pair{i}"))[0] for i, pair in enumerate(pairs)]
+    )
+    real_pool = _subsample(gen_real, probe_rng.fork("gen-real"))
+    fake_pool = _subsample(np.asarray(current_fakes, dtype=float), probe_rng.fork("cur-fake"))
+    s, alpha = confusion_score(model.features(real_pool), model.features(fake_pool), cfg)
     return DcsRecord(task_index=task_index, epoch=epoch, s=s, alpha=alpha)

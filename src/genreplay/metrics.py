@@ -4,7 +4,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .samples import LABEL_FAKE
+# a row's label: auc and accuracy take the fake class as the positive one
+LABEL_REAL = 0
+LABEL_FAKE = 1
 
 # the derived columns of a step, in table.csv order; StepRow carries each one
 DERIVED_COLUMNS = (

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import LABEL_FAKE, LABEL_REAL
 from .numerics import check_count, check_real
 from .replay import Signature, signature_similarity
-from .samples import LABEL_FAKE, LABEL_REAL, Sample
+from .samples import Sample
 
 SCENARIO_KINDS = ("domain_safe", "domain_risky", "mixed")
 

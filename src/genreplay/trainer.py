@@ -6,19 +6,17 @@ directly supervised, dropped, pushed through the relative-separation term, or
 blended between the two with a fixed or confusion-driven weight.
 """
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .confusion import PROBE_CAP, DcsConfig, compute_alpha
+from .confusion import DcsConfig, compute_alpha
 from .losses import LossConfig, ce_loss_batch, centroid, combine_losses, rs_loss_with_grads
-from .metrics import TaskEval, accuracy, auc, build_table
+from .metrics import LABEL_FAKE, LABEL_REAL, TaskEval, accuracy, auc, build_table
 from .model import MLP
 from .numerics import AdamState, Rng, adam_step, check_count, check_real
 from .replay import GeneratorPair, fit_generator, sample_replay
-from .samples import LABEL_FAKE, LABEL_REAL
 from .streams import draw_stream_data
 
 
@@ -69,6 +67,8 @@ class Strategy:
             raise ValueError(f"{self.kind} does not take a fixed_alpha override")
         else:
             check_real("fixed_alpha", self.fixed_alpha)
+            # a JSON 1 reads as 1.0, and -0.0 as 0.0, so the name and table.csv agree
+            object.__setattr__(self, "fixed_alpha", float(self.fixed_alpha) + 0.0)
             if not 0.0 <= self.fixed_alpha <= 1.0:
                 raise ValueError("fixed_alpha must lie in [0,1]")
 
@@ -264,21 +264,12 @@ def batch_objective(model, batch, strategy, alpha, loss_cfg, out=None):
     return combine_losses(l_ce_gr, l_rs, l_cf, alpha), grad
 
 
-def _alpha_pool(pairs, rng):
-    # an even share of fresh gen-real draws per past task, as one array
-    per = math.ceil(PROBE_CAP / len(pairs))
-    return np.concatenate(
-        [sample_replay(pair, per, 0, rng.fork(f"pair{i}"))[0] for i, pair in enumerate(pairs)]
-    )
-
-
 def _resolve_alpha(state, strategy, current_fakes, dcs_cfg, rng, task_index, epoch):
     """Alpha for the coming epoch (None when none applies), plus its confusion record."""
     if strategy.fixed_alpha is not None or strategy.row.alpha != "dcs" or not state.generator_pairs:
         return strategy.fixed_alpha, None
-    pool = _alpha_pool(state.generator_pairs, rng.fork("pool"))
     record = compute_alpha(
-        state.model, pool, current_fakes, dcs_cfg, rng.fork("probe"),
+        state.model, state.generator_pairs, current_fakes, dcs_cfg, rng,
         task_index=task_index, epoch=epoch,
     )
     return record.alpha, record

@@ -57,6 +57,36 @@ def test_parse_output_reads_result_fingerprint_and_env():
         bench_pairs.parse_output("\n")
 
 
+# a timed no_replay pass, with its walls cut to five runs and six reference loops
+CAPTURED_TIMED_PASS = """\
+env {"blas_threads": 1, "commit": "04396bb", "nproc": 2, "numpy": "2.4.6", "python": "3.11.7"}
+fingerprint 7f7ab0d95f0a7602901ece8c4f3e05f508821fbc6dfeb3a1bc00fe9062af0d5c
+runs 5 timed + 1 re-run; setup samples 5
+reference loop p50 0.03393 s over 6
+raw wall run_s.p50 0.1786 setup_s 0.1772
+run walls s 0.215 0.199 0.425 0.187 0.150
+reference walls s 0.0387 0.0378 0.0581 0.0384 0.0630 0.0339
+setup_s 0.20896334416457735 s
+run_s.p50 0.210616824736444 s
+failed_share 0/6
+{"correct": true, "attempted": 6, "failed": 0, "metrics": {"run_s.p50": {"value": 0.2106, "unit": "s"}}}
+"""
+
+
+def test_parse_output_keeps_a_timed_passs_raw_walls_as_numbers():
+    parsed = bench_pairs.parse_output(CAPTURED_TIMED_PASS)
+    assert parsed["run_walls_s"] == [0.215, 0.199, 0.425, 0.187, 0.150]
+    assert parsed["reference_walls_s"] == [0.0387, 0.0378, 0.0581, 0.0384, 0.0630, 0.0339]
+    assert parsed["raw_wall"] == {"run_s.p50": 0.1786, "setup_s": 0.1772}
+    assert parsed["fingerprint"].startswith("7f7ab0d9")
+    # summarize reads the result object only
+    summary = bench_pairs.summarize([{"parent": parsed, "change": parsed}], {"run_s.p50": "lower"})
+    assert summary["run_s.p50"]["ties"] == 1
+    # a traced pass prints no walls
+    traced = bench_pairs.parse_output('fingerprint f1 traced f1\n{"failed": 0, "metrics": {}}\n')
+    assert not {"run_walls_s", "reference_walls_s", "raw_wall"} & set(traced)
+
+
 def test_quartiles_inclusive_and_rounded():
     values = [0.7680872210313661, 0.7713861278957671, 0.7736663327897175, 0.7744306932174891,
               0.7749428887242636, 0.7757198466818855, 0.7801087911194429, 0.7840657818871317,

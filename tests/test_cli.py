@@ -462,6 +462,14 @@ class TestRunVerb:
         assert lines[0] == "task_index,epoch,s,alpha"
         assert len(lines) == 2  # 1 epoch on task 2 computes one alpha
 
+    def test_integer_fixed_alpha_writes_as_a_float(self, tmp_path):
+        out = str(tmp_path / "out")
+        strategy = {"kind": "fixed_alpha", "fixed_alpha": 1}
+        assert main(["run", "--config", write_config(tmp_path, strategy=strategy)]) == 0
+        lines = Path(out, "seed_0", "table.csv").read_text().splitlines()
+        alpha = lines[0].split(",").index("alpha")
+        assert [line.split(",")[alpha] for line in lines[1:]] == ["1.0000"] * 2
+
     def test_projection_csv_columns(self, tmp_path):
         out = str(tmp_path / "out")
         main(["run", "--config", write_config(tmp_path)])
@@ -707,6 +715,13 @@ class TestCompareVerb:
         assert "strategies[2]: adaptive is listed twice" in capsys.readouterr().err
 
 
+    def test_negative_zero_fixed_alpha_is_listed_twice(self, tmp_path, capsys):
+        alphas = [{"kind": "fixed_alpha", "fixed_alpha": a} for a in (0.0, -0.0)]
+        path = write_config(tmp_path, strategies=alphas)
+        assert main(["compare", "--config", path]) == 2
+        assert "strategies[1]: fixed_alpha_0 is listed twice" in capsys.readouterr().err
+
+
 class TestAblateVerb:
     def test_grid_cells_and_summary(self, tmp_path, capsys):
         cfg = json.loads(Path(write_config(tmp_path)).read_text())
@@ -747,6 +762,15 @@ class TestAblateVerb:
         assert "duplicate" not in capsys.readouterr().err
         rows = (tmp_path / "out" / "ablation.csv").read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["fixed_alpha_0.1", "fixed_alpha_0.1000001"]
+
+    def test_negative_zero_fixed_alpha_is_a_duplicate_cell(self, tmp_path, capsys):
+        alphas = [{"kind": "fixed_alpha", "fixed_alpha": a} for a in (0.0, -0.0)]
+        path = write_config(tmp_path, grid={"strategy": alphas})
+        assert main(["ablate", "--config", path]) == 0
+        assert "warning: 1 duplicate grid cells skipped" in capsys.readouterr().err
+        rows = (tmp_path / "out" / "ablation.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["fixed_alpha_0"]
+        assert not (tmp_path / "out" / "fixed_alpha_-0").exists()
 
     # each case grids one axis; the config sets a non-default value on all four
     @pytest.mark.parametrize("axis, values", [

@@ -21,6 +21,7 @@ import numpy as np
 from genreplay.confusion import DcsConfig, compute_alpha
 from genreplay.model import BLOCK_ROWS, MLP
 from genreplay.numerics import AdamState, Rng
+from genreplay.replay import GeneratorPair, Signature, fit_generator
 from genreplay.trainer import RunState, Strategy, TrainConfig, evaluate, train_task
 
 WIDTHS = [10, 64, 64]
@@ -48,9 +49,15 @@ def model_and_rng():
 
 def test_alpha_probe_peak_is_its_features_plus_two_blocks():
     model, rng = model_and_rng()
-    gen_real = rng.fork("real").normal(size=(512, WIDTHS[0]))
+    sig = Signature(np.zeros(WIDTHS[0]), 0.0)
+    g_real, g_fake = (
+        fit_generator(rng.fork(name).normal(size=(200, WIDTHS[0])), "gaussian", 1, sig, rng.fork(f"fit-{name}"))
+        for name in ("gen-real", "gen-fake")
+    )
+    pair = GeneratorPair(0, g_real, g_fake)
     fakes = rng.fork("fake").normal(size=(400, WIDTHS[0])) + 1.0
-    peak = traced_peak(lambda: compute_alpha(model, gen_real, fakes, DcsConfig(), Rng(1)))
+    # the one pair draws all PROBE_CAP = 512 gen-real rows inside the probe
+    peak = traced_peak(lambda: compute_alpha(model, [pair], fakes, DcsConfig(), Rng(1)))
     features = (512 + 400) * WIDTHS[-1] * FLOAT
     assert peak < features + TWO_BLOCKS + SMALL_OBJECTS
 

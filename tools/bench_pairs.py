@@ -46,7 +46,11 @@ def parse_output(text):
     """What one bench/run.py pass printed: its env, fingerprint, result and extras.
 
     The last line is the result object; `env`, `fingerprint`, `stage_shares`
-    and `zero_call_predictions` lines are picked up when present.
+    and `zero_call_predictions` lines are picked up when present. So are a
+    timed pass's raw walls, as numbers: `run walls s` and `reference walls s`
+    as lists under run_walls_s and reference_walls_s, and `raw wall run_s.p50
+    <s> setup_s <s>` as a dict under raw_wall. They let an outlying pass be
+    traced to its runs or to the reference loop; summarize does not read them.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -58,6 +62,12 @@ def parse_output(text):
             parsed["fingerprint"] = rest
         elif key in ("env", "stage_shares", "zero_call_predictions"):
             parsed[key] = json.loads(rest)
+        elif line.startswith(("run walls s", "reference walls s")):
+            kind, _, walls = line.partition(" walls s")
+            parsed[f"{kind}_walls_s"] = [float(w) for w in walls.split()]
+        elif line.startswith("raw wall "):
+            tokens = line.split()[2:]
+            parsed["raw_wall"] = {name: float(v) for name, v in zip(tokens[::2], tokens[1::2])}
     return parsed
 
 
