@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import centroid
-from .replay import sample_replay
 
 DISTANCE_METRICS = ("l2", "cosine_distance")
 NORMALIZERS = ("tanh", "linear_over_5")
@@ -70,18 +69,18 @@ def compute_alpha(model, pairs, current_fakes, cfg, rng, task_index=0, epoch=0):
     """The confusion record of the stored pairs against the current task's fakes.
 
     Each of the k GeneratorPairs draws ceil(PROBE_CAP / k) fresh gen-real rows
-    on fork pool/pair{i} (a pair's replay pool is not read). current_fakes is
-    an (n_fake, input_dim) array of the current task's fake rows. Each pool is
-    cut to PROBE_CAP rows by a draw without replacement on fork probe/gen-real
-    or probe/cur-fake, then both are fed through the model and compared by
-    their feature centroids.
+    from its g_real on fork pool/pair{i}/real (a pair's replay pool is not
+    read). current_fakes is an (n_fake, input_dim) array of the current task's
+    fake rows. Each pool is cut to PROBE_CAP rows by a draw without replacement
+    on fork probe/gen-real or probe/cur-fake, then both are fed through the
+    model and compared by their feature centroids.
     """
     if not len(pairs) or not len(current_fakes):
         raise ValueError("both sample pools must be non-empty")
     per = math.ceil(PROBE_CAP / len(pairs))
     pool_rng, probe_rng = rng.fork("pool"), rng.fork("probe")
     gen_real = np.concatenate(
-        [sample_replay(pair, per, 0, pool_rng.fork(f"pair{i}"))[0] for i, pair in enumerate(pairs)]
+        [p.g_real.sample(per, pool_rng.fork(f"pair{i}").fork("real")) for i, p in enumerate(pairs)]
     )
     real_pool = _subsample(gen_real, probe_rng.fork("gen-real"))
     fake_pool = _subsample(np.asarray(current_fakes, dtype=float), probe_rng.fork("cur-fake"))

@@ -81,8 +81,8 @@ def centroid(features):
 def _cos_rows_with_grads(fake, c, nc, eps):
     """cos(f, c) with eps-padded norms for every row f of fake (m, d), plus gradients.
 
-    nc is the norm of c. Returns the (m,) cosines and their (m, d) gradients
-    w.r.t. each row and w.r.t. c.
+    nc is the norm of c, above eps. Returns the (m,) cosines and their (m, d)
+    gradients w.r.t. each row and w.r.t. c.
     """
     nf = np.sqrt(np.vecdot(fake, fake))
     nf_eps = nf + eps
@@ -91,7 +91,7 @@ def _cos_rows_with_grads(fake, c, nc, eps):
     dot = np.vecdot(fake, c)
     f_unit = np.zeros(fake.shape)
     np.divide(fake, nf[:, None], out=f_unit, where=nf[:, None] > 0)
-    c_unit = c / nc if nc > 0 else np.zeros_like(c)
+    c_unit = c / nc
     d_f = c / denom[:, None] - dot[:, None] * f_unit / (nf_eps**2 * nc_eps)[:, None]
     d_c = fake / denom[:, None] - dot[:, None] * c_unit / (nf_eps * nc_eps**2)[:, None]
     return dot / denom, d_f, d_c

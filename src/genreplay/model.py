@@ -34,7 +34,8 @@ class MLP:
     widths[-1] and the head adds widths[-1] + 1 parameters. All parameters
     live in one flat array, params, laid out per layer as weights (row-major)
     then biases, then head_w, then head_b; weights, biases and head_w are
-    views into it, so an in-place update of params is what forward sees.
+    views into it, so an in-place update of params is what forward sees; a
+    copied or unpickled model rebuilds them as views into its own params.
     """
 
     def __init__(self, widths, rng, scale=1.0):
@@ -42,6 +43,15 @@ class MLP:
             raise ValueError("architecture needs an input width and >=1 hidden layer")
         if scale < 0:
             raise ValueError("scale must be >= 0")
+        self._lay_out(widths)
+        for fan_in, w in zip(widths[:-1], self.weights):
+            half = scale / np.sqrt(fan_in)
+            w[...] = rng.uniform(-half, half, w.shape)
+        half = scale / np.sqrt(widths[-1])
+        self.head_w[...] = rng.uniform(-half, half, widths[-1])
+
+    def _lay_out(self, widths, params=None):
+        """Set widths, the slot layout, params (zeros when None) and its views."""
         self.widths = list(widths)
         # where each layer's weights (slice, shape) and biases (slice) sit in a flat buffer,
         # then head_w; worked out once, as every backward lays out its gradient by it
@@ -52,15 +62,18 @@ class MLP:
             self._bias_slots.append(slice(j, j + fan_out))
             i = j + fan_out
         self._head_w_slot = slice(i, i + widths[-1])
-        self.params = np.zeros(i + widths[-1] + 1)
+        self.params = np.zeros(i + widths[-1] + 1) if params is None else params
         # the last gradient buffer backward was given as out, with its views
         self._out_views = (None, None)
         self.weights, self.biases, self.head_w = self._views(self.params)
-        for fan_in, w in zip(widths[:-1], self.weights):
-            half = scale / np.sqrt(fan_in)
-            w[...] = rng.uniform(-half, half, w.shape)
-        half = scale / np.sqrt(widths[-1])
-        self.head_w[...] = rng.uniform(-half, half, widths[-1])
+
+    def __getstate__(self):
+        # a copied view would be an array of its own that no update of params reaches,
+        # so a copy or an unpickled model keeps only these and rebuilds its views
+        return {"widths": self.widths, "params": self.params}
+
+    def __setstate__(self, state):
+        self._lay_out(state["widths"], state["params"])
 
     def _views(self, flat):
         """Per-layer weight and bias views, and the head_w view, of a flat buffer."""

@@ -225,10 +225,10 @@ def batch_objective(model, batch, strategy, alpha, loss_cfg, out=None):
 
     batch.x is (n, input_dim) and batch.labels (n,), in the row order of
     batch.layout. Current and gen-fake rows feed the label-supervised l_cf;
-    gen-real rows feed the gen-real CE (when the strategy supervises them)
-    and, with the gen-fake rows, the RS term, weighted by alpha as the
-    strategy's row says. The gradient is a flat (model.n_params,) vector: a
-    fresh array, or out when given (see MLP.backward).
+    gen-real rows feed the gen-real CE, weighted by alpha when the strategy
+    supervises them and by 0 when not, and, with the gen-fake rows, the RS
+    term, weighted by 1 - alpha. The gradient is a flat (model.n_params,)
+    vector: a fresh array, or out when given (see MLP.backward).
     """
     rec = model.forward(batch.x)
     labels = batch.labels
@@ -240,14 +240,13 @@ def batch_objective(model, batch, strategy, alpha, loss_cfg, out=None):
     l_ce_gr = 0.0
     if not n_gr:
         l_cf, d_yp = ce_loss_batch(rec.y_p, labels)
-    elif strategy.row.supervised:
-        # one pass over every row's CE term; gen-real rows are labelled real, so their
-        # gradient is positive and alpha 0 zeroes it
-        l_cf, l_ce_gr, d_yp = ce_loss_batch(rec.y_p, labels, split=n_cf)
-        d_yp[n_cf:] *= alpha
     else:
-        d_yp = np.zeros(len(labels))
-        l_cf, d_yp[:n_cf] = ce_loss_batch(rec.y_p[:n_cf], labels[:n_cf])
+        # one pass over every row's CE term; gen-real rows are labelled real, so their
+        # gradient is positive and a gen-real weight of 0 zeroes it
+        l_cf, l_ce_gr, d_yp = ce_loss_batch(rec.y_p, labels, split=n_cf)
+        if not strategy.row.supervised:
+            l_ce_gr = 0.0
+        d_yp[n_cf:] *= alpha if strategy.row.supervised else 0.0
 
     w_rs = 1.0 - alpha
     l_rs = 0.0

@@ -275,7 +275,62 @@ def test_file_keeps_what_was_measured_when_a_later_pass_fails(monkeypatch, tmp_p
     assert len(written["timed_pairs"]["sweep_adaptive"]) == 2
     assert written["parent_commit"] == "c0ffee"
     if traced:
-        assert list(written["traced_seed_3"]["sweep_adaptive"]) == ["parent", "change"]
+        assert list(written["traced_seed_3"]["sweep_adaptive"]) == ["parent", "change", "count_changes"]
+
+
+def canned_traced_output(sample_calls, rng_count, self_s, em_iters_bypassed):
+    """What bench/run.py --trace 1 prints, cut down to the lines the tool reads."""
+    metrics = {
+        "replay.GeneratorModel.sample.calls": {"value": sample_calls, "unit": "count"},
+        "replay.GeneratorModel.sample.self_s": {"value": self_s, "unit": "s"},
+        "numerics.Rng.count": {"value": rng_count, "unit": "count"},
+        "losses.rs_loss_with_grads.calls": {"value": 746.6666666666666, "unit": "count"},
+        "replay.em_iters": {"value": 0.0 if em_iters_bypassed else 41.0, "unit": "count"},
+        "streams.load_feature_dataset.rows": {"value": 0.0, "unit": "count"},
+        "trace.overhead": {"value": 1.2 + self_s, "unit": "ratio"},
+    }
+    predictions = {"cli.main.calls": True, "replay.em_iters": em_iters_bypassed}
+    result = {"correct": True, "attempted": 5, "failed": 0, "metrics": metrics}
+    return "\n".join([
+        "fingerprint c23a traced c23a",
+        'stage_shares {"adam": 0.15}',
+        "zero_call_predictions " + json.dumps(predictions, sort_keys=True),
+        json.dumps(result),
+    ]) + "\n"
+
+
+def test_count_changes_lists_only_exact_counts_that_moved():
+    parent = bench_pairs.parse_output(canned_traced_output(240.0, 676.0, 0.011, True))
+    change = bench_pairs.parse_output(canned_traced_output(180.0, 616.0, 0.009, False))
+    assert bench_pairs.count_changes(parent, change) == {
+        "replay.GeneratorModel.sample.calls": [240.0, 180.0],
+        "numerics.Rng.count": [676.0, 616.0],
+        "replay.em_iters": [0.0, 41.0],
+        "replay.em_iters == 0": [True, False],
+    }
+    assert bench_pairs.count_changes(parent, parent) == {}
+
+
+def test_traced_workload_records_its_count_changes(monkeypatch, tmp_path):
+    def fake_run_pass(checkout, workload, seed, seconds, trace):
+        if trace:
+            return bench_pairs.parse_output(
+                canned_traced_output(180.0 if checkout.name == "change" else 240.0, 616.0, 0.01, True)
+            )
+        return bench_pairs.parse_output(canned_output(0.5, 2000.0))
+
+    root = Path(_PATH.parents[1])
+    monkeypatch.setattr(bench_pairs, "run_pass", fake_run_pass)
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text((root / "BENCHMARK.json").read_text())
+    out = tmp_path / "out.json"
+    bench_pairs.main([
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--workloads", "sweep_adaptive", "--seeds", "21", "--traced-seed", "3", "--out", str(out),
+    ])
+    traced = json.loads(out.read_text())["traced_seed_3"]["sweep_adaptive"]
+    assert traced["count_changes"] == {"replay.GeneratorModel.sample.calls": [240.0, 180.0]}
 
 
 @pytest.mark.parametrize("trace, seconds", [(0, 30), (1, 2.5)], ids=["timed", "traced"])

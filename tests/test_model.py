@@ -1,5 +1,8 @@
 """Detector network: shapes and manual backprop vs finite differences."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -114,6 +117,26 @@ class TestFlatParams:
         flat = m.get_flat()
         flat[:] = 0.0
         assert m.params.any()
+
+
+class TestCopy:
+    COPIERS = {"deepcopy": copy.deepcopy, "pickle": lambda m: pickle.loads(pickle.dumps(m))}
+
+    @pytest.mark.parametrize("how", COPIERS)
+    def test_copy_forward_follows_its_own_params(self, how):
+        x = Rng(1).fork("x").normal(size=(5, 4))
+        m = small_model(seed=3)
+        want = m.scores(x)
+        c = self.COPIERS[how](m)
+        assert np.array_equal(c.scores(x), want)
+        for part in c.weights + c.biases + (c.head_w,):
+            assert np.shares_memory(part, c.params)
+            assert not np.shares_memory(part, m.params)
+
+        c.params[...] = 0.0
+        assert not np.array_equal(c.scores(x), want)
+        assert np.array_equal(c.scores(x), np.full(5, 0.5))
+        assert np.array_equal(m.scores(x), want)
 
 
 class TestBackward:

@@ -1,5 +1,6 @@
 """Incremental trainer: batching, strategies, objective gradients, full runs."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -529,22 +530,22 @@ class TestObjectiveMatchesParentLayout:
             assert got == want
             assert np.linalg.norm(grad - want_grad) <= 1e-12 * np.linalg.norm(want_grad)
 
-    def test_unsupervised_gen_real_ce_is_skipped(self, monkeypatch):
+    def test_unsupervised_gen_real_rows_share_one_ce_pass(self, monkeypatch):
         calls = []
         inner = genreplay.trainer.ce_loss_batch
 
-        def counting(y_p, labels):
-            calls.append(len(y_p))
-            return inner(y_p, labels)
+        def counting(y_p, labels, split=None):
+            calls.append((len(y_p), split))
+            return inner(y_p, labels, split=split)
 
         monkeypatch.setattr(genreplay.trainer, "ce_loss_batch", counting)
         stream = tiny_stream(n_tasks=2, seed=15)
         cfg = tiny_cfg(seed=15, batch_current=24)
         strategy = Strategy("no_gen_real_sup")
         _, state = run_incremental(stream, strategy, cfg, return_state=True)
-        # 8 batches per task; task 1's batches carry 12 gen-real rows, never label-supervised
-        assert len(calls) == 16
-        assert 12 not in calls
+        # 8 batches per task; each of task 1's carries 12 gen-fake and 12 gen-real rows and
+        # makes one CE pass, split after the 36 label-supervised rows
+        assert calls == [(24, None)] * 8 + [(48, 36)] * 8
 
         def objective_with_gen_real_ce(model, batch, strategy, alpha, loss_cfg, out=None):
             idx = slice_indices(batch.layout, len(batch.labels))
@@ -726,6 +727,27 @@ class TestTrainTask:
         assert len(calls) == 2 * len(replayed)
         assert [p.task_index for p in state.generator_pairs] == replayed
         assert all((p.pool is not None) == bool(pool) for p in state.generator_pairs)
+
+    def test_deep_copied_state_trains_the_next_task_alike(self):
+        stream = tiny_stream(n_tasks=2, seed=4)
+        cfg = tiny_cfg(seed=4)
+        strategy = Strategy("adaptive")
+        rng = Rng(cfg.seed)
+        data = draw_stream_data(stream, rng.fork("data"))
+        model = MLP([stream.dim] + list(cfg.arch), rng.fork("init"))
+        state = RunState(model=model, adam=AdamState(model.n_params), stream_data=data)
+        x, y, _, _ = data[0]
+        train_task(state, 0, x, y, strategy, cfg, rng.fork("task0"))
+        fit_task_generators(state, 0, x, y, stream.replay_signatures[0], cfg, rng.fork("fit"))
+        snapshot = copy.deepcopy(state)
+
+        x, y, _, _ = data[1]
+        for s in (state, snapshot):
+            train_task(s, 1, x, y, strategy, cfg, rng.fork("task1"))
+        assert snapshot.loss_trace == state.loss_trace
+        assert np.array_equal(snapshot.model.params, state.model.params)
+        assert snapshot.dcs_history == state.dcs_history
+        assert not np.shares_memory(snapshot.model.params, state.model.params)
 
     def test_alpha_recomputed_every_epoch(self):
         stream = tiny_stream(n_tasks=2)

@@ -7,7 +7,9 @@
 For each workload and each workload seed, the two checkouts each run one timed
 pass (`--trace 0`), one after the other; which side goes first flips from pair
 to pair, so a drift in machine speed falls on both sides alike. With
---traced-seed, each side then runs one traced pass (`--trace 1`) per workload.
+--traced-seed, each side then runs one traced pass (`--trace 1`) per workload,
+and the workload's count_changes lists the exact counts that differ between
+the two (see count_changes).
 The output has the shape of the BENCH_*.json files at the repository root:
 per-pair results, and per metric the parent's and the change's quartiles, the
 median over pairs of change/parent (a paired statistic, so a drift in machine
@@ -127,6 +129,35 @@ def summarize(pairs, directions):
     )
     summary["failed"] = sum(pair[side]["result"]["failed"] for pair in pairs for side in SIDES)
     return summary
+
+
+# traced metrics that count events rather than time them; a count repeats exactly from run to run
+EXACT_COUNTS = ("replay.em_iters", "streams.load_feature_dataset.rows")
+
+
+def count_changes(parent, change):
+    """The exact counts, and zero-call predictions, that differ between two traced passes.
+
+    parent and change are parsed traced passes (see parse_output). Each
+    per-layer `.calls` or `.count` metric, and each of EXACT_COUNTS, whose
+    values differ maps to [parent value, change value]; a value one side lacks
+    is None. A zero-call prediction that flipped maps, as "<name> == 0", to
+    [parent verdict, change verdict].
+    """
+    metrics = [p["result"]["metrics"] for p in (parent, change)]
+    changes = {}
+    for name in dict.fromkeys([*metrics[0], *metrics[1]]):
+        if not (name.endswith((".calls", ".count")) or name in EXACT_COUNTS):
+            continue
+        values = [(side.get(name) or {}).get("value") for side in metrics]
+        if values[0] != values[1]:
+            changes[name] = values
+    predictions = [p.get("zero_call_predictions", {}) for p in (parent, change)]
+    for name in dict.fromkeys([*predictions[0], *predictions[1]]):
+        verdicts = [side.get(name) for side in predictions]
+        if verdicts[0] != verdicts[1]:
+            changes[f"{name} == 0"] = verdicts
+    return changes
 
 
 def pass_timeout(seconds):
@@ -263,6 +294,10 @@ def main(argv=None):
                     run_pass(checkouts[side], workload, args.traced_seed, args.seconds, trace=1)
                 )
                 save()
+            traced[workload]["count_changes"] = count_changes(
+                traced[workload]["parent"], traced[workload]["change"]
+            )
+            save()
     log(f"wrote {args.out}")
     return 0
 
