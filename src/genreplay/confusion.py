@@ -62,7 +62,7 @@ def confusion_score(past_gen_real_features, current_fake_features, cfg):
 def _subsample(rows, rng):
     if len(rows) <= PROBE_CAP:
         return rows
-    return rows[rng.choice(len(rows), size=PROBE_CAP, replace=False)]
+    return rows[rng.choice(len(rows), PROBE_CAP)]
 
 
 def compute_alpha(model, pairs, current_fakes, cfg, rng, task_index=0, epoch=0):

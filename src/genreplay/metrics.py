@@ -7,6 +7,8 @@ import numpy as np
 # a row's label: auc and accuracy take the fake class as the positive one
 LABEL_REAL = 0
 LABEL_FAKE = 1
+# accuracy calls a score at or above this fake
+DECISION_THRESHOLD = 0.5
 
 # the derived columns of a step, in table.csv order; StepRow carries each one
 DERIVED_COLUMNS = (
@@ -35,15 +37,13 @@ def auc(scores, labels):
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def accuracy(scores, labels, threshold=0.5):
-    """(overall, real_acc, fake_acc); a class absent from labels reports None."""
+def accuracy(scores, labels):
+    """(overall, real_acc, fake_acc) at DECISION_THRESHOLD; a class absent from labels reports None."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.size == 0:
         raise ValueError("accuracy needs at least one sample")
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0,1)")
-    pred_fake = scores >= threshold
+    pred_fake = scores >= DECISION_THRESHOLD
     is_fake = labels == LABEL_FAKE
     correct = pred_fake == is_fake
     overall = float(correct.mean())

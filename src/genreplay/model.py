@@ -36,18 +36,18 @@ class MLP:
     then biases, then head_w, then head_b; weights, biases and head_w are
     views into it, so an in-place update of params is what forward sees; a
     copied or unpickled model rebuilds them as views into its own params.
+    Each layer's weights, and head_w, start uniform on +-1/sqrt(fan_in); the
+    biases and head_b start at 0.
     """
 
-    def __init__(self, widths, rng, scale=1.0):
+    def __init__(self, widths, rng):
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise ValueError("architecture needs an input width and >=1 hidden layer")
-        if scale < 0:
-            raise ValueError("scale must be >= 0")
         self._lay_out(widths)
         for fan_in, w in zip(widths[:-1], self.weights):
-            half = scale / np.sqrt(fan_in)
+            half = 1.0 / np.sqrt(fan_in)
             w[...] = rng.uniform(-half, half, w.shape)
-        half = scale / np.sqrt(widths[-1])
+        half = 1.0 / np.sqrt(widths[-1])
         self.head_w[...] = rng.uniform(-half, half, widths[-1])
 
     def _lay_out(self, widths, params=None):
@@ -177,8 +177,8 @@ class MLP:
         """forward(x).y_p bit for bit: the head applied once to all of features(x)."""
         return self._head(self.features(x))
 
-    def backward(self, record, d_yp=None, d_features=None, out=None):
-        """Flat gradient of a scalar loss given upstream grads on y_p/features.
+    def backward(self, record, d_yp, d_features=None, out=None):
+        """Flat gradient of a scalar loss given upstream grads on y_p (n,) and, unless None, features.
 
         Upstream grads must already carry the loss's own batch averaging; this
         only applies the chain rule through head and hidden layers. The
@@ -188,8 +188,6 @@ class MLP:
         that passes the same buffer every step builds them once.
         """
         n = record.x.shape[0]
-        if d_yp is None:
-            d_yp = np.zeros(n)
         d_yp = np.asarray(d_yp, dtype=float)
         if d_yp.shape != (n,):
             raise ValueError("d_yp length must match the batch size")

@@ -8,6 +8,12 @@ import numpy as np
 
 _ZERO_WORD = bytes(4)
 
+# Adam's learning rate, moment decays and denominator padding; every run uses these
+ADAM_LR = 2e-4
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class Rng:
     """Deterministic random source with labeled substreams.
@@ -44,8 +50,8 @@ class Rng:
     def fork(self, label):
         return Rng(self.seed, self._path + (str(label),))
 
-    def normal(self, size=None, loc=0.0, scale=1.0):
-        return self.gen.normal(loc, scale, size)
+    def normal(self, size):
+        return self.gen.normal(0.0, 1.0, size)
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return self.gen.uniform(low, high, size)
@@ -56,8 +62,9 @@ class Rng:
     def shuffle(self, x):
         self.gen.shuffle(x)
 
-    def choice(self, a, size=None, replace=True):
-        return self.gen.choice(a, size=size, replace=replace)
+    def choice(self, a, size):
+        """size draws from a without replacement."""
+        return self.gen.choice(a, size=size, replace=False)
 
 
 def check_count(name, value, minimum):
@@ -88,24 +95,16 @@ class AdamState:
         self.scratch = (np.empty(n_params), np.empty(n_params))
 
 
-def adam_step(params, grads, state, lr=2e-4, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected Adam update; params, state.m and state.v change in place.
+def adam_step(params, grads, state):
+    """One bias-corrected Adam step at the ADAM_* constants; params, state.m, state.v change in place.
 
-    Returns params (a float array is updated in place, anything else is
-    converted first). The arithmetic runs in the order of the out-of-place
-    formula in the comments, so both round alike; its temporaries live in
-    state.scratch. A NaN or infinite gradient raises before anything changes.
+    params and grads are float arrays of one shape; params is returned. The
+    arithmetic runs in the order of the out-of-place formula in the comments,
+    so both round alike; its temporaries live in state.scratch. A NaN or
+    infinite gradient raises before anything changes.
     """
-    params = np.asarray(params, dtype=float)
-    grads = np.asarray(grads, dtype=float)
     if params.shape != grads.shape:
-        raise ValueError(
-            f"params/grads length mismatch: {params.shape} vs {grads.shape}"
-        )
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ValueError("beta1 and beta2 must lie in [0, 1)")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise ValueError(f"params/grads length mismatch: {params.shape} vs {grads.shape}")
     # a finite sum of squares means every entry is finite; one that overflows is checked exactly
     if not math.isfinite(np.vdot(grads, grads)) and not np.isfinite(grads).all():
         bad = np.flatnonzero(~np.isfinite(grads))
@@ -116,19 +115,19 @@ def adam_step(params, grads, state, lr=2e-4, beta1=0.9, beta2=0.999, eps=1e-8):
     m, v = state.m, state.v
     a, b = state.scratch
     # m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g
-    np.multiply(1.0 - beta1, grads, out=a)
-    m *= beta1
+    np.multiply(1.0 - ADAM_BETA1, grads, out=a)
+    m *= ADAM_BETA1
     m += a
-    np.multiply(1.0 - beta2, grads, out=b)
+    np.multiply(1.0 - ADAM_BETA2, grads, out=b)
     b *= grads
-    v *= beta2
+    v *= ADAM_BETA2
     v += b
     # params -= lr * m_hat / (sqrt(v_hat) + eps)
-    step = np.divide(m, 1.0 - beta1**t, out=a)
-    step *= lr
-    denom = np.divide(v, 1.0 - beta2**t, out=b)
+    step = np.divide(m, 1.0 - ADAM_BETA1**t, out=a)
+    step *= ADAM_LR
+    denom = np.divide(v, 1.0 - ADAM_BETA2**t, out=b)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += ADAM_EPS
     step /= denom
     params -= step
     return params

@@ -328,14 +328,12 @@ def train_task(
     return alpha
 
 
-def fit_task_generators(
-    state, task_index, x_train, y_train, replay_signature, cfg, rng, task_id=None
-):
+def fit_task_generators(state, task_index, x_train, y_train, replay_signature, cfg, rng, task_id):
     """Fit and freeze the task's generator pair, with its replay pool if one is configured.
 
     x_train (n, dim) and y_train (n,) are the task's training rows. A fit that
-    fails re-raises its error naming the task (task_id, or task_index when
-    task_id is None) and the class whose rows it could not fit.
+    fails re-raises its error naming the task by task_id, its id in the
+    stream, and the class whose rows it could not fit.
     """
     if any(p.task_index == task_index for p in state.generator_pairs):
         raise ValueError(f"generators for task {task_index} already fitted")
@@ -348,9 +346,8 @@ def fit_task_generators(
                 fit_generator(rows, cfg.generator_kind, n_comp, replay_signature, rng.fork(name))
             )
         except (ValueError, RuntimeError) as exc:
-            task = task_index if task_id is None else task_id
             raise type(exc)(
-                f"task {task}: cannot fit the {name} generator on {len(rows)} rows: {exc}"
+                f"task {task_id}: cannot fit the {name} generator on {len(rows)} rows: {exc}"
             ) from exc
     pair = GeneratorPair(task_index, *fitted)
     if cfg.replay_pool_size:

@@ -53,7 +53,7 @@ def two_step_probe(model, pairs, current_fakes, cfg, rng, task_index=0, epoch=0)
     def cut(rows, cut_rng):
         if len(rows) <= cap:
             return rows
-        return rows[cut_rng.choice(len(rows), size=cap, replace=False)]
+        return rows[cut_rng.choice(len(rows), cap)]
 
     probe_rng = rng.fork("probe")
     a = centroid(model.features(cut(gen_real, probe_rng.fork("gen-real"))))
@@ -142,7 +142,8 @@ class TestComputeAlpha:
     @staticmethod
     def _identity_model(dim=4):
         # weights = identity, zero bias: with non-negative inputs features == inputs
-        m = MLP([dim, dim], Rng(0), scale=0.0)
+        m = MLP([dim, dim], Rng(0))
+        m.params[...] = 0.0
         m.weights[0][...] = np.eye(dim)
         return m
 

@@ -78,14 +78,15 @@ def same(a, b):
 
 @st.composite
 def model_and_batch(draw):
-    """A model of random widths and init scale, and a batch x for it.
+    """A model of random widths with its initial params scaled, and a batch x for it.
 
-    A large init scale and large inputs push logits past both clamps; some
+    Params scaled up and large inputs push logits past both clamps; some
     batches are one row, some a 1-d vector, some hold a NaN row.
     """
     widths = draw(st.lists(st.integers(1, 9), min_size=2, max_size=4))
     scale = draw(st.sampled_from([0.5, 1.0, 8.0, 40.0]))
-    model = MLP(widths, Rng(draw(st.integers(0, 2**16))).fork("init"), scale)
+    model = MLP(widths, Rng(draw(st.integers(0, 2**16))).fork("init"))
+    model.params *= scale
     model.head_b = draw(st.sampled_from([0.0, 25.0, -25.0]))
     n = draw(st.integers(1, 12))
     x = draw(arrays(float, (n, widths[0]), elements=st.floats(-50.0, 50.0)))
@@ -136,9 +137,8 @@ def test_backward_matches_out_of_place_expressions(case, data):
     assert same(model.backward(rec, d_yp, np.zeros((n, d))), want_plain)
     assert same(reference_backward(model, rec, d_yp, np.zeros((n, d))), want_plain)
     assert same(model.backward(rec, d_yp, d_feat), reference_backward(model, rec, d_yp, d_feat))
-    # d_yp None stands for zeros as well
-    want_feat_only = reference_backward(model, rec, np.zeros(n), d_feat)
-    assert same(model.backward(rec, None, d_feat), want_feat_only)
+    zeros = np.zeros(n)
+    assert same(model.backward(rec, zeros, d_feat), reference_backward(model, rec, zeros, d_feat))
 
 
 @PIN
@@ -243,7 +243,7 @@ def model_and_rows(draw):
     Half the batch sizes sit on a block edge, a multiple of BLOCK_ROWS or one
     row either side of it. Half the models have only hidden widths that are
     multiples of BLOCK_WIDTH_STEP, which MLP.features splits into blocks; the
-    others draw width 1 often. A large init scale and head bias push scores
+    others draw width 1 often. Params scaled up and a head bias push scores
     past both clamps.
     """
     if draw(st.booleans()):
@@ -253,7 +253,8 @@ def model_and_rows(draw):
     widths = [draw(st.integers(1, 40))] + draw(st.lists(width, min_size=1, max_size=3))
     scale = draw(st.sampled_from([0.5, 1.0, 8.0, 40.0]))
     rng = Rng(draw(st.integers(0, 2**16)))
-    model = MLP(widths, rng.fork("init"), scale)
+    model = MLP(widths, rng.fork("init"))
+    model.params *= scale
     model.head_b = draw(st.sampled_from([0.0, 25.0, -25.0]))
     edge = st.builds(lambda k, d: max(1, k * BLOCK_ROWS + d), st.integers(1, 23), st.sampled_from([-1, 0, 1]))
     n = draw(st.one_of(edge, st.integers(1, 1500)))

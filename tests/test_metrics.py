@@ -86,10 +86,6 @@ class TestAccuracy:
         assert overall == 1.0
         assert real_acc is None and fake_acc == 1.0
 
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError, match="threshold"):
-            accuracy([0.5], [1], threshold=1.0)
-
     def test_empty_raises(self):
         with pytest.raises(ValueError, match="at least one"):
             accuracy([], [])
