@@ -86,6 +86,11 @@ class TestAccuracy:
         assert overall == 1.0
         assert real_acc is None and fake_acc == 1.0
 
+    def test_scores_at_the_threshold_count_as_fake(self):
+        below = np.nextafter(0.5, 0.0)
+        assert accuracy([0.5, below], [1, 0]) == (1.0, 1.0, 1.0)
+        assert accuracy([below, 0.5], [1, 0]) == (0.0, 0.0, 0.0)
+
     def test_empty_raises(self):
         with pytest.raises(ValueError, match="at least one"):
             accuracy([], [])

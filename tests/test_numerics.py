@@ -86,6 +86,18 @@ class TestRng:
         Rng(1).fork("s").shuffle(x)
         assert sorted(x.tolist()) == list(range(50))
 
+    def test_normal_is_the_standard_normal(self):
+        assert np.array_equal(Rng(3).fork("n").normal(size=64), Rng(3).fork("n").gen.standard_normal(64))
+        assert Rng(3).normal((2, 5)).shape == (2, 5)
+
+    def test_choice_draws_without_replacement(self):
+        assert sorted(Rng(4).fork("all").choice(50, 50).tolist()) == list(range(50))
+        idx = Rng(4).fork("some").choice(1000, 40)
+        assert len(set(idx.tolist())) == 40 and idx.min() >= 0 and idx.max() < 1000
+
+    def test_choice_of_more_than_the_population_raises(self):
+        with pytest.raises(ValueError):
+            Rng(4).choice(3, 4)
 
     @staticmethod
     def _list_seeded(digest):
@@ -132,16 +144,23 @@ class TestAdam:
         v_hat = v / (1.0 - ADAM_BETA2**t)
         return params - ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
 
-    def test_in_place_matches_out_of_place_bit_for_bit(self):
-        # 400 steps run past t = 356, from where 1 - beta1**t rounds to 1.0, as every bench run does
+    @pytest.mark.parametrize("grads_at", ["wide", "sign_flips"])
+    def test_in_place_matches_out_of_place_bit_for_bit(self, grads_at):
+        # 400 steps run past t = 356, from where 1 - beta1**t rounds to 1.0, as every bench run does.
+        # "wide" scales each step's gradient by 1e-6..1e2; "sign_flips" alternates one gradient's
+        # sign, so m cancels towards 0 while v grows
         assert 1.0 - ADAM_BETA1**355 < 1.0
         assert 1.0 - ADAM_BETA1**356 == 1.0
         rng = Rng(12)
         params = rng.fork("p").normal(size=257)
         ref, m, v = params.copy(), np.zeros(257), np.zeros(257)
         state = AdamState(257)
+        fixed = rng.fork("fixed").normal(size=257)
         for t in range(1, 401):
-            grads = rng.fork(f"g{t}").normal(size=257) * 10.0 ** rng.fork(f"s{t}").uniform(-6, 2)
+            if grads_at == "wide":
+                grads = rng.fork(f"g{t}").normal(size=257) * 10.0 ** rng.fork(f"s{t}").uniform(-6, 2)
+            else:
+                grads = fixed * (-1.0) ** t
             out = adam_step(params, grads, state)
             ref, m, v = self._out_of_place(ref, grads, m, v, t)
             assert out is params

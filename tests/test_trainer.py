@@ -572,7 +572,9 @@ class TestTrainTask:
         with pytest.raises(ValueError, match="already fitted"):
             fit_task_generators(state, 0, x, y, stream.replay_signatures[0], cfg, Rng(0).fork("t0"), task_id=0)
 
-    def test_failed_fit_names_task_and_class(self):
+    @pytest.mark.parametrize("task_index, task_id", [(0, 7), (3, 0)])
+    def test_failed_fit_names_task_and_class(self, task_index, task_id):
+        # the message names task_id, the task's id in the stream, not its index
         # two points, 50 copies each: EM at k=3 empties a component, even after a re-seed
         reals = np.repeat([[0.0, 1.0], [2.0, 3.0]], 50, axis=0)
         fakes = Rng(1).fork("f").normal(size=(100, 2))
@@ -583,10 +585,12 @@ class TestTrainTask:
         state = RunState(model=model, adam=AdamState(model.n_params))
         with pytest.raises(
             RuntimeError,
-            match="^task 7: cannot fit the real generator on 100 rows: "
+            match=f"^task {task_id}: cannot fit the real generator on 100 rows: "
             "EM degenerate component after re-seeding$",
         ):
-            fit_task_generators(state, 0, x, y, Signature(np.zeros(2), 0.0), cfg, Rng(0), task_id=7)
+            fit_task_generators(
+                state, task_index, x, y, Signature(np.zeros(2), 0.0), cfg, Rng(0), task_id=task_id
+            )
         assert state.generator_pairs == []
 
     @pytest.mark.parametrize("size", [None, 9])
