@@ -43,7 +43,7 @@ _SECTION_KEYS = {
     "scenario": {p.name for p in _SCENARIO_PARAMS},
     "dataset": {
         name for f in (load_feature_dataset, stream_from_samples) for name in signature(f).parameters
-    } - {"samples", "rng"},
+    } - {"table", "rng"},
     "train": {f.name for f in fields(TrainConfig)} - {"seed"},
     "loss": {f.name for f in fields(LossConfig)},
     "dcs": {f.name for f in fields(DcsConfig)},

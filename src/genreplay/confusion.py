@@ -65,7 +65,7 @@ def _subsample(rows, rng):
     return rows[rng.choice(len(rows), PROBE_CAP)]
 
 
-def compute_alpha(model, pairs, current_fakes, cfg, rng, task_index=0, epoch=0):
+def compute_alpha(model, pairs, current_fakes, cfg, rng, *, task_index, epoch):
     """The confusion record of the stored pairs against the current task's fakes.
 
     Each of the k GeneratorPairs draws ceil(PROBE_CAP / k) fresh gen-real rows
@@ -73,7 +73,8 @@ def compute_alpha(model, pairs, current_fakes, cfg, rng, task_index=0, epoch=0):
     read). current_fakes is an (n_fake, input_dim) array of the current task's
     fake rows. Each pool is cut to PROBE_CAP rows by a draw without replacement
     on fork probe/gen-real or probe/cur-fake, then both are fed through the
-    model and compared by their feature centroids.
+    model and compared by their feature centroids. The record carries
+    task_index and epoch, the task and epoch the probe runs for.
     """
     if not len(pairs) or not len(current_fakes):
         raise ValueError("both sample pools must be non-empty")

@@ -38,29 +38,20 @@ def auc(scores, labels):
 
 
 def accuracy(scores, labels):
-    """(overall, real_acc, fake_acc) at DECISION_THRESHOLD; a class absent from labels reports None."""
+    """(overall, real_acc, fake_acc) at DECISION_THRESHOLD; like auc, it needs both classes."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
-    if scores.size == 0:
-        raise ValueError("accuracy needs at least one sample")
-    pred_fake = scores >= DECISION_THRESHOLD
     is_fake = labels == LABEL_FAKE
-    correct = pred_fake == is_fake
-    overall = float(correct.mean())
-    real_acc = float(correct[~is_fake].mean()) if (~is_fake).any() else None
-    fake_acc = float(correct[is_fake].mean()) if is_fake.any() else None
-    return overall, real_acc, fake_acc
+    if is_fake.all() or not is_fake.any():
+        raise ValueError("accuracy undefined: need at least one sample of each class")
+    correct = (scores >= DECISION_THRESHOLD) == is_fake
+    return float(correct.mean()), float(correct[~is_fake].mean()), float(correct[is_fake].mean())
 
 
 def performance_drop(m0, mN):
     if not (0.0 <= m0 <= 1.0 and 0.0 <= mN <= 1.0):
         raise ValueError("metric values must lie in [0,1]")
     return m0 - mN
-
-
-def _drop(m0, mN):
-    """performance_drop, or None when either side is None."""
-    return None if m0 is None or mN is None else performance_drop(m0, mN)
 
 
 @dataclass
@@ -81,8 +72,8 @@ class StepRow:
     avg_auc: float
     pre_avg_auc: float | None
     pd_auc: float | None
-    acc_real: float | None
-    acc_fake: float | None
+    acc_real: float
+    acc_fake: float
     pd_acc_real: float | None
     pd_acc_fake: float | None
     alpha: float | None
@@ -119,17 +110,15 @@ def build_table(per_step_evals, alphas=None):
         avg_auc = float(np.mean(aucs))
         prev = [evals[t].auc for t in seen if t != k]
         pre_avg = float(np.mean(prev)) if prev else None
-        reals = [evals[t].acc_real for t in seen if evals[t].acc_real is not None]
-        fakes = [evals[t].acc_fake for t in seen if evals[t].acc_fake is not None]
-        acc_real = float(np.mean(reals)) if reals else None
-        acc_fake = float(np.mean(fakes)) if fakes else None
+        acc_real = float(np.mean([evals[t].acc_real for t in seen]))
+        acc_fake = float(np.mean([evals[t].acc_fake for t in seen]))
         if k == 0:
             m0_auc, m0_real, m0_fake = avg_auc, acc_real, acc_fake
             pd_auc = pd_real = pd_fake = None
         else:
             pd_auc = performance_drop(m0_auc, avg_auc)
-            pd_real = _drop(m0_real, acc_real)
-            pd_fake = _drop(m0_fake, acc_fake)
+            pd_real = performance_drop(m0_real, acc_real)
+            pd_fake = performance_drop(m0_fake, acc_fake)
         table.rows.append(
             StepRow(
                 step=k + 1,

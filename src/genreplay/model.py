@@ -63,7 +63,7 @@ class MLP:
             i = j + fan_out
         self._head_w_slot = slice(i, i + widths[-1])
         self.params = np.zeros(i + widths[-1] + 1) if params is None else params
-        # the last gradient buffer backward was given as out, with its views
+        # the last gradient buffer backward wrote, with its views
         self._out_views = (None, None)
         self.weights, self.biases, self.head_w = self._views(self.params)
 
@@ -184,19 +184,15 @@ class MLP:
         only applies the chain rule through head and hidden layers. The
         gradient goes into a fresh array, or into out when given: a
         contiguous float64 array of shape (n_params,), which is returned. The
-        layer views of out are kept from one call to the next, so a caller
-        that passes the same buffer every step builds them once.
+        layer views of the buffer written are kept from one call to the next,
+        so a caller that passes the same out every step builds them once.
         """
         n = record.x.shape[0]
         d_yp = np.asarray(d_yp, dtype=float)
         if d_yp.shape != (n,):
             raise ValueError("d_yp length must match the batch size")
-        if out is None:
-            grad = np.empty(self.n_params)
-            g_ws, g_bs, g_head_w = self._views(grad)
-        else:
-            grad = out
-            g_ws, g_bs, g_head_w = self._buffer_views(out)
+        grad = np.empty(self.n_params) if out is None else out
+        g_ws, g_bs, g_head_w = self._buffer_views(grad)
         # du = d_yp * y_p * (1 - y_p), in that order
         du = d_yp * record.y_p
         du *= 1.0 - record.y_p

@@ -210,8 +210,7 @@ class FeatureTable:
     """The rows of a feature file, by column.
 
     features is (n, d) float, labels (n,) int (0 real, 1 fake) and tasks (n,)
-    the file's task ids, int64 unless an id lies beyond int64. len() is the
-    row count n.
+    the file's int64 task ids. len() is the row count n.
     """
 
     features: np.ndarray
@@ -263,22 +262,22 @@ class DatasetStream:
         }
 
 
-def stream_from_samples(samples, rng, test_fraction=0.25):
-    """Group the rows of a FeatureTable by task id and split each task train/test.
+def stream_from_samples(table, rng, test_fraction=0.25):
+    """Group the rows of the FeatureTable table by task id and split each task train/test.
 
     Raises ValueError naming the task when a task, or one of its splits, holds one class.
     """
-    if not samples:
+    if not table:
         raise ValueError("no samples to build a stream from")
     check_real("test_fraction", test_fraction)
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie in (0,1)")
-    ids, inverse, counts = np.unique(samples.tasks, return_inverse=True, return_counts=True)
+    ids, inverse, counts = np.unique(table.tasks, return_inverse=True, return_counts=True)
     # each task's row indices, in file order
     by_task = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
     groups = {}
     for t, rows in zip(ids.tolist(), by_task):
-        if len(np.unique(samples.labels[rows])) < 2:
+        if len(np.unique(table.labels[rows])) < 2:
             raise ValueError(f"task {t} has only one class")
         n_test = max(1, int(round(len(rows) * test_fraction)))
         if n_test >= len(rows):
@@ -292,15 +291,15 @@ def stream_from_samples(samples, rng, test_fraction=0.25):
         rng.fork(f"task{t}").shuffle(order)
         test, train = rows[order[:n_test]], rows[order[n_test:]]
         for split, idx in (("train", train), ("test", test)):
-            if len(np.unique(samples.labels[idx])) < 2:
+            if len(np.unique(table.labels[idx])) < 2:
                 raise ValueError(
                     f"task {t}: the {split} split of {len(idx)} rows holds one class; "
                     "add rows or change test_fraction"
                 )
-        arrays = tuple(column[idx] for idx in (train, test) for column in (samples.features, samples.labels))
+        arrays = tuple(column[idx] for idx in (train, test) for column in (table.features, table.labels))
         tasks_data.append(arrays)
     # ingested data carries no known generator artifact
-    zero_sig = Signature(np.zeros(samples.features.shape[1]), 0.0)
+    zero_sig = Signature(np.zeros(table.features.shape[1]), 0.0)
     return DatasetStream(
         tasks_data=tasks_data, replay_signatures=[zero_sig] * len(tasks_data), task_ids=list(groups)
     )
@@ -368,6 +367,8 @@ def load_feature_dataset(path):
     return _table(*columns)
 
 
+# the range of a task id
+_INT64 = np.iinfo(np.int64)
 # what errors="surrogateescape" decodes a byte b that is not UTF-8 to: chr(0xDC00 + b)
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
@@ -381,12 +382,7 @@ def _check_utf8(path, row_no, cells):
 
 
 def _table(feats, labels, tasks):
-    try:
-        task_ids = np.array(tasks, dtype=np.int64)
-    except OverflowError:
-        # an id beyond int64, which only the row-by-row scan reads, stays a Python int
-        task_ids = np.array(tasks, dtype=object)
-    return FeatureTable(feats, np.array(labels, dtype=np.int64), task_ids)
+    return FeatureTable(feats, np.array(labels, dtype=np.int64), np.array(tasks, dtype=np.int64))
 
 
 def _parse_columns(fh, n_cells, label_col, task_col, feat_cols):
@@ -435,6 +431,8 @@ def _scan_rows(path, fh, n_cells, label_col, task_col, feat_cols):
             raise ValueError(f"{path}: malformed row {row_no}: {exc}") from exc
         if label not in (LABEL_REAL, LABEL_FAKE):
             raise ValueError(f"{path}: row {row_no}: label must be 0 or 1, got {label}")
+        if not _INT64.min <= task <= _INT64.max:
+            raise ValueError(f"{path}: row {row_no}: task id {task} lies beyond int64")
         if not np.isfinite(feats).all():
             raise ValueError(f"{path}: row {row_no}: non-finite feature")
         feature_rows.append(feats)

@@ -24,11 +24,12 @@ class StrategyRow(NamedTuple):
     """What one strategy kind does with replay.
 
     uses_replay: replay is drawn at all. keeps_gen_real: gen-real rows enter
-    the batch. supervised: gen-real rows get CE weighted by alpha. alpha:
-    "dcs" probes the confusion score every epoch unless a fixed_alpha
-    overrides it, "fixed" requires a fixed_alpha, and None means alpha is 1
-    and the table reports none. Per batch the gen-real CE weight is alpha if
-    supervised, else 0, and the RS weight is 1 - alpha.
+    the batch, and train_task trains a row without them at batch_gen_real 0.
+    supervised: gen-real rows get CE weighted by alpha. alpha: "dcs" probes
+    the confusion score every epoch unless a fixed_alpha overrides it,
+    "fixed" requires a fixed_alpha, and None means alpha is 1 and the table
+    reports none. Per batch the gen-real CE weight is alpha if supervised,
+    else 0, and the RS weight is 1 - alpha.
     """
 
     uses_replay: bool
@@ -160,15 +161,14 @@ class BatchLayout(NamedTuple):
     replay_labels: np.ndarray
 
 
-def batch_layout(n_current, n_pairs, cfg, include_gen_real=True):
+def batch_layout(n_current, n_pairs, cfg):
     """The layout of a batch with n_current current rows and n_pairs stored pairs.
 
     The replay draws are split round-robin over the pairs.
     """
     real_counts, fake_counts = [], []
     if n_pairs:
-        n_real = cfg.batch_gen_real if include_gen_real else 0
-        real_counts = split_round_robin(n_real, n_pairs)
+        real_counts = split_round_robin(cfg.batch_gen_real, n_pairs)
         fake_counts = split_round_robin(cfg.batch_gen_fake, n_pairs)
     n_fake = sum(fake_counts)
     replay_labels = np.repeat([LABEL_FAKE, LABEL_REAL], [n_fake, sum(real_counts)])
@@ -187,7 +187,7 @@ class Batch(NamedTuple):
     layout: BatchLayout
 
 
-def assemble_batch(x, labels, pairs, cfg, rng, include_gen_real=True):
+def assemble_batch(x, labels, pairs, cfg, rng):
     """Current rows plus replay draws split round-robin over stored pairs.
 
     x is one batch's current rows (n, dim) with labels (n,), or a stack of
@@ -199,7 +199,7 @@ def assemble_batch(x, labels, pairs, cfg, rng, include_gen_real=True):
     sample_replay on fork pair{i}.
     """
     lead, n = x.shape[:-2], x.shape[-2]
-    layout = batch_layout(n, len(pairs), cfg, include_gen_real)
+    layout = batch_layout(n, len(pairs), cfg)
     fakes, reals = [], []
     for i, pair in enumerate(pairs):
         real_shape = lead + (layout.real_counts[i],)
@@ -297,6 +297,8 @@ def train_task(
             f"fewer than batch_current={cfg.batch_current}"
         )
     pairs = state.generator_pairs if strategy.row.uses_replay else []
+    if not strategy.row.keeps_gen_real:
+        cfg = replace(cfg, batch_gen_real=0)
     current_fakes = x_train[y_train == LABEL_FAKE]
     # every step's gradient goes here; adam_step reads it before the next step writes it
     grad_buf = np.empty(state.model.n_params)
@@ -315,8 +317,7 @@ def train_task(
         # the whole epoch's batches before its first step; step b trains on views of row b
         rows = order[: n_batches * cfg.batch_current].reshape(n_batches, cfg.batch_current)
         xs, ys, layout = assemble_batch(
-            x_train[rows], y_train[rows], pairs, cfg, epoch_rng.fork("replay"),
-            strategy.row.keeps_gen_real,
+            x_train[rows], y_train[rows], pairs, cfg, epoch_rng.fork("replay")
         )
         for b in range(n_batches):
             breakdown, grad = batch_objective(

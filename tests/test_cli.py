@@ -264,7 +264,7 @@ class TestConfigValidation:
                 assert np.array_equal(sig.vector, want.vector) and sig.strength == want.strength
 
     def test_dataset_fields_reach_each_seed_split(self, tmp_path):
-        # the keys are load_feature_dataset's and stream_from_samples' arguments but samples and rng
+        # the keys are load_feature_dataset's and stream_from_samples' arguments but table and rng
         assert genreplay.cli._SECTION_KEYS["dataset"] == {"path", "test_fraction"}
         path = write_dataset_config(tmp_path, rows_per_task=40, test_fraction=0.3, seeds=[2, 3])
         streams = load_config(path, "run")["streams"]
@@ -558,6 +558,8 @@ class TestRunVerb:
     @pytest.mark.parametrize("rows, fraction, message", [
         (None, 0.25, "No such file"),
         (["f0,label,task", "x,0,0"], 0.25, "malformed row 2"),
+        (["f0,label,task", "0.1,0,0", "0.2,1,99999999999999999999"], 0.25,
+         "data.csv: row 3: task id 99999999999999999999 lies beyond int64"),
         (["f0,label,task", "0.1,0,0", "0.2,1,0", "0.3,0,0"], 0.25, "at least 2 tasks"),
         ("keep", 1.5, "test_fraction"),
         ("keep", 0.5, "dataset: seed 0: task 0 has 12 training rows, fewer than batch_current=16"),

@@ -158,10 +158,9 @@ class TestComputeAlpha:
 
     def test_empty_pool_raises(self):
         model = self._identity_model()
-        with pytest.raises(ValueError, match="non-empty"):
-            compute_alpha(model, [], np.full((3, 4), 1.0), DcsConfig(), Rng(0))
-        with pytest.raises(ValueError, match="non-empty"):
-            compute_alpha(model, [const_pair(0.0)], np.empty((0, 4)), DcsConfig(), Rng(0))
+        for pairs, fake in (([], np.full((3, 4), 1.0)), ([const_pair(0.0)], np.empty((0, 4)))):
+            with pytest.raises(ValueError, match="non-empty"):
+                compute_alpha(model, pairs, fake, DcsConfig(), Rng(0), task_index=1, epoch=0)
 
     def test_probe_cap_subsampling_is_deterministic(self):
         model = self._identity_model()
@@ -169,9 +168,10 @@ class TestComputeAlpha:
         fake = np.full((40, 4), 1.0)
         cfg = DcsConfig()
         with mock.patch.object(genreplay.confusion, "PROBE_CAP", 8):
-            a = compute_alpha(model, pairs, fake, cfg, Rng(7))
-            b = compute_alpha(model, pairs, fake, cfg, Rng(7))
-            c = compute_alpha(model, pairs, fake, cfg, Rng(8))
+            a, b, c = (
+                compute_alpha(model, pairs, fake, cfg, Rng(seed), task_index=1, epoch=0)
+                for seed in (7, 7, 8)
+            )
         assert a == b
         assert c.s != a.s  # a different probe fork draws different rows
 

@@ -174,6 +174,23 @@ def test_backward_without_out_returns_a_fresh_array_each_call():
     assert not same(second, kept)
 
 
+def test_backward_with_and_without_out_alternated_give_equal_bits():
+    # both build their layer views on one path, so switching buffers each call rebuilds them
+    rng = Rng(5)
+    model = MLP([6, 8, 8], rng.fork("init"))
+    rec = model.forward(rng.fork("x").normal(size=(10, 6)))
+    d_yp = rng.fork("d").normal(size=10)
+    d_feat = rng.fork("f").normal(size=rec.features.shape)
+    want = reference_backward(model, rec, d_yp, d_feat)
+    buf = np.full(model.n_params, np.nan)
+    for _ in range(3):
+        fresh = model.backward(rec, d_yp, d_feat)
+        assert fresh is not buf and same(fresh, want)
+        assert model.backward(rec, d_yp, d_feat, out=buf) is buf
+        assert same(buf, want)
+        buf[...] = np.nan
+
+
 @pytest.mark.parametrize(
     "make_out",
     [lambda n: np.empty(n - 1), lambda n: np.empty(n + 1), lambda n: np.empty((1, n)),

@@ -81,10 +81,12 @@ class TestAccuracy:
         assert overall == 0.5
         assert real_acc == 0.5 and fake_acc == 0.5
 
-    def test_absent_class_reports_none(self):
-        overall, real_acc, fake_acc = accuracy([0.9, 0.8], [1, 1])
-        assert overall == 1.0
-        assert real_acc is None and fake_acc == 1.0
+    @pytest.mark.parametrize("scores, labels", [([0.9, 0.8], [1, 1]), ([0.1], [0]), ([], [])])
+    def test_one_class_or_empty_raises_like_auc(self, scores, labels):
+        with pytest.raises(ValueError, match="need at least one sample of each class"):
+            accuracy(scores, labels)
+        with pytest.raises(ValueError, match="need at least one sample of each class"):
+            auc(scores, labels)
 
     def test_scores_at_the_threshold_count_as_fake(self):
         below = np.nextafter(0.5, 0.0)
@@ -154,11 +156,17 @@ class TestBuildTable:
         with pytest.raises(ValueError, match="no evaluations"):
             build_table([])
 
-    def test_none_accuracy_propagates(self):
-        e = TaskEval(auc=0.9, acc=1.0, acc_real=None, acc_fake=1.0)
-        table = build_table([{0: e}])
-        assert table.rows[0].acc_real is None
-        assert table.rows[0].acc_fake == 1.0
+    def test_accuracy_drops_by_hand(self):
+        def acc(real, fake):
+            return TaskEval(auc=0.9, acc=(real + fake) / 2, acc_real=real, acc_fake=fake)
+
+        per_step = [{0: acc(0.75, 1.0)}, {0: acc(0.5, 0.75), 1: acc(1.0, 0.25)}]
+        r0, r1 = build_table(per_step).rows
+        assert (r0.acc_real, r0.acc_fake) == (0.75, 1.0)
+        assert r0.pd_acc_real is None and r0.pd_acc_fake is None
+        # step 2 averages both tasks: real (0.5 + 1.0) / 2, fake (0.75 + 0.25) / 2
+        assert (r1.acc_real, r1.acc_fake) == (0.75, 0.5)
+        assert (r1.pd_acc_real, r1.pd_acc_fake) == (0.0, 0.5)
 
 
 class TestSerialization:

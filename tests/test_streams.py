@@ -410,13 +410,20 @@ class TestStreamFromSamples:
         assert sorted(stream.train_counts) == [3, 7]
         assert [sum(c) for c in stream.train_counts.values()] == [10, 10]
 
-    def test_task_id_beyond_int64_names_its_task(self, tmp_path):
-        big = 10**20
-        rows = "".join(f"0.{i},{i % 2},{t}\n" for t in (big, 0) for i in range(4))
+    def test_task_id_beyond_int64_names_its_row(self, tmp_path):
+        big = 2**63
         path = tmp_path / "d.csv"
+        for bad in (big, -big - 1):
+            rows = "".join(f"0.{i},{i % 2},{t}\n" for t in (0, bad) for i in range(4))
+            path.write_text("f0,label,task\n" + rows)
+            with pytest.raises(ValueError, match=f"d.csv: row 6: task id {bad} lies beyond int64"):
+                load_feature_dataset(str(path))
+        # the int64 bounds themselves are ids
+        rows = "".join(f"0.{i},{i % 2},{t}\n" for t in (big - 1, -big) for i in range(4))
         path.write_text("f0,label,task\n" + rows)
-        stream = stream_from_samples(load_feature_dataset(str(path)), Rng(0), test_fraction=0.5)
-        assert stream.train_counts == {0: (1, 1), big: (1, 1)}
+        loaded = load_feature_dataset(str(path))
+        assert loaded.tasks.dtype == np.int64
+        assert loaded.tasks.tolist() == [big - 1] * 4 + [-big] * 4
 
     def test_task_grouping_errors_named(self):
         one_class = table([r for r in self._rows() if r[2] == 0 or r[1] == 1])

@@ -167,7 +167,7 @@ class TestBatching:
 
     def test_gen_real_excluded_on_request(self):
         batch = assemble_batch(
-            *current_chunk(), [make_pair(0, 10)], tiny_cfg(), Rng(2), include_gen_real=False
+            *current_chunk(), [make_pair(0, 10)], tiny_cfg(batch_gen_real=0), Rng(2)
         )
         assert sum(batch.layout.real_counts) == 0
         assert (batch.layout.n_current, batch.layout.n_fake) == (8, 12)
@@ -242,21 +242,20 @@ class TestEpochReplay:
             "no_pairs": [],
         }.get(case, [make_pair(0, 10), make_gmm_pair(1, 13), make_pair(2, 14)])
         cfg = TrainConfig(
-            batch_gen_real=2 if case == "fewer_real_than_pairs" else 7,
+            batch_gen_real={"fewer_real_than_pairs": 2, "no_gen_real": 0}.get(case, 7),
             batch_gen_fake=0 if case == "no_gen_fake" else 5,
         )
         if case == "pools":
             pairs = self._pooled(pairs)
         elif case == "some_pooled":
             pairs = pairs[:1] + self._pooled(pairs[1:])
-        include_gen_real = case != "no_gen_real"
-        layout = batch_layout(4, len(pairs), cfg, include_gen_real)
+        layout = batch_layout(4, len(pairs), cfg)
         if case == "fewer_real_than_pairs":
             assert layout.real_counts == [1, 1, 0]
         counts = layout.real_counts, layout.fake_counts
         rng = Rng(21).fork("replay")
         xs, ys = zip(*(current_chunk(4, seed=b) for b in range(self.N_BATCHES)))
-        stack = assemble_batch(np.stack(xs), np.stack(ys), pairs, cfg, rng, include_gen_real)
+        stack = assemble_batch(np.stack(xs), np.stack(ys), pairs, cfg, rng)
         n_replay = sum(layout.real_counts) + sum(layout.fake_counts)
         assert stack.x.shape == (self.N_BATCHES, 4 + n_replay, DIM)
         assert stack.labels.shape == (self.N_BATCHES, 4 + n_replay)
@@ -270,7 +269,7 @@ class TestEpochReplay:
             assert np.array_equal(stack.x[b], np.concatenate([xs[b], want[b, perm]]))
             assert np.array_equal(stack.labels[b], np.concatenate([ys[b], layout.replay_labels]))
         # one batch is the stack of one, on the same forks
-        batch = assemble_batch(xs[0], ys[0], pairs, cfg, rng, include_gen_real)
+        batch = assemble_batch(xs[0], ys[0], pairs, cfg, rng)
         want = epoch_replay(pairs, *counts, 1, rng)[0]
         assert np.array_equal(batch.x, np.concatenate([xs[0], want[perm]]))
         assert batch.layout[:4] == layout[:4]
@@ -301,8 +300,10 @@ class TestEpochReplay:
     ):
         """train_task written as a loop over batches of epoch_replay's rows, in role order."""
         pairs = state.generator_pairs if strategy.row.uses_replay else []
+        if not strategy.row.keeps_gen_real:
+            cfg = replace(cfg, batch_gen_real=0)
         current_fakes = x_train[y_train == 1]
-        layout = batch_layout(cfg.batch_current, len(pairs), cfg, strategy.row.keeps_gen_real)
+        layout = batch_layout(cfg.batch_current, len(pairs), cfg)
         replay_perm = role_order(layout)[cfg.batch_current :] - cfg.batch_current
         alpha = None
         for epoch in range(cfg.epochs):
@@ -382,10 +383,9 @@ class TestBatchObjective:
     def _grad_check(self, strategy, alpha, loss_cfg, seed):
         rng = Rng(seed)
         model = MLP([DIM, 10, 8], rng.fork("init"))
+        cfg = TrainConfig(batch_gen_real=6 if strategy.row.keeps_gen_real else 0, batch_gen_fake=6)
         batch = assemble_batch(
-            *current_chunk(seed=seed), [make_pair(0, seed + 50)],
-            TrainConfig(batch_gen_real=6, batch_gen_fake=6), rng.fork("batch"),
-            include_gen_real=strategy.row.keeps_gen_real,
+            *current_chunk(seed=seed), [make_pair(0, seed + 50)], cfg, rng.fork("batch")
         )
         _, grad = batch_objective(model, batch, strategy, alpha, loss_cfg)
 

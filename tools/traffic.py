@@ -1,0 +1,145 @@
+"""Lines of src/genreplay/ that the lab's own traffic never reaches.
+
+    python3 tools/traffic.py
+
+Under one sys.settrace line tracer confined to src/genreplay/, this runs the
+traffic the repository itself sends through the package: one run of each
+benchmark workload (bench/workloads.py, inputs in a temp dir), each
+configs/*.json under the verb its config section names at `--seeds 1 --jobs 1`
+with `--out` in a temp dir, and the acceptance gate, tests/test_acceptance.py.
+It then prints, per module, the executable lines that none of them reached,
+with their source. The package is imported only once the tracer runs, so its
+import-time lines count. Nothing is written in the checkout. Standard library,
+plus numpy and pytest, which the traffic itself needs.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+import time
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "genreplay"
+
+
+class LineTracer:
+    """While active, records under reached {path: set of line numbers} the lines run in files
+    under root; frames of any other file are not traced."""
+
+    def __init__(self, root):
+        self.root = os.path.join(os.path.realpath(root), "")
+        self.reached = {}
+        self._previous = None
+        # per code filename: its reached set, or None when it lies outside root
+        self._files = {}
+
+    def _call(self, frame, event, arg):
+        name = frame.f_code.co_filename
+        if name not in self._files:
+            path = os.path.realpath(name)
+            self._files[name] = (
+                self.reached.setdefault(path, set()) if path.startswith(self.root) else None
+            )
+        lines = self._files[name]
+        if lines is None:
+            return None
+
+        def on_line(frame, event, arg):
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return on_line
+
+        return on_line
+
+    def __enter__(self):
+        self._previous = sys.gettrace()
+        sys.settrace(self._call)
+        return self
+
+    def __exit__(self, *exc):
+        sys.settrace(self._previous)
+
+
+def executable_lines(path):
+    """The line numbers of the Python file at path that carry bytecode."""
+    code = compile(Path(path).read_text(), str(path), "exec")
+    lines, todo = set(), [code]
+    while todo:
+        co = todo.pop()
+        # line 0 is the module's entry, which no source line holds
+        lines.update(line for _, _, line in co.co_lines() if line)
+        todo.extend(c for c in co.co_consts if isinstance(c, types.CodeType))
+    return lines
+
+
+def report(paths, reached, root):
+    """Per file of paths, named relative to root: its executable lines not in reached."""
+    out = []
+    for path in paths:
+        path = os.path.realpath(path)
+        lines = executable_lines(path)
+        missed = sorted(lines - reached.get(path, set()))
+        source = Path(path).read_text().splitlines()
+        name = os.path.relpath(path, root)
+        out.append(f"{name}: {len(missed)} of {len(lines)} executable lines unreached")
+        out += [f"  {n:4d}  {source[n - 1].strip()}" for n in missed]
+    return "\n".join(out)
+
+
+def run_traffic(tmp):
+    """Run the bench workloads, the configs and the gate; their wall times by phase."""
+    walls = {}
+    start = time.perf_counter()
+    import workloads
+
+    for name, workload in workloads.WORKLOADS.items():
+        seeds = workloads.run_seeds(name, 1, n=1)
+        work_dir = os.path.join(tmp, name)
+        os.mkdir(work_dir)
+        problems = workload.check(workload.run(workload.build(seeds, work_dir), seeds[0]))
+        if problems:
+            raise SystemExit(f"traffic: workload {name}: {problems}")
+    walls["bench"] = time.perf_counter() - start
+
+    start = time.perf_counter()
+    import genreplay.cli
+
+    for config in sorted((ROOT / "configs").glob("*.json")):
+        raw = json.loads(config.read_text())
+        verb = next(v for v, key in genreplay.cli._VERB_KEYS.items() if key in raw)
+        argv = [verb, "--config", str(config), "--seeds", "1", "--jobs", "1",
+                "--out", os.path.join(tmp, config.stem)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = genreplay.cli.main(argv)
+        if code:
+            raise SystemExit(f"traffic: genreplay {' '.join(argv)} exited with status {code}")
+    walls["configs"] = time.perf_counter() - start
+
+    start = time.perf_counter()
+    import pytest
+
+    gate = ROOT / "tests" / "test_acceptance.py"
+    code = pytest.main([str(gate), "-q", "-p", "no:cacheprovider"])
+    if code:
+        raise SystemExit(f"traffic: the acceptance gate exited with status {code}")
+    walls["gate"] = time.perf_counter() - start
+    return walls
+
+
+def main():
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    with tempfile.TemporaryDirectory() as tmp, LineTracer(PACKAGE) as tracer:
+        walls = run_traffic(tmp)
+    print(report(sorted(PACKAGE.glob("*.py")), tracer.reached, ROOT / "src"))
+    print("traffic wall s: " + ", ".join(f"{k} {v:.1f}" for k, v in walls.items()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
