@@ -12,7 +12,6 @@ from .metrics import MetricsTable, accuracy, auc, build_table, performance_drop
 from .model import MLP
 from .numerics import AdamState, Rng, adam_step, finite_diff_grad
 from .replay import GeneratorModel, GeneratorPair, Signature, fit_generator, sample_replay, signature_similarity
-from .samples import Sample
 from .streams import DatasetStream, DomainSpec, FeatureTable, TaskStream, load_feature_dataset, make_scenario
 from .trainer import (
     RunState, Strategy, TrainConfig, assemble_batch, fit_task_generators, run_incremental, train_task,
@@ -21,7 +20,7 @@ from .trainer import (
 __all__ = [
     "AdamState", "BatchLossBreakdown", "DatasetStream", "DcsConfig",
     "DcsRecord", "DomainSpec", "FeatureTable", "GeneratorModel", "GeneratorPair",
-    "LossConfig", "MLP", "MetricsTable", "Rng", "RunState", "Sample",
+    "LossConfig", "MLP", "MetricsTable", "Rng", "RunState",
     "Signature", "Strategy", "TaskStream", "TrainConfig", "accuracy",
     "adam_step", "assemble_batch", "auc", "build_table", "centroid",
     "combine_losses", "compute_alpha", "confusion_score", "finite_diff_grad",

@@ -290,6 +290,7 @@ def _run_one_seed(cfg, cell, seed, out_dir):
         cfg["streams"][seed], strategy, replace(cfg["train"], seed=seed),
         loss_cfg=loss_cfg, dcs_cfg=dcs_cfg, return_state=True,
     )
+    table_dict = table_to_dict(table)
     os.makedirs(out_dir, exist_ok=True)
 
     _write_csv(
@@ -299,7 +300,7 @@ def _run_one_seed(cfg, cell, seed, out_dir):
     )
     _write_json(
         os.path.join(out_dir, "summary.json"),
-        {"strategy": strategy.name, "seed": seed, "table": table_to_dict(table)},
+        {"strategy": strategy.name, "seed": seed, "table": table_dict},
     )
     _write_csv(
         os.path.join(out_dir, "alpha.csv"),
@@ -317,21 +318,22 @@ def _run_one_seed(cfg, cell, seed, out_dir):
             for (x, y), label in zip(proj, y_test.tolist())
         ],
     )
-    return table_to_dict(table)
+    return table_dict
 
 
 def _median_summary(per_seed_tables):
-    """Seed-median of every derived column, per step."""
-    n_steps = len(per_seed_tables[0]["rows"])
+    """Seed-median of every derived column, per step.
+
+    A column is None on every seed of a cell or on none, so it is None where
+    the first seed's is; one None on only some seeds makes np.median raise TypeError.
+    """
     steps = []
-    for k in range(n_steps):
+    for k, first in enumerate(per_seed_tables[0]["rows"]):
         rows = [t["rows"][k] for t in per_seed_tables]
-
-        def med(key):
-            vals = [r[key] for r in rows if r[key] is not None]
-            return float(np.median(vals)) if vals else None
-
-        steps.append({"step": k + 1, **{c: med(c) for c in DERIVED_COLUMNS}})
+        medians = {
+            c: None if first[c] is None else float(np.median([r[c] for r in rows])) for c in DERIVED_COLUMNS
+        }
+        steps.append({"step": k + 1, **medians})
     return {"n_seeds": len(per_seed_tables), "steps": steps}
 
 

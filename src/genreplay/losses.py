@@ -42,7 +42,7 @@ class BatchLossBreakdown:
 
 
 def ce_loss_batch(y_p, labels, split=None):
-    """Mean CE over a batch plus d(mean CE)/d y_p per sample.
+    """Mean CE over a non-empty batch plus d(mean CE)/d y_p per sample.
 
     With split, rows [:split] and [split:] are two batches that share one pass
     over the per-row terms. The result is then (mean CE of rows [:split], mean
@@ -52,10 +52,10 @@ def ce_loss_batch(y_p, labels, split=None):
     y_p = np.asarray(y_p, dtype=float)
     y = np.asarray(labels, dtype=float)
     n = y_p.size
+    if n == 0:
+        raise ValueError("ce_loss_batch needs a non-empty batch")
     if split is not None and not 0 < split < n:
         raise ValueError(f"split must lie in (0, {n}), got {split}")
-    if n == 0:
-        return 0.0, y_p.copy()
     # fmin and fmax skip NaN entries, which no bound comparison flags either
     if np.fmin.reduce(y_p) <= 0.0 or np.fmax.reduce(y_p) >= 1.0:
         raise ValueError("y_p entries must lie strictly inside (0,1)")
@@ -78,15 +78,15 @@ def centroid(features):
     return features.sum(axis=0) / features.shape[0]
 
 
-def _cos_rows_with_grads(fake, c, nc, eps):
-    """cos(f, c) with eps-padded norms for every row f of fake (m, d), plus gradients.
+def _cos_rows_with_grads(fake, c, nc):
+    """cos(f, c) with EPS_COS-padded norms for every row f of fake (m, d), plus gradients.
 
-    nc is the norm of c, above eps. Returns the (m,) cosines and their (m, d)
+    nc is the norm of c, above EPS_COS. Returns the (m,) cosines and their (m, d)
     gradients w.r.t. each row and w.r.t. c.
     """
     nf = np.sqrt(np.vecdot(fake, fake))
-    nf_eps = nf + eps
-    nc_eps = nc + eps
+    nf_eps = nf + EPS_COS
+    nc_eps = nc + EPS_COS
     denom = nf_eps * nc_eps
     dot = np.vecdot(fake, c)
     f_unit = np.zeros(fake.shape)
@@ -128,18 +128,16 @@ def rs_loss_with_grads(fake_features, real_centroid, real_count, cfg):
     c = np.asarray(real_centroid, dtype=float)
     if fake.ndim != 2 or fake.shape[0] == 0:
         raise ValueError("rs_loss needs a non-empty 2-d fake feature array")
-    if cfg.rs_metric == "cosine":
-        # np.linalg.norm's formula for a 1-d float array
-        nc = np.sqrt(c @ c)
-        if nc <= EPS_COS:
-            raise ValueError("degenerate geometry: real centroid has ~zero norm under cosine metric")
-
     m = fake.shape[0]
     centroid_based = cfg.rs_granularity == "centroid_based"
     # centroid-based: the fake side is one row, its centroid
     rows = fake.sum(axis=0, keepdims=True) / m if centroid_based else fake
     if cfg.rs_metric == "cosine":
-        vals, d_rows, d_c_rows = _cos_rows_with_grads(rows, c, nc, EPS_COS)
+        # np.linalg.norm's formula for a 1-d float array
+        nc = np.sqrt(c @ c)
+        if nc <= EPS_COS:
+            raise ValueError("degenerate geometry: real centroid has ~zero norm under cosine metric")
+        vals, d_rows, d_c_rows = _cos_rows_with_grads(rows, c, nc)
     else:
         dist, d_rows, d_c_rows = _dist_rows_with_grads(rows, c)
         vals, d_rows, d_c_rows = -dist, -d_rows, -d_c_rows

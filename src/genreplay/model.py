@@ -106,12 +106,10 @@ class MLP:
         self.params[...] = flat
 
     def _rows(self, x):
-        """x as a float (n, input_dim) array; a 1-d input (input_dim,) is read as one row."""
+        """x as a float (n, input_dim) array; any other shape raises ValueError."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
-        if x.shape[1] != self.input_dim:
-            raise ValueError(f"input dim {x.shape[1]} != model dim {self.input_dim}")
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ValueError(f"input shape {x.shape} is not (n, input_dim {self.input_dim})")
         return x
 
     def _pre_act(self, li, a, out=None):
@@ -133,7 +131,7 @@ class MLP:
         return y_p
 
     def forward(self, x):
-        """Forward a batch (n, input_dim), keeping what backward needs; a 1-d input is one row."""
+        """Forward a batch (n, input_dim), keeping what backward needs."""
         x = self._rows(x)
         a = x
         pre_acts = []

@@ -81,8 +81,6 @@ class GeneratorModel:
         shape = (n,) if np.ndim(n) == 0 else tuple(n)
         if min(shape, default=0) < 0:
             raise ValueError(f"sample counts must be >= 0, got {shape}")
-        if 0 in shape:
-            return np.empty(shape + (self.dim,))
         # the same uniforms and lookup as rng.gen.choice(k, size=n, p=weights),
         # without re-checking p on every call
         comps = self.cdf.searchsorted(rng.gen.random(shape), side="right")

@@ -265,7 +265,9 @@ class DatasetStream:
 def stream_from_samples(table, rng, test_fraction=0.25):
     """Group the rows of the FeatureTable table by task id and split each task train/test.
 
-    Raises ValueError naming the task when a task, or one of its splits, holds one class.
+    Tasks train in ascending id, not in file order: a file whose task 7 rows
+    come before its task 3 rows gives task_ids [3, 7]. Raises ValueError
+    naming the task when a task, or one of its splits, holds one class.
     """
     if not table:
         raise ValueError("no samples to build a stream from")

@@ -48,7 +48,6 @@ STRATEGY_TABLE = {
     "no_gen_real_sup":  StrategyRow(True, True, False, "dcs"),
     "no_rs":            StrategyRow(True, True, True, None),
 }
-STRATEGY_KINDS = tuple(STRATEGY_TABLE)
 
 
 @dataclass(frozen=True)
@@ -112,6 +111,7 @@ class TrainConfig:
         check_count("batch_gen_real", self.batch_gen_real, 0)
         check_count("batch_gen_fake", self.batch_gen_fake, 0)
         check_count("gmm_components", self.gmm_components, 1)
+        check_count("seed", self.seed, float("-inf"))
         if self.replay_pool_size is not None:
             check_count("replay_pool_size", self.replay_pool_size, 1)
         if self.generator_kind not in ("gaussian", "gmm"):

@@ -18,6 +18,7 @@ import genreplay.trainer
 from genreplay.cli import ConfigError, load_config, main
 from genreplay.confusion import DcsConfig
 from genreplay.losses import LossConfig
+from genreplay.metrics import DERIVED_COLUMNS
 from genreplay.numerics import Rng
 from genreplay.streams import make_scenario
 from genreplay.trainer import Strategy, TrainConfig
@@ -494,6 +495,19 @@ class TestRunVerb:
         assert os.path.exists(os.path.join(out2, "seed_4", "table.csv"))
         summary = json.loads(Path(out2, "median_summary.json").read_text())
         assert summary["n_seeds"] == 2
+
+    def test_median_summary_takes_none_from_the_first_seed(self):
+        def table(**values):
+            return {"rows": [{c: values.get(c, 0.5) for c in DERIVED_COLUMNS}]}
+
+        step, = genreplay.cli._median_summary(
+            [table(alpha=None, avg_auc=0.25), table(alpha=None, avg_auc=1.0), table(alpha=None)]
+        )["steps"]
+        assert step["alpha"] is None
+        assert step["avg_auc"] == 0.5
+        # a column None on only some seeds is no median of the others
+        with pytest.raises(TypeError):
+            genreplay.cli._median_summary([table(), table(alpha=None)])
 
     def test_stream_drawn_once_per_seed(self, tmp_path, monkeypatch):
         calls = []

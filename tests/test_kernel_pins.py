@@ -29,8 +29,6 @@ PIN = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 def reference_forward(model, x):
     """(pre_acts, acts, features, y_p, u) from the out-of-place expressions."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
     a = x
     pre_acts, acts = [], []
     for w, b in zip(model.weights, model.biases):
@@ -81,7 +79,7 @@ def model_and_batch(draw):
     """A model of random widths with its initial params scaled, and a batch x for it.
 
     Params scaled up and large inputs push logits past both clamps; some
-    batches are one row, some a 1-d vector, some hold a NaN row.
+    batches are one row, some hold a NaN row.
     """
     widths = draw(st.lists(st.integers(1, 9), min_size=2, max_size=4))
     scale = draw(st.sampled_from([0.5, 1.0, 8.0, 40.0]))
@@ -92,8 +90,6 @@ def model_and_batch(draw):
     x = draw(arrays(float, (n, widths[0]), elements=st.floats(-50.0, 50.0)))
     if draw(st.booleans()):
         x[draw(st.integers(0, n - 1))] = np.nan
-    if n == 1 and draw(st.booleans()):
-        x = x[0]
     return model, x
 
 
@@ -278,8 +274,6 @@ def model_and_rows(draw):
     x = rng.fork("x").normal(size=(n, widths[0])) * draw(st.sampled_from([1.0, 50.0]))
     if draw(st.booleans()):
         x[draw(st.integers(0, n - 1))] = np.nan
-    if n == 1 and draw(st.booleans()):
-        x = x[0]
     return model, x
 
 

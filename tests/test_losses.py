@@ -78,10 +78,10 @@ class TestCrossEntropy:
         fd = finite_diff_grad(lambda p: ce_loss_batch(p, labels)[0], y_p, h=1e-6)
         assert np.allclose(grad, fd, atol=1e-6)
 
-    def test_empty_batch(self):
-        val, grad = ce_loss_batch(np.array([]), np.array([]))
-        assert val == 0.0
-        assert grad.size == 0
+    def test_empty_batch_raises(self):
+        # as centroid and rs_loss_with_grads do: a mean over no rows is no loss
+        with pytest.raises(ValueError, match="non-empty batch"):
+            ce_loss_batch(np.array([]), np.array([]))
 
 
 class TestCentroid:
@@ -183,7 +183,7 @@ class TestSampleWiseRsMatchesPerRowLoop:
     def test_bit_identical_including_zero_norm_rows(self, metric):
         for fake, c in rs_trials():
             if metric == "cosine":
-                rows = lambda f, c=c: _cos_rows_with_grads(f, c, np.linalg.norm(c), 1e-8)
+                rows = lambda f, c=c: _cos_rows_with_grads(f, c, np.linalg.norm(c))
             else:
                 rows = lambda f, c=c: _dist_rows_with_grads(f, c)
             vals, d_f, d_c = rows(fake)

@@ -23,7 +23,7 @@ class TestConstruction:
     def test_dims(self):
         m = small_model()
         assert m.input_dim == 4
-        assert m.forward(np.zeros(4)).features.shape == (1, 8)
+        assert m.forward(np.zeros((1, 4))).features.shape == (1, 8)
 
     def test_bad_widths_raise(self):
         with pytest.raises(ValueError):
@@ -41,14 +41,13 @@ class TestForward:
         assert np.all(rec.y_p >= PROB_CLAMP)
         assert np.all(rec.y_p <= 1.0 - PROB_CLAMP)
 
-    def test_single_vector_input(self):
+    @pytest.mark.parametrize("shape", [(4,), (1, 1, 4), ()])
+    def test_input_that_is_not_2d_raises(self, shape):
         m = small_model()
-        v = np.linspace(-1.0, 1.0, 4)
-        rec = m.forward(v)
-        # a 1-d input is read as one row
-        assert rec.y_p.shape == (1,)
-        assert rec.features.shape == (1, 8)
-        assert np.array_equal(rec.y_p, m.forward(v[None, :]).y_p)
+        # a single vector is not read as one row: every entry point takes (n, input_dim)
+        for entry in (m.forward, m.features, m.scores):
+            with pytest.raises(ValueError, match=r"^input shape .* is not \(n, input_dim 4\)$"):
+                entry(np.zeros(shape))
 
     def test_dim_mismatch_raises(self):
         with pytest.raises(ValueError, match="dim"):

@@ -205,6 +205,15 @@ class TestSampling:
         g = fit_generator(x, "gaussian", 1, zero_sig(), rng.fork("fit"))
         assert g.sample(0, rng.fork("draw")).shape == (0, DIM)
 
+    @pytest.mark.parametrize("weights", [[1.0], [0.2, 0.5, 0.3]], ids=["gaussian", "gmm"])
+    def test_zero_size_draw_consumes_nothing(self, weights):
+        k = len(weights)
+        means = np.arange(k * DIM, dtype=float).reshape(k, DIM)
+        g = GeneratorModel(weights, means, np.ones((k, DIM)), Signature(np.eye(DIM)[1], 0.7))
+        rng = Rng(69).fork("draw")
+        assert g.sample((3, 0), rng).shape == (3, 0, DIM)
+        assert np.array_equal(g.sample(4, rng), g.sample(4, Rng(69).fork("draw")))
+
     def test_sampling_deterministic(self):
         x, rng = self._fit(43)
         g = fit_generator(x, "gaussian", 1, zero_sig(), rng.fork("fit"))

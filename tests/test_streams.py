@@ -410,6 +410,16 @@ class TestStreamFromSamples:
         assert sorted(stream.train_counts) == [3, 7]
         assert [sum(c) for c in stream.train_counts.values()] == [10, 10]
 
+    def test_tasks_train_in_ascending_id_not_file_order(self):
+        # task 7's rows come first in the file; task 3 is still the stream's first task
+        rows = self._rows(n_per_task=13)
+        samples = table([(x, label, 7 - 4 * t) for x, label, t in rows])
+        stream = stream_from_samples(samples, Rng(1), test_fraction=0.25)
+        assert stream.task_ids == [3, 7]
+        first_rows = {tuple(x) for x, _, t in rows if t == 1}
+        x_train, _, x_test, _ = stream.tasks_data[0]
+        assert {tuple(x) for x in np.vstack([x_train, x_test]).tolist()} == first_rows
+
     def test_task_id_beyond_int64_names_its_row(self, tmp_path):
         big = 2**63
         path = tmp_path / "d.csv"

@@ -15,7 +15,7 @@ from genreplay.numerics import AdamState, Rng, adam_step, finite_diff_grad
 from genreplay.replay import Signature, fit_generator, GeneratorPair, sample_replay
 from genreplay.streams import FeatureTable, draw_stream_data, make_scenario, stream_from_samples
 from genreplay.trainer import (
-    STRATEGY_KINDS,
+    STRATEGY_TABLE,
     Batch,
     RunState,
     Strategy,
@@ -108,8 +108,8 @@ class TestStrategy:
     def test_override_in_name(self):
         assert Strategy("adaptive", fixed_alpha=0.3).name == "adaptive_fixed_alpha_0.3"
         assert Strategy("no_gen_real_sup", fixed_alpha=0.0).name == "no_gen_real_sup_fixed_alpha_0"
-        names = {Strategy(k).name for k in STRATEGY_KINDS if k != "fixed_alpha"}
-        assert names == set(STRATEGY_KINDS) - {"fixed_alpha"}
+        names = {Strategy(k).name for k in STRATEGY_TABLE if k != "fixed_alpha"}
+        assert names == set(STRATEGY_TABLE) - {"fixed_alpha"}
 
     @pytest.mark.parametrize("alpha, text", [
         (0, "0"), (0.1, "0.1"), (0.5, "0.5"), (1.0, "1"), (1e-05, "1e-05"),
@@ -631,6 +631,16 @@ class TestTrainTask:
     def test_batch_current_below_one_raises(self):
         with pytest.raises(ValueError, match="batch_current"):
             TrainConfig(batch_current=0)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.9, True, "1"])
+    def test_seed_that_is_not_an_integer_raises(self, seed):
+        # Rng keeps int(seed), so each of these would train seed 1's run bit for bit
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            TrainConfig(seed=seed)
+
+    def test_negative_and_numpy_integer_seeds_are_kept(self):
+        assert TrainConfig(seed=-3).seed == -3
+        assert TrainConfig(seed=np.int64(7)).seed == 7
 
     def test_task_smaller_than_batch_raises(self):
         rng = Rng(12)

@@ -11,9 +11,15 @@ It then prints, per module, the executable lines that none of them reached,
 with their source. The package is imported only once the tracer runs, so its
 import-time lines count. Nothing is written in the checkout. Standard library,
 plus numpy and pytest, which the traffic itself needs.
+
+After the report come `digest <kind>/<name> <sha256>` lines, one per bench
+workload run (its float64 loss trace and its table, at full precision) and one
+per config (every file of its --out tree and the verb's stdout). Two checkouts
+compute the same bits on this traffic when these lines are the same.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -22,6 +28,8 @@ import tempfile
 import time
 import types
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "genreplay"
@@ -91,9 +99,36 @@ def report(paths, reached, root):
     return "\n".join(out)
 
 
+def _digest(parts):
+    """sha256 over the sha256 of each byte string of parts, so no two splits of one stream collide."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(hashlib.sha256(part).digest())
+    return h.hexdigest()
+
+
+def run_digest(loss_trace, table):
+    """Digest of a run: its loss trace as float64 bytes, then its table dict as sort_keys JSON."""
+    return _digest([
+        np.asarray(loss_trace, dtype=np.float64).tobytes(),
+        json.dumps(table, sort_keys=True).encode(),
+    ])
+
+
+def tree_digest(root, stdout):
+    """Digest of every file under root, each its relative path then its bytes in path order, then stdout."""
+    parts = []
+    for path in sorted(p for p in Path(root).rglob("*") if p.is_file()):
+        parts += [path.relative_to(root).as_posix().encode(), path.read_bytes()]
+    return _digest(parts + [stdout.encode()])
+
+
 def run_traffic(tmp):
-    """Run the bench workloads, the configs and the gate; their wall times by phase."""
-    walls = {}
+    """Run the bench workloads, the configs and the gate.
+
+    Returns their wall times by phase and the digest lines of the workload runs and the configs.
+    """
+    walls, digests = {}, []
     start = time.perf_counter()
     import workloads
 
@@ -101,9 +136,11 @@ def run_traffic(tmp):
         seeds = workloads.run_seeds(name, 1, n=1)
         work_dir = os.path.join(tmp, name)
         os.mkdir(work_dir)
-        problems = workload.check(workload.run(workload.build(seeds, work_dir), seeds[0]))
+        result = workload.run(workload.build(seeds, work_dir), seeds[0])
+        problems = workload.check(result)
         if problems:
             raise SystemExit(f"traffic: workload {name}: {problems}")
+        digests.append(f"digest bench/{name} {run_digest(result.loss_trace, result.table)}")
     walls["bench"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -112,12 +149,13 @@ def run_traffic(tmp):
     for config in sorted((ROOT / "configs").glob("*.json")):
         raw = json.loads(config.read_text())
         verb = next(v for v, key in genreplay.cli._VERB_KEYS.items() if key in raw)
-        argv = [verb, "--config", str(config), "--seeds", "1", "--jobs", "1",
-                "--out", os.path.join(tmp, config.stem)]
-        with contextlib.redirect_stdout(io.StringIO()):
+        out = os.path.join(tmp, config.stem)
+        argv = [verb, "--config", str(config), "--seeds", "1", "--jobs", "1", "--out", out]
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
             code = genreplay.cli.main(argv)
         if code:
             raise SystemExit(f"traffic: genreplay {' '.join(argv)} exited with status {code}")
+        digests.append(f"digest config/{config.stem} {tree_digest(out, stdout.getvalue())}")
     walls["configs"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -128,15 +166,16 @@ def run_traffic(tmp):
     if code:
         raise SystemExit(f"traffic: the acceptance gate exited with status {code}")
     walls["gate"] = time.perf_counter() - start
-    return walls
+    return walls, digests
 
 
 def main():
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     with tempfile.TemporaryDirectory() as tmp, LineTracer(PACKAGE) as tracer:
-        walls = run_traffic(tmp)
+        walls, digests = run_traffic(tmp)
     print(report(sorted(PACKAGE.glob("*.py")), tracer.reached, ROOT / "src"))
+    print("\n".join(digests))
     print("traffic wall s: " + ", ".join(f"{k} {v:.1f}" for k, v in walls.items()))
     return 0
 
