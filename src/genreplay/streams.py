@@ -34,6 +34,10 @@ DEFAULT_N_TEST = 1000
 # in training, and a real_drift or base_shift of 1e50 ends a run with
 # non-finite results
 MAX_SCENARIO_MAGNITUDE = 1e3
+# the most float64 values (8 GiB) a scenario's rows may hold, n_tasks * 2 classes
+# * (n_train_per_class + n_test_per_class) rows of dim values each; a larger one
+# is refused before any draw
+MAX_SCENARIO_VALUES = 2**30
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,9 @@ def make_scenario(
     identical for every kind, so streams built from the same seed differ only
     in replay signatures. Each float argument must be a finite number in
     [-MAX_SCENARIO_MAGNITUDE, MAX_SCENARIO_MAGNITUDE], and forgery_strength,
-    replay_strength and class_spread must be >= 0.
+    replay_strength and class_spread must be >= 0. The rows drawn from the
+    stream, n_tasks * 2 * (n_train_per_class + n_test_per_class) * dim values,
+    may number at most MAX_SCENARIO_VALUES.
     """
     if kind not in SCENARIO_KINDS:
         raise ValueError(f"unknown scenario kind {kind!r}")
@@ -131,6 +137,13 @@ def make_scenario(
         )
     if n_train_per_class < 1 or n_test_per_class < 1:
         raise ValueError("n_train_per_class and n_test_per_class must be >= 1")
+    n_values = n_tasks * 2 * (n_train_per_class + n_test_per_class) * dim
+    if n_values > MAX_SCENARIO_VALUES:
+        raise ValueError(
+            f"n_tasks={n_tasks} * 2 * (n_train_per_class={n_train_per_class} + "
+            f"n_test_per_class={n_test_per_class}) * dim={dim} = {n_values} values, "
+            f"more than {MAX_SCENARIO_VALUES}"
+        )
     for name, value in magnitudes:
         if abs(value) > MAX_SCENARIO_MAGNITUDE:
             bound = f"{MAX_SCENARIO_MAGNITUDE:g}"

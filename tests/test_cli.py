@@ -937,6 +937,23 @@ class TestInputsThatWouldBreakTraining:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_scenario_with_too_many_values_exits_2_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, verb
+    ):
+        # 2 tasks * 2 classes * (10**12 + 24) rows * dim 6; the check comes before the stream's
+        # first draw, so nothing is drawn or allocated
+        draws = []
+        monkeypatch.setattr(Rng, "normal", lambda self, size: draws.append(size))
+        path = write_config(tmp_path, scenario=dict(TINY_SCENARIO, n_train_per_class=10**12))
+        assert main([verb, "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            "config error: scenario: n_tasks=2 * 2 * (n_train_per_class=1000000000000 + "
+            "n_test_per_class=24) * dim=6 = 24000000000576 values, more than 1073741824\n"
+        )
+        assert draws == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
     @pytest.mark.parametrize(
         "key, value", [("forgery_strength", -1), ("replay_strength", -0.5), ("class_spread", -0.5)]
     )

@@ -1,6 +1,7 @@
 """Seeded RNG substreams, Adam updates, finite-difference probes, and the config number check."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -136,36 +137,95 @@ class TestRng:
 
 class TestAdam:
     @staticmethod
-    def _out_of_place(params, grads, m, v, t):
-        # the textbook update at the module constants, allocating every intermediate
+    def _moments(grads, m, v):
+        # the textbook moments, which adam_step rounds alike
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grads
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads * grads
+        return m, ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads * grads
+
+    @staticmethod
+    def _folded_update(m, v, t):
+        # Kingma & Ba's efficient form: both bias corrections folded into two per-step scalars
+        c1 = 1.0 - ADAM_BETA1**t
+        r2 = math.sqrt(1.0 - ADAM_BETA2**t)
+        return m / (np.sqrt(v) + ADAM_EPS * r2) * (ADAM_LR * r2 / c1)
+
+    @staticmethod
+    def _textbook_update(m, v, t, eps=ADAM_EPS):
         m_hat = m / (1.0 - ADAM_BETA1**t)
         v_hat = v / (1.0 - ADAM_BETA2**t)
-        return params - ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
+        return ADAM_LR * m_hat / (np.sqrt(v_hat) + eps)
+
+    @classmethod
+    def _out_of_place(cls, params, grads, m, v, t):
+        # adam_step at the module constants, allocating every intermediate
+        m, v = cls._moments(grads, m, v)
+        return params - cls._folded_update(m, v, t), m, v
+
+    @staticmethod
+    def _pattern(name):
+        """Start params and the gradient of each step t = 1, 2, ... of a named pattern.
+
+        400 steps run past t = 356, from where 1 - beta1**t rounds to 1.0, as every bench run does.
+        "wide" scales each step's gradient by 1e-6..1e2; "sign_flips" alternates one gradient's
+        sign, so m cancels towards 0 while v grows. A number (1e155, 1e200) gives 3 steps whose
+        gradients hold +-that number at two entries, so g @ g overflows for both
+        """
+        if name in ("wide", "sign_flips"):
+            rng = Rng(12)
+            params = rng.fork("p").normal(size=257)
+            fixed = rng.fork("fixed").normal(size=257)
+            if name == "wide":
+                steps = [rng.fork(f"g{t}").normal(size=257) * 10.0 ** rng.fork(f"s{t}").uniform(-6, 2)
+                         for t in range(1, 401)]
+            else:
+                steps = [fixed * (-1.0) ** t for t in range(1, 401)]
+            return params, steps
+        rng = Rng(6)
+        params = rng.fork("p").normal(size=33)
+        steps = []
+        for t in range(1, 4):
+            grads = rng.fork(f"g{t}").normal(size=33)
+            grads[[2, 20]] = name, -name
+            steps.append(grads)
+        return params, steps
 
     @pytest.mark.parametrize("grads_at", ["wide", "sign_flips"])
     def test_in_place_matches_out_of_place_bit_for_bit(self, grads_at):
-        # 400 steps run past t = 356, from where 1 - beta1**t rounds to 1.0, as every bench run does.
-        # "wide" scales each step's gradient by 1e-6..1e2; "sign_flips" alternates one gradient's
-        # sign, so m cancels towards 0 while v grows
         assert 1.0 - ADAM_BETA1**355 < 1.0
         assert 1.0 - ADAM_BETA1**356 == 1.0
-        rng = Rng(12)
-        params = rng.fork("p").normal(size=257)
+        params, steps = self._pattern(grads_at)
         ref, m, v = params.copy(), np.zeros(257), np.zeros(257)
         state = AdamState(257)
-        fixed = rng.fork("fixed").normal(size=257)
-        for t in range(1, 401):
-            if grads_at == "wide":
-                grads = rng.fork(f"g{t}").normal(size=257) * 10.0 ** rng.fork(f"s{t}").uniform(-6, 2)
-            else:
-                grads = fixed * (-1.0) ** t
+        for t, grads in enumerate(steps, start=1):
             out = adam_step(params, grads, state)
             ref, m, v = self._out_of_place(ref, grads, m, v, t)
             assert out is params
             assert np.array_equal(params, ref)
             assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+    @pytest.mark.parametrize("grads_at", ["wide", "sign_flips", 1e155])
+    def test_update_matches_textbook(self, grads_at):
+        # from the same moments and t, the folded update is the textbook one to a few ulp. At 1e155
+        # the textbook's v_hat = v / (1 - beta2**t) overflows at the two big entries, where its
+        # update is 0; the folded form never builds v_hat and steps them as the textbook formula
+        # does on their moments scaled by 2**-512 (m), 2**-1024 (v) and 2**-512 (eps), which is
+        # exact in binary
+        params, steps = self._pattern(grads_at)
+        big = [2, 20] if grads_at == 1e155 else []
+        state = AdamState(params.size)
+        for t, grads in enumerate(steps, start=1):
+            with np.errstate(over="ignore"):
+                adam_step(params, grads, state)
+                textbook = self._textbook_update(state.m, state.v, t)
+                v_hat_overflows = np.isinf(state.v / (1.0 - ADAM_BETA2**t))
+            folded = self._folded_update(state.m, state.v, t)
+            assert np.array_equal(np.flatnonzero(v_hat_overflows), big)
+            ok = ~v_hat_overflows
+            assert (np.abs(folded[ok] - textbook[ok]) <= 2e-15 * np.abs(textbook[ok])).all()
+            s = 2.0**-512
+            scaled = self._textbook_update(state.m[big] * s, state.v[big] * s * s, t, ADAM_EPS * s)
+            assert (np.abs(folded[big] - scaled) <= 2e-15 * np.abs(scaled)).all()
+            assert np.allclose(np.abs(folded[big]), ADAM_LR, rtol=1e-14, atol=0)
 
     def test_hand_computed_first_step(self):
         # p=1, g=0.5: m_hat = g, v_hat = g^2, update = lr * g / (|g| + eps) = lr / (1 + 2 eps)
@@ -215,16 +275,14 @@ class TestAdam:
 
     @pytest.mark.parametrize("big", [1e155, 1e200])
     def test_finite_gradient_whose_squares_overflow_takes_a_normal_step(self, big):
-        # g @ g overflows for both; (1 - beta2) * g * g stays finite at 1e155 but not at 1e200,
-        # where v is inf and those entries stay put
-        rng = Rng(6)
-        params = rng.fork("p").normal(size=33)
+        # g @ g overflows for both; (1 - beta2) * g * g stays finite at 1e155, where those entries
+        # step like any other, but not at 1e200, where v is inf and they stay put
+        params, steps = self._pattern(big)
+        start = params.copy()
         ref, m, v = params.copy(), np.zeros(33), np.zeros(33)
         state = AdamState(33)
         with np.errstate(over="ignore"):
-            for t in range(1, 4):
-                grads = rng.fork(f"g{t}").normal(size=33)
-                grads[[2, 20]] = big, -big
+            for t, grads in enumerate(steps, start=1):
                 assert not np.isfinite(grads @ grads)
                 adam_step(params, grads, state)
                 ref, m, v = self._out_of_place(ref, grads, m, v, t)
@@ -232,6 +290,7 @@ class TestAdam:
                 assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
         assert state.step_count == 3
         assert np.isfinite(params).all()
+        assert np.array_equal(params[[2, 20]] == start[[2, 20]], [big == 1e200] * 2)
 
 
 class TestFiniteDiff:

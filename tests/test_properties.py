@@ -121,14 +121,14 @@ def test_auc_equals_pairwise_oracle(data):
 def feature_tables(draw):
     """(features (n, d), labels, task ids or None, column order, line end, blank-line gaps).
 
-    Task ids reach past int64, features span every finite float, columns come
-    in any order, and gaps[i] blank lines precede data row i.
+    Task ids span int64, features span every finite float, columns come in
+    any order, and gaps[i] blank lines precede data row i.
     """
     n = draw(st.integers(1, 8))
     d = draw(st.integers(1, 4))
     feats = draw(arrays(float, (n, d), elements=st.floats(allow_nan=False, allow_infinity=False)))
     labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    tasks = draw(st.none() | st.lists(st.integers(-(2**64), 2**64), min_size=n, max_size=n))
+    tasks = draw(st.none() | st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
     order = draw(st.permutations(range(d + 1 + (tasks is not None))))
     line_end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     gaps = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))

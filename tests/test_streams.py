@@ -10,6 +10,7 @@ import genreplay.streams
 from genreplay.numerics import Rng
 from genreplay.streams import (
     MAX_SCENARIO_MAGNITUDE,
+    MAX_SCENARIO_VALUES,
     DatasetStream,
     FeatureTable,
     TaskStream,
@@ -118,6 +119,18 @@ class TestScenarioGeometry:
         # the earlier checks keep their messages
         with pytest.raises(ValueError, match="2 tasks"):
             make_scenario("mixed", 1, 10, Rng(0), **{name: 1e50})
+
+    def test_value_bound(self):
+        # 2 tasks * 2 classes * rows * dim 4: 2**26 rows per class pair reach the bound exactly
+        rows = MAX_SCENARIO_VALUES // 16
+        stream = make_scenario("mixed", 2, 4, Rng(0), n_train_per_class=rows - 1, n_test_per_class=1)
+        assert stream.n_train_per_class == rows - 1
+        message = (
+            f"n_tasks=2 * 2 * (n_train_per_class={rows} + n_test_per_class=1) * dim=4 = "
+            f"{16 * (rows + 1)} values, more than {MAX_SCENARIO_VALUES}"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_scenario("mixed", 2, 4, Rng(0), n_train_per_class=rows, n_test_per_class=1)
 
 
 class TestDataDraws:
