@@ -7,7 +7,7 @@ separation objective according to how confusable they are with current fakes.
 """
 
 from .confusion import DcsConfig, DcsRecord, compute_alpha, confusion_score
-from .losses import BatchLossBreakdown, LossConfig, centroid, combine_losses, rs_loss
+from .losses import BatchLossBreakdown, LossConfig, centroid, rs_loss
 from .metrics import MetricsTable, accuracy, auc, build_table, performance_drop
 from .model import MLP
 from .numerics import AdamState, Rng, adam_step, finite_diff_grad
@@ -23,7 +23,7 @@ __all__ = [
     "LossConfig", "MLP", "MetricsTable", "Rng", "RunState",
     "Signature", "Strategy", "TaskStream", "TrainConfig", "accuracy",
     "adam_step", "assemble_batch", "auc", "build_table", "centroid",
-    "combine_losses", "compute_alpha", "confusion_score", "finite_diff_grad",
+    "compute_alpha", "confusion_score", "finite_diff_grad",
     "fit_generator", "fit_task_generators", "load_feature_dataset",
     "make_scenario", "performance_drop", "rs_loss", "run_incremental", "sample_replay",
     "signature_similarity", "train_task",

@@ -65,16 +65,15 @@ def _subsample(rows, rng):
     return rows[rng.choice(len(rows), PROBE_CAP)]
 
 
-def compute_alpha(model, pairs, current_fakes, cfg, rng, *, task_index, epoch):
-    """The confusion record of the stored pairs against the current task's fakes.
+def compute_alpha(model, pairs, current_fakes, cfg, rng):
+    """(s, alpha) of the stored pairs against the current task's fakes, as confusion_score.
 
     Each of the k GeneratorPairs draws ceil(PROBE_CAP / k) fresh gen-real rows
     from its g_real on fork pool/pair{i}/real (a pair's replay pool is not
     read). current_fakes is an (n_fake, input_dim) array of the current task's
     fake rows. Each pool is cut to PROBE_CAP rows by a draw without replacement
     on fork probe/gen-real or probe/cur-fake, then both are fed through the
-    model and compared by their feature centroids. The record carries
-    task_index and epoch, the task and epoch the probe runs for.
+    model and compared by their feature centroids.
     """
     if not len(pairs) or not len(current_fakes):
         raise ValueError("both sample pools must be non-empty")
@@ -85,5 +84,4 @@ def compute_alpha(model, pairs, current_fakes, cfg, rng, *, task_index, epoch):
     )
     real_pool = _subsample(gen_real, probe_rng.fork("gen-real"))
     fake_pool = _subsample(np.asarray(current_fakes, dtype=float), probe_rng.fork("cur-fake"))
-    s, alpha = confusion_score(model.features(real_pool), model.features(fake_pool), cfg)
-    return DcsRecord(task_index=task_index, epoch=epoch, s=s, alpha=alpha)
+    return confusion_score(model.features(real_pool), model.features(fake_pool), cfg)

@@ -1,4 +1,4 @@
-"""Supervision signals: cross-entropy, relative separation, and their combination.
+"""Supervision signals: cross-entropy and relative separation, and a batch's loss record.
 
 The relative-separation (RS) term pushes generated-fake features away from the
 generated-real centroid instead of label-supervising the generated-real side.
@@ -150,18 +150,3 @@ def rs_loss_with_grads(fake_features, real_centroid, real_count, cfg):
 
     d_real = d_c if real_count is None else d_c / real_count
     return float(value), d_fake, d_real
-
-
-def combine_losses(l_ce_gen_real, l_rs, l_cf, alpha):
-    """Confusion-aware combination: l_c = a*ce + (1-a)*rs; overall = l_c + l_cf."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
-    l_c = alpha * l_ce_gen_real + (1.0 - alpha) * l_rs
-    return BatchLossBreakdown(
-        l_cf=float(l_cf),
-        l_ce_gen_real=float(l_ce_gen_real),
-        l_rs=float(l_rs),
-        alpha=float(alpha),
-        l_c=float(l_c),
-        l_overall=float(l_c + l_cf),
-    )

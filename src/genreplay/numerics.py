@@ -6,7 +6,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
-_ZERO_WORD = bytes(4)
+# the low 32-bit word of each of the digest's four 64-bit little-endian ints
+_LOW_WORDS = np.arange(8) % 2 == 0
 
 # Adam's learning rate, moment decays and denominator padding; every run uses these
 ADAM_LR = 2e-4
@@ -36,14 +37,11 @@ class Rng:
         if self._gen is None:
             material = repr(self.seed) + "\x00" + "\x00".join(self._path)
             digest = hashlib.sha256(material.encode("utf-8")).digest()
-            if _ZERO_WORD in (digest[4:8], digest[12:16], digest[20:24], digest[28:32]):
-                entropy = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
-            else:
-                # SeedSequence splits each of those four 64-bit ints into its
-                # low and high 32-bit words, dropping a zero high word; with
-                # no zero high word, that is the digest read as <u4, which it
-                # takes without converting Python ints
-                entropy = np.frombuffer(digest, dtype="<u4")
+            # SeedSequence splits each of the digest's four 64-bit ints into
+            # its low and high 32-bit words and drops a zero high word; these
+            # are those words, which it takes without converting Python ints
+            words = np.frombuffer(digest, dtype="<u4")
+            entropy = words[(words != 0) | _LOW_WORDS]
             self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
         return self._gen
 

@@ -11,8 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .confusion import DcsConfig, compute_alpha
-from .losses import LossConfig, ce_loss_batch, centroid, combine_losses, rs_loss_with_grads
+from .confusion import DcsConfig, DcsRecord, compute_alpha
+from .losses import BatchLossBreakdown, LossConfig, ce_loss_batch, centroid, rs_loss_with_grads
 from .metrics import LABEL_FAKE, LABEL_REAL, TaskEval, accuracy, auc, build_table
 from .model import MLP
 from .numerics import AdamState, Rng, adam_step, check_count, check_real
@@ -28,8 +28,7 @@ class StrategyRow(NamedTuple):
     supervised: gen-real rows get CE weighted by alpha. alpha: "dcs" probes
     the confusion score every epoch unless a fixed_alpha overrides it,
     "fixed" requires a fixed_alpha, and None means alpha is 1 and the table
-    reports none. Per batch the gen-real CE weight is alpha if supervised,
-    else 0, and the RS weight is 1 - alpha.
+    reports none. batch_objective weighs each batch by the row and alpha.
     """
 
     uses_replay: bool
@@ -225,11 +224,17 @@ def batch_objective(model, batch, strategy, alpha, loss_cfg, out=None):
 
     batch.x is (n, input_dim) and batch.labels (n,), in the row order of
     batch.layout. Current and gen-fake rows feed the label-supervised l_cf;
-    gen-real rows feed the gen-real CE, weighted by alpha when the strategy
-    supervises them and by 0 when not, and, with the gen-fake rows, the RS
-    term, weighted by 1 - alpha. The gradient is a flat (model.n_params,)
-    vector: a fresh array, or out when given (see MLP.backward).
+    gen-real rows feed the gen-real CE, weighted by w_ce (alpha when the
+    strategy supervises them, else 0) and, with the gen-fake rows, the RS
+    term, weighted by w_rs = 1 - alpha. So l_c = w_ce * l_ce_gen_real +
+    w_rs * l_rs and l_overall = l_c + l_cf. alpha must lie in [0, 1]. The
+    gradient is a flat (model.n_params,) vector: a fresh array, or out when
+    given (see MLP.backward).
     """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0,1], got {alpha}")
+    w_ce = alpha if strategy.row.supervised else 0.0
+    w_rs = 1.0 - alpha
     rec = model.forward(batch.x)
     labels = batch.labels
     n_current, n_fake = batch.layout.n_current, batch.layout.n_fake
@@ -242,13 +247,12 @@ def batch_objective(model, batch, strategy, alpha, loss_cfg, out=None):
         l_cf, d_yp = ce_loss_batch(rec.y_p, labels)
     else:
         # one pass over every row's CE term; gen-real rows are labelled real, so their
-        # gradient is positive and a gen-real weight of 0 zeroes it
+        # gradient is positive and a w_ce of 0 zeroes it
         l_cf, l_ce_gr, d_yp = ce_loss_batch(rec.y_p, labels, split=n_cf)
         if not strategy.row.supervised:
             l_ce_gr = 0.0
-        d_yp[n_cf:] *= alpha if strategy.row.supervised else 0.0
+        d_yp[n_cf:] *= w_ce
 
-    w_rs = 1.0 - alpha
     l_rs = 0.0
     d_feat = None
     if w_rs and n_gr and n_fake:
@@ -260,18 +264,16 @@ def batch_objective(model, batch, strategy, alpha, loss_cfg, out=None):
         np.multiply(w_rs, d_gr, out=d_feat[n_cf:])
 
     grad = model.backward(rec, d_yp, d_feat, out=out)
-    return combine_losses(l_ce_gr, l_rs, l_cf, alpha), grad
+    l_c = float(w_ce * l_ce_gr + w_rs * l_rs)
+    return BatchLossBreakdown(l_cf, l_ce_gr, l_rs, float(alpha), l_c, l_c + l_cf), grad
 
 
 def _resolve_alpha(state, strategy, current_fakes, dcs_cfg, rng, task_index, epoch):
     """Alpha for the coming epoch (None when none applies), plus its confusion record."""
     if strategy.fixed_alpha is not None or strategy.row.alpha != "dcs" or not state.generator_pairs:
         return strategy.fixed_alpha, None
-    record = compute_alpha(
-        state.model, state.generator_pairs, current_fakes, dcs_cfg, rng,
-        task_index=task_index, epoch=epoch,
-    )
-    return record.alpha, record
+    s, alpha = compute_alpha(state.model, state.generator_pairs, current_fakes, dcs_cfg, rng)
+    return alpha, DcsRecord(task_index=task_index, epoch=epoch, s=s, alpha=alpha)
 
 
 def train_task(

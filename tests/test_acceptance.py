@@ -306,7 +306,7 @@ def test_c04_domain_confusion_effect(risky_safe_runs, capsys):
     elapsed = risky_safe_runs["elapsed"]
     ok = full_drop >= 0.05 and adaptive_drop < full_drop and sims_ok and elapsed < 600
     report(capsys, "C4", "domain confusion effect", ok,
-           f"full-replay drop {full_drop:.3f} (>=0.05), adaptive drop {adaptive_drop:.3f}, {elapsed:.0f}s")
+           f"full-replay drop {full_drop:.6f} (>=0.05), adaptive drop {adaptive_drop:.6f}, {elapsed:.0f}s")
 
 
 def test_c05_forgetting_ordering(mixed_runs, capsys):
@@ -331,8 +331,8 @@ def test_c05_forgetting_ordering(mixed_runs, capsys):
 
     ok = a_ok and b_ok and c_ok and elapsed < 1200
     report(capsys, "C5", "forgetting ordering", ok,
-           f"adaptive {adaptive_avg:.3f} vs best rival {rival_best:.3f}; "
-           f"min replay pre-avg margin {min(pre_margins.values()):.3f} (>=0.05); "
+           f"adaptive {adaptive_avg:.6f} vs best rival {rival_best:.6f}; "
+           f"min replay pre-avg margin {min(pre_margins.values()):.6f} (>=0.05); "
            f"largest drop: {max(pds, key=pds.get)}; {elapsed:.0f}s")
 
 
@@ -348,7 +348,7 @@ def test_c06_ablation_direction(mixed_runs, capsys):
     gap_no_rs = base - med_final("no_rs")
     ok = gap_no_gr >= 0.03 and gap_no_rs >= 0.005
     report(capsys, "C6", "ablation direction", ok,
-           f"no gen-real supervision -{gap_no_gr:.3f} (>=0.03), no separation loss -{gap_no_rs:.3f} (>=0.005)")
+           f"no gen-real supervision -{gap_no_gr:.6f} (>=0.03), no separation loss -{gap_no_rs:.6f} (>=0.005)")
 
 
 def test_c07_alpha_behavior(risky_safe_runs, capsys):
@@ -379,7 +379,7 @@ def test_c07_alpha_behavior(risky_safe_runs, capsys):
     ok = injected_ok and live_ok
     report(capsys, "C7", "alpha behavior", ok,
            f"injected-gap deviation {max_dev:.1e}, live safe-risky alpha gaps "
-           + ", ".join(f"{g:+.3f}" for g in gaps))
+           + ", ".join(f"{g:+.6f}" for g in gaps))
 
 
 def test_c08_strategy_equivalence_traces(capsys):

@@ -1,17 +1,14 @@
 """tools/bench_pairs.py: output parsing and summary arithmetic, on canned bench output."""
 
-import importlib.util
 import json
 import re
 import subprocess
 from pathlib import Path
 
+import bench_pairs
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+ROOT = Path(__file__).resolve().parents[1]
 
 DIRECTIONS = {"run_s.p50": "lower", "steps_per_s": "higher", "final_avg_auc": "higher"}
 
@@ -224,7 +221,7 @@ def test_unknown_workload_exits_2_before_any_pass(monkeypatch, capsys, tmp_path,
         raise AssertionError("a pass ran")
 
     monkeypatch.setattr(bench_pairs, "run_pass", no_pass)
-    root = str(_PATH.parents[1])
+    root = str(ROOT)
     out = str(tmp_path / out)
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(["--parent", root, "--change", root, "--workloads", workloads,
@@ -260,10 +257,9 @@ def test_file_keeps_what_was_measured_when_a_later_pass_fails(monkeypatch, tmp_p
             raise RuntimeError("pass failed")
         return bench_pairs.parse_output(canned_output(0.5, 2000.0))
 
-    root = Path(_PATH.parents[1])
     monkeypatch.setattr(bench_pairs, "run_pass", fake_run_pass)
     out = tmp_path / "out.json"
-    argv = ["--parent", str(root), "--change", str(root), "--workloads", "sweep_adaptive,no_replay",
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--workloads", "sweep_adaptive,no_replay",
             "--seeds", "21-22", "--out", str(out)]
     if traced:
         argv += ["--traced-seed", "3"]
@@ -319,11 +315,10 @@ def test_traced_workload_records_its_count_changes(monkeypatch, tmp_path):
             )
         return bench_pairs.parse_output(canned_output(0.5, 2000.0))
 
-    root = Path(_PATH.parents[1])
     monkeypatch.setattr(bench_pairs, "run_pass", fake_run_pass)
     (tmp_path / "parent").mkdir()
     (tmp_path / "change").mkdir()
-    (tmp_path / "change" / "BENCHMARK.json").write_text((root / "BENCHMARK.json").read_text())
+    (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     out = tmp_path / "out.json"
     bench_pairs.main([
         "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import genreplay.confusion
-from genreplay.confusion import DcsConfig, DcsRecord, compute_alpha, confusion_score
+from genreplay.confusion import DcsConfig, compute_alpha, confusion_score
 from genreplay.losses import centroid
 from genreplay.model import MLP
 from genreplay.numerics import Rng
@@ -36,12 +36,12 @@ def fitted_pair(task_index, shift, rng, dim=4, n=64):
     )
 
 
-def two_step_probe(model, pairs, current_fakes, cfg, rng, task_index=0, epoch=0):
+def two_step_probe(model, pairs, current_fakes, cfg, rng):
     """The probe as trainer and confusion once split it, kept as a reference.
 
     The trainer drew an even share of gen-real rows per pair into one array on
     fork pool, then the confusion module cut each pool to PROBE_CAP rows on
-    fork probe and scored the feature centroids.
+    fork probe and scored the feature centroids. Returns (s, alpha).
     """
     cap = genreplay.confusion.PROBE_CAP
     per = math.ceil(cap / len(pairs))
@@ -64,7 +64,7 @@ def two_step_probe(model, pairs, current_fakes, cfg, rng, task_index=0, epoch=0)
         s = float(1.0 - (a @ b) / (np.linalg.norm(a) * np.linalg.norm(b)))
     s = max(s, 0.0)
     alpha = float(np.tanh(s)) if cfg.normalizer == "tanh" else min(s / 5.0, 1.0)
-    return DcsRecord(task_index=task_index, epoch=epoch, s=s, alpha=alpha)
+    return s, alpha
 
 
 class TestConfig:
@@ -151,16 +151,15 @@ class TestComputeAlpha:
         model = self._identity_model()
         fake = np.full((10, 4), 1.0)
         cfg = DcsConfig(normalizer="tanh")
-        rec = compute_alpha(model, [const_pair(0.0)], fake, cfg, Rng(3), task_index=2, epoch=1)
-        assert rec.s == pytest.approx(2.0)  # ||(1,1,1,1) - 0|| = 2
-        assert rec.alpha == pytest.approx(np.tanh(2.0))
-        assert rec.task_index == 2 and rec.epoch == 1
+        s, alpha = compute_alpha(model, [const_pair(0.0)], fake, cfg, Rng(3))
+        assert s == pytest.approx(2.0)  # ||(1,1,1,1) - 0|| = 2
+        assert alpha == pytest.approx(np.tanh(2.0))
 
     def test_empty_pool_raises(self):
         model = self._identity_model()
         for pairs, fake in (([], np.full((3, 4), 1.0)), ([const_pair(0.0)], np.empty((0, 4)))):
             with pytest.raises(ValueError, match="non-empty"):
-                compute_alpha(model, pairs, fake, DcsConfig(), Rng(0), task_index=1, epoch=0)
+                compute_alpha(model, pairs, fake, DcsConfig(), Rng(0))
 
     def test_probe_cap_subsampling_is_deterministic(self):
         model = self._identity_model()
@@ -168,12 +167,9 @@ class TestComputeAlpha:
         fake = np.full((40, 4), 1.0)
         cfg = DcsConfig()
         with mock.patch.object(genreplay.confusion, "PROBE_CAP", 8):
-            a, b, c = (
-                compute_alpha(model, pairs, fake, cfg, Rng(seed), task_index=1, epoch=0)
-                for seed in (7, 7, 8)
-            )
+            a, b, c = (compute_alpha(model, pairs, fake, cfg, Rng(seed)) for seed in (7, 7, 8))
         assert a == b
-        assert c.s != a.s  # a different probe fork draws different rows
+        assert c[0] != a[0]  # a different probe fork draws different rows
 
     # 3 and 5 pairs draw 513 and 515 gen-real rows, which the probe cuts to 512
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -189,5 +185,5 @@ class TestComputeAlpha:
         # more fakes than PROBE_CAP, so the cur-fake cut runs too
         fakes = rng.fork("fakes").normal(size=(600, 4)) + 2.0
         alpha_rng = rng.fork("epoch3").fork("alpha")
-        got = compute_alpha(model, pairs, fakes, cfg, alpha_rng, task_index=k, epoch=3)
-        assert got == two_step_probe(model, pairs, fakes, cfg, alpha_rng, task_index=k, epoch=3)
+        got = compute_alpha(model, pairs, fakes, cfg, alpha_rng)
+        assert got == two_step_probe(model, pairs, fakes, cfg, alpha_rng)

@@ -9,7 +9,6 @@ from genreplay.losses import (
     _dist_rows_with_grads,
     ce_loss_batch,
     centroid,
-    combine_losses,
     rs_loss,
     rs_loss_with_grads,
 )
@@ -207,19 +206,3 @@ class TestSampleWiseRsMatchesPerRowLoop:
             # every fake row gets 1/m of the centroid's gradient
             assert np.array_equal(d_fake, np.repeat(want_cf / m, m, axis=0))
             assert np.array_equal(d_real, want_real)
-
-
-class TestCombine:
-    def test_arithmetic(self):
-        b = combine_losses(0.4, 0.2, 1.0, alpha=0.75)
-        assert b.l_c == pytest.approx(0.75 * 0.4 + 0.25 * 0.2)
-        assert b.l_overall == pytest.approx(b.l_c + 1.0)
-        assert b.alpha == 0.75
-
-    def test_alpha_extremes(self):
-        assert combine_losses(0.4, 0.2, 0.0, alpha=1.0).l_c == pytest.approx(0.4)
-        assert combine_losses(0.4, 0.2, 0.0, alpha=0.0).l_c == pytest.approx(0.2)
-
-    def test_alpha_out_of_range_raises(self):
-        with pytest.raises(ValueError, match="alpha"):
-            combine_losses(0.0, 0.0, 0.0, alpha=1.5)

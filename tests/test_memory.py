@@ -57,7 +57,7 @@ def test_alpha_probe_peak_is_its_features_plus_two_blocks():
     pair = GeneratorPair(0, g_real, g_fake)
     fakes = rng.fork("fake").normal(size=(400, WIDTHS[0])) + 1.0
     # the one pair draws all PROBE_CAP = 512 gen-real rows inside the probe
-    peak = traced_peak(lambda: compute_alpha(model, [pair], fakes, DcsConfig(), Rng(1), task_index=1, epoch=0))
+    peak = traced_peak(lambda: compute_alpha(model, [pair], fakes, DcsConfig(), Rng(1)))
     features = (512 + 400) * WIDTHS[-1] * FLOAT
     assert peak < features + TWO_BLOCKS + SMALL_OBJECTS
 

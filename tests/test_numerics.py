@@ -124,6 +124,20 @@ class TestRng:
         words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
         assert not np.array_equal(direct.generate_state(4), np.random.SeedSequence(words).generate_state(4))
 
+        self._check_seeded_by(monkeypatch, digest)
+
+    # bytes 8:12 are the low word of the second 64-bit int, bytes 16:24 the whole third one
+    @pytest.mark.parametrize("zeroed", [slice(8, 12), slice(16, 24)], ids=["low_word", "whole_int"])
+    def test_seeding_with_a_zero_low_word_or_a_zero_int(self, monkeypatch, zeroed):
+        # numpy keeps a zero low word, and seeds a zero int as its one zero low word
+        digest = bytearray(hashlib.sha256(b"any").digest())
+        digest[zeroed] = bytes(zeroed.stop - zeroed.start)
+        assert all(digest[i : i + 4] != bytes(4) for i in (4, 12, 28))
+        self._check_seeded_by(monkeypatch, bytes(digest))
+
+    def _check_seeded_by(self, monkeypatch, digest):
+        """Rng(1) seeded from digest draws what list-of-ints seeding draws."""
+
         class FixedDigest:
             def __init__(self, data):
                 pass

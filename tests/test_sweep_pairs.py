@@ -1,17 +1,14 @@
 """tools/sweep_pairs.py: the paired summary on stub timings, the tree comparison, and one real pair."""
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+import sweep_pairs
 
 import genreplay.cli
 
 ROOT = Path(__file__).resolve().parents[1]
-_SPEC = importlib.util.spec_from_file_location("sweep_pairs", ROOT / "tools" / "sweep_pairs.py")
-sweep_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(sweep_pairs)
 
 
 def stub_pair(parent, change, identical=True):

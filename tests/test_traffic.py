@@ -4,10 +4,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "traffic.py"
-_SPEC = importlib.util.spec_from_file_location("traffic", _PATH)
-traffic = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(traffic)
+import traffic
 
 MODULE = '''"""A module with one branch its caller never takes."""
 

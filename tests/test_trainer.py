@@ -8,7 +8,7 @@ import pytest
 
 import genreplay.trainer
 from genreplay.confusion import DcsConfig
-from genreplay.losses import LossConfig, ce_loss_batch, centroid, combine_losses, rs_loss_with_grads
+from genreplay.losses import BatchLossBreakdown, LossConfig, ce_loss_batch, centroid, rs_loss_with_grads
 from genreplay.metrics import table_to_dict
 from genreplay.model import MLP
 from genreplay.numerics import AdamState, Rng, adam_step, finite_diff_grad
@@ -421,14 +421,40 @@ class TestBatchObjective:
         cfg = LossConfig(rs_metric=metric, rs_granularity=gran)
         self._grad_check(Strategy("adaptive"), 0.4, cfg, seed=67)
 
-    def test_breakdown_arithmetic(self):
+    @staticmethod
+    def _model_and_batch():
         model = MLP([DIM, 8], Rng(1).fork("init"))
-        batch = assemble_batch(
-            *current_chunk(), [make_pair(0, 70)], TrainConfig(), Rng(2)
-        )
+        return model, assemble_batch(*current_chunk(), [make_pair(0, 70)], TrainConfig(), Rng(2))
+
+    def test_breakdown_arithmetic(self):
+        model, batch = self._model_and_batch()
         b, _ = batch_objective(model, batch, Strategy("adaptive"), 0.3, LossConfig())
         assert b.l_c == pytest.approx(0.3 * b.l_ce_gen_real + 0.7 * b.l_rs)
         assert b.l_overall == pytest.approx(b.l_c + b.l_cf)
+
+    @pytest.mark.parametrize("alpha", [1.5, -0.1, float("nan")])
+    def test_alpha_outside_the_unit_interval_raises_before_the_forward_pass(self, alpha):
+        model, batch = self._model_and_batch()
+        calls = []
+        model.forward = lambda x: calls.append(x)
+        with pytest.raises(ValueError, match="alpha"):
+            batch_objective(model, batch, Strategy("adaptive"), alpha, LossConfig())
+        assert calls == []
+
+    def test_alpha_one_keeps_only_the_gen_real_ce_and_zero_only_the_rs(self):
+        model, batch = self._model_and_batch()
+        b, _ = batch_objective(model, batch, Strategy("adaptive"), 1.0, LossConfig())
+        assert b.l_c == b.l_ce_gen_real and b.l_rs == 0.0
+        b, _ = batch_objective(model, batch, Strategy("adaptive"), 0.0, LossConfig())
+        assert b.l_c == b.l_rs and b.l_ce_gen_real > 0.0
+
+    def test_unsupervised_gen_real_rows_weigh_only_the_rs_term(self):
+        model, batch = self._model_and_batch()
+        b, _ = batch_objective(model, batch, Strategy("no_gen_real_sup"), 0.25, LossConfig())
+        assert b.l_ce_gen_real == 0.0
+        assert b.l_c == 0.75 * b.l_rs
+        assert b.l_overall == b.l_c + b.l_cf
+        assert all(type(v) is float for v in vars(b).values())
 
     @pytest.mark.parametrize(
         "strategy, alpha", [(Strategy("lower_bound"), 1.0), (Strategy("fixed_alpha", 0.3), 0.3)],
@@ -473,8 +499,11 @@ def parent_objective(model, x, labels, idx, strategy, alpha, loss_cfg):
         d_feat[gr_idx] += w_rs * d_gr
     grad = model.backward(rec, d_yp, d_feat)
     if gr_idx.size == 0:
-        return combine_losses(0.0, 0.0, l_cf, 1.0), grad
-    return combine_losses(l_ce_gr if supervised else 0.0, l_rs, l_cf, alpha), grad
+        alpha = 1.0
+    if not (gr_idx.size and supervised):
+        l_ce_gr = 0.0
+    l_c = alpha * l_ce_gr + (1.0 - alpha) * l_rs
+    return BatchLossBreakdown(l_cf, l_ce_gr, l_rs, alpha, l_c, l_c + l_cf), grad
 
 
 def slice_indices(layout, n):

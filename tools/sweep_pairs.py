@@ -17,7 +17,6 @@ stdout; that is reported, not required. Standard library only.
 
 import argparse
 import hashlib
-import importlib.util
 import json
 import os
 import resource
@@ -27,10 +26,8 @@ import tempfile
 import time
 from pathlib import Path
 
-_BENCH_PAIRS = Path(__file__).resolve().with_name("bench_pairs.py")
-_SPEC = importlib.util.spec_from_file_location("bench_pairs", _BENCH_PAIRS)
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+# a script's own directory is on sys.path, so its sibling tool imports as a module
+import bench_pairs
 
 SIDES = bench_pairs.SIDES
 # the section that names each verb's strategies, in the order the CLI tries them (cli._VERB_KEYS)
