@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import check_count
+
 RS_METRICS = ("cosine", "l2")
 RS_GRANULARITIES = ("sample_wise", "centroid_based")
 
@@ -44,13 +46,18 @@ class BatchLossBreakdown:
 def ce_loss_batch(y_p, labels, split=None):
     """Mean CE over a non-empty batch plus d(mean CE)/d y_p per sample.
 
+    labels must be 0 or 1, of any dtype (bool, int or float give the same
+    bits); a stream carries no other label. Then q = (y - 1) + y_p is exactly
+    y_p on a label-1 row and exactly -(1 - y_p) on a label-0 row, so each
+    row's CE term is -log|q| and its gradient -1/q, the bits of the textbook
+    terms -y log y_p - (1 - y) log(1 - y_p).
+
     With split, rows [:split] and [split:] are two batches that share one pass
     over the per-row terms. The result is then (mean CE of rows [:split], mean
     CE of rows [split:], grad), where each part of grad is its own batch's
     gradient: the bits of two separate calls. Both parts must be non-empty.
     """
     y_p = np.asarray(y_p, dtype=float)
-    y = np.asarray(labels, dtype=float)
     n = y_p.size
     if n == 0:
         raise ValueError("ce_loss_batch needs a non-empty batch")
@@ -59,16 +66,16 @@ def ce_loss_batch(y_p, labels, split=None):
     # fmin and fmax skip NaN entries, which no bound comparison flags either
     if np.fmin.reduce(y_p) <= 0.0 or np.fmax.reduce(y_p) >= 1.0:
         raise ValueError("y_p entries must lie strictly inside (0,1)")
-    not_yp = 1.0 - y_p
-    not_y = 1.0 - y
-    terms = -(y * np.log(y_p) + not_y * np.log(not_yp))
-    grad = -(y / y_p) + not_y / not_yp
+    q = np.subtract(labels, 1.0, dtype=float)
+    q += y_p
+    log_q = np.log(np.abs(q))
+    grad = np.divide(-1.0, q, out=q)
     if split is None:
         grad /= n
-        return float(terms.sum() / n), grad
+        return float(-log_q.sum() / n), grad
     grad[:split] /= split
     grad[split:] /= n - split
-    return float(terms[:split].sum() / split), float(terms[split:].sum() / (n - split)), grad
+    return float(-log_q[:split].sum() / split), float(-log_q[split:].sum() / (n - split)), grad
 
 
 def centroid(features):
@@ -79,30 +86,40 @@ def centroid(features):
 
 
 def _cos_rows_with_grads(fake, c, nc):
-    """cos(f, c) with EPS_COS-padded norms for every row f of fake (m, d), plus gradients.
+    """Sum of cos(f, c) with EPS_COS-padded norms over the rows f of fake (m, d), plus gradients.
 
-    nc is the norm of c, above EPS_COS. Returns the (m,) cosines and their (m, d)
-    gradients w.r.t. each row and w.r.t. c.
+    nc is the norm of c, above EPS_COS. Returns the sum, the (m, d) gradient of
+    each row's cosine w.r.t. that row, and the (d,) gradient of the sum w.r.t.
+    c. With a_i = 1 / (|f_i|' |c|') and b_i = dot_i / (|f_i| |f_i|'^2 |c|')
+    (0 on a zero row), where ' marks a padded norm, row i's gradient is
+    a_i c - b_i f_i, and the sum's is a @ fake - (sum_i cos_i) / (|c| |c|') c.
     """
     nf = np.sqrt(np.vecdot(fake, fake))
     nf_eps = nf + EPS_COS
     nc_eps = nc + EPS_COS
-    denom = nf_eps * nc_eps
+    a = nf_eps * nc_eps
+    np.divide(1.0, a, out=a)
     dot = np.vecdot(fake, c)
-    f_unit = np.zeros(fake.shape)
-    np.divide(fake, nf[:, None], out=f_unit, where=nf[:, None] > 0)
-    c_unit = c / nc
-    d_f = c / denom[:, None] - dot[:, None] * f_unit / (nf_eps**2 * nc_eps)[:, None]
-    d_c = fake / denom[:, None] - dot[:, None] * c_unit / (nf_eps * nc_eps**2)[:, None]
-    return dot / denom, d_f, d_c
+    b = np.zeros(len(fake))
+    np.divide(dot, nf * nf_eps**2 * nc_eps, out=b, where=nf > 0)
+    d_f = a[:, None] * c
+    d_f -= b[:, None] * fake
+    cos_sum = dot @ a
+    d_c = a @ fake
+    d_c -= cos_sum / (nc * nc_eps) * c
+    return cos_sum, d_f, d_c
 
 
 def _dist_rows_with_grads(fake, c):
-    """Smoothed L2 distance ||f - c|| for every row f of fake (m, d), plus gradients."""
+    """Sum of the smoothed L2 distances ||f - c|| over the rows f of fake (m, d), plus gradients.
+
+    Returns the sum, the (m, d) gradient of each row's distance w.r.t. that
+    row, and the (d,) gradient of the sum w.r.t. c.
+    """
     diff = fake - c
     dist = np.sqrt(np.vecdot(diff, diff) + _L2_SMOOTH)
     d_f = diff / dist[:, None]
-    return dist, d_f, -d_f
+    return dist.sum(), d_f, -d_f.sum(axis=0)
 
 
 def rs_loss(fake_features, real_centroid, cfg):
@@ -121,9 +138,11 @@ def rs_loss_with_grads(fake_features, real_centroid, real_count, cfg):
 
     real_count, when given, is the number of generated-real samples behind the
     centroid; the returned d_real is then the per-real-sample feature gradient
-    (the centroid gradient divided by that count). With real_count None, d_real
-    is the gradient w.r.t. the centroid itself.
+    (the centroid gradient divided by that count); it must be an integer >= 1.
+    With real_count None, d_real is the gradient w.r.t. the centroid itself.
     """
+    if real_count is not None:
+        check_count("real_count", real_count, 1)
     fake = np.asarray(fake_features, dtype=float)
     c = np.asarray(real_centroid, dtype=float)
     if fake.ndim != 2 or fake.shape[0] == 0:
@@ -137,16 +156,16 @@ def rs_loss_with_grads(fake_features, real_centroid, real_count, cfg):
         nc = np.sqrt(c @ c)
         if nc <= EPS_COS:
             raise ValueError("degenerate geometry: real centroid has ~zero norm under cosine metric")
-        vals, d_rows, d_c_rows = _cos_rows_with_grads(rows, c, nc)
+        total, d_rows, d_c = _cos_rows_with_grads(rows, c, nc)
     else:
-        dist, d_rows, d_c_rows = _dist_rows_with_grads(rows, c)
-        vals, d_rows, d_c_rows = -dist, -d_rows, -d_c_rows
-    value = vals.sum() / len(rows)
+        dist, d_rows, d_c = _dist_rows_with_grads(rows, c)
+        total, d_rows, d_c = -dist, -d_rows, -d_c
+    value = total / len(rows)
     d_fake = d_rows / m
     if centroid_based:
         # every fake row gets 1/m of the centroid's gradient
         d_fake = np.repeat(d_fake, m, axis=0)
-    d_c = d_c_rows.sum(axis=0) / len(rows)
+    d_c /= len(rows)
 
     d_real = d_c if real_count is None else d_c / real_count
     return float(value), d_fake, d_real

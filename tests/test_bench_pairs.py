@@ -13,8 +13,11 @@ ROOT = Path(__file__).resolve().parents[1]
 DIRECTIONS = {"run_s.p50": "lower", "steps_per_s": "higher", "final_avg_auc": "higher"}
 
 
-def canned_output(run_s, steps, auc=0.84, fingerprint="abc", failed=0):
-    """What bench/run.py --trace 0 prints, cut down to the lines the tool reads."""
+def canned_output(run_s, steps, auc=0.84, fingerprint="abc", failed=0, walls=None):
+    """What bench/run.py --trace 0 prints, cut down to the lines the tool reads.
+
+    walls, when given, are the pass's raw run walls in seconds.
+    """
     metrics = {
         "run_s.p50": {"value": run_s, "unit": "s"},
         "steps_per_s": {"value": steps, "unit": "1/s"},
@@ -25,6 +28,7 @@ def canned_output(run_s, steps, auc=0.84, fingerprint="abc", failed=0):
         'env {"commit": "c0ffee", "nproc": 2, "numpy": "2.4.6", "python": "3.11.7", "blas_threads": 1}',
         f"fingerprint {fingerprint}",
         "runs 19 timed + 1 re-run; setup samples 5",
+        *([] if walls is None else ["run walls s " + " ".join(f"{w:.3f}" for w in walls)]),
         "run_s.p50 0.5 s",
         f"failed_share {failed}/20",
         json.dumps(result),
@@ -76,12 +80,34 @@ def test_parse_output_keeps_a_timed_passs_raw_walls_as_numbers():
     assert parsed["reference_walls_s"] == [0.0387, 0.0378, 0.0581, 0.0384, 0.0630, 0.0339]
     assert parsed["raw_wall"] == {"run_s.p50": 0.1786, "setup_s": 0.1772}
     assert parsed["fingerprint"].startswith("7f7ab0d9")
-    # summarize reads the result object only
+    # summarize reads the result object, and the run walls for their spread
     summary = bench_pairs.summarize([{"parent": parsed, "change": parsed}], {"run_s.p50": "lower"})
     assert summary["run_s.p50"]["ties"] == 1
+    assert summary["raw_wall_spread"] == {"parent": [2.13568] * 3, "change": [2.13568] * 3}
     # a traced pass prints no walls
     traced = bench_pairs.parse_output('fingerprint f1 traced f1\n{"failed": 0, "metrics": {}}\n')
     assert not {"run_walls_s", "reference_walls_s", "raw_wall"} & set(traced)
+
+
+def test_summary_names_the_pass_whose_raw_walls_spread_widest():
+    def timed(walls):
+        return bench_pairs.parse_output(canned_output(0.5, 2000.0, walls=walls))
+
+    pairs = [
+        {"workload_seed": 21, "parent": timed([0.5, 0.5, 0.6]), "change": timed([0.4, 0.5, 0.5])},
+        # a contended pass: its middle wall reads ordinary, its slowest run 4.5x that
+        {"workload_seed": 22, "parent": timed([0.8, 1.0, 1.2]), "change": timed([0.8, 0.8, 3.6])},
+        {"workload_seed": 23, "parent": timed([1.0, 1.0, 1.0]), "change": timed([0.5, 0.5, 0.5])},
+    ]
+    summary = bench_pairs.summarize(pairs, DIRECTIONS)
+    # max/median per pass: parent 1.2, 1.2, 1.0; change 1.0, 4.5, 1.0
+    assert summary["raw_wall_spread"] == {"parent": [1.1, 1.2, 1.2], "change": [1.0, 1.0, 2.75]}
+    assert summary["widest_pass"] == {"workload_seed": 22, "side": "change", "max_over_median": 4.5}
+    # a pass that printed no walls adds nothing; with none on either side the keys are absent
+    pairs[2]["change"] = bench_pairs.parse_output(canned_output(0.5, 2000.0))
+    assert bench_pairs.summarize(pairs, DIRECTIONS)["raw_wall_spread"]["change"] == [1.875, 2.75, 3.625]
+    plain = bench_pairs.summarize([pair((0.5, 2000.0), (0.4, 2100.0))], DIRECTIONS)
+    assert not {"raw_wall_spread", "widest_pass"} & set(plain)
 
 
 def test_quartiles_inclusive_and_rounded():

@@ -1,8 +1,8 @@
 """Exact pins of the training step's in-place kernel against its out-of-place formulas.
 
-MLP.forward, MLP.backward, ce_loss_batch and centroid compute their results in
-place, with fewer temporaries; MLP.backward can also write into a caller's
-buffer. Each test here writes the plain expression out and requires the same
+MLP.forward, MLP.backward, ce_loss_batch, centroid and rs_loss_with_grads
+compute their results in place, with fewer temporaries; MLP.backward can also
+write into a caller's buffer. Each test here writes the plain expression out and requires the same
 bits (np.array_equal or ==, no tolerance), so a change that reassociates or
 reorders the arithmetic fails here even when it stays within every
 gradient-check tolerance. The same holds for the passes that share that
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from genreplay.losses import ce_loss_batch, centroid
+from genreplay.losses import _L2_SMOOTH, EPS_COS, LossConfig, ce_loss_batch, centroid, rs_loss_with_grads
 from genreplay.model import BLOCK_ROWS, BLOCK_WIDTH_STEP, MLP, PROB_CLAMP
 from genreplay.numerics import Rng
 
@@ -305,7 +305,87 @@ def test_ce_split_matches_two_calls(data):
         assert np.array_equal(grad, np.concatenate([grad_first, grad_rest]))
 
 
+@PIN
+@given(data=st.data())
+def test_ce_labels_as_bool_int_or_float_give_the_same_bits(data):
+    n = data.draw(st.integers(2, 80))
+    y_p = data.draw(arrays(float, n, elements=probs))
+    labels = data.draw(arrays(bool, n))
+    split = data.draw(st.integers(1, n - 1))
+    for kwargs in ({}, {"split": split}):
+        want = ce_loss_batch(y_p, labels.astype(float), **kwargs)
+        for form in (labels, labels.astype(int), labels.astype(np.float32), labels.tolist()):
+            got = ce_loss_batch(y_p, form, **kwargs)
+            assert got[:-1] == want[:-1]
+            assert np.array_equal(got[-1], want[-1])
+
+
 @pytest.mark.parametrize("split", [0, 5, -1])
 def test_ce_split_must_leave_both_parts_non_empty(split):
     with pytest.raises(ValueError, match="split must lie in"):
         ce_loss_batch(np.full(5, 0.5), np.zeros(5), split=split)
+
+
+def reference_rs(fake, c, real_count, cfg):
+    """rs_loss_with_grads from the out-of-place expressions of its closed form.
+
+    Cosine, per row of the fake side: a = 1 / (|f|' |c|') and
+    b = dot / (|f| |f|'^2 |c|') (0 on a zero row), with ' marking an
+    EPS_COS-padded norm.
+    """
+    m = len(fake)
+    centroid_based = cfg.rs_granularity == "centroid_based"
+    rows = fake.sum(axis=0, keepdims=True) / m if centroid_based else fake
+    if cfg.rs_metric == "cosine":
+        nc = np.sqrt(c @ c)
+        nf = np.sqrt(np.vecdot(rows, rows))
+        nf_eps, nc_eps = nf + EPS_COS, nc + EPS_COS
+        a = 1.0 / (nf_eps * nc_eps)
+        dot = np.vecdot(rows, c)
+        b = np.divide(dot, nf * nf_eps**2 * nc_eps, out=np.zeros(len(rows)), where=nf > 0)
+        total = dot @ a
+        d_rows = np.outer(a, c) - b[:, None] * rows
+        d_c = a @ rows - total / (nc * nc_eps) * c
+    else:
+        diff = rows - c
+        dist = np.sqrt(np.vecdot(diff, diff) + _L2_SMOOTH)
+        total = -dist.sum()
+        d_rows = -(diff / dist[:, None])
+        d_c = (diff / dist[:, None]).sum(axis=0)
+    d_fake = np.repeat(d_rows / m, m, axis=0) if centroid_based else d_rows / m
+    d_c = d_c / len(rows)
+    return float(total / len(rows)), d_fake, d_c if real_count is None else d_c / real_count
+
+
+@st.composite
+def rs_case(draw):
+    """(fake, c, real_count, cfg): 1-20 fake rows of width 1-70, maybe post-ReLU, with a zero row."""
+    m = draw(st.integers(1, 20))
+    d = draw(st.integers(1, 70))
+    rng = Rng(draw(st.integers(0, 2**16)))
+    fake = rng.fork("f").normal(size=(m, d)) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    c = rng.fork("c").normal(size=d) + 0.5
+    if draw(st.booleans()):
+        # post-ReLU features: exact zeros in rows and in the centroid
+        fake = np.maximum(fake, 0.0)
+        c = np.maximum(c, 0.0)
+    if draw(st.booleans()):
+        fake[draw(st.integers(0, m - 1))] = 0.0
+    if np.sqrt(c @ c) <= EPS_COS:
+        c[0] = 1.0
+    cfg = LossConfig(
+        rs_metric=draw(st.sampled_from(["cosine", "l2"])),
+        rs_granularity=draw(st.sampled_from(["sample_wise", "centroid_based"])),
+    )
+    return fake, c, draw(st.sampled_from([None, 1, 6, 33])), cfg
+
+
+@settings(PIN, max_examples=300)
+@given(case=rs_case())
+def test_rs_matches_out_of_place_closed_form(case):
+    fake, c, real_count, cfg = case
+    value, d_fake, d_real = rs_loss_with_grads(fake, c, real_count, cfg)
+    want_value, want_fake, want_real = reference_rs(fake, c, real_count, cfg)
+    assert value == want_value
+    assert same(d_fake, want_fake)
+    assert same(d_real, want_real)

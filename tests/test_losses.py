@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from genreplay.losses import (
+    EPS_COS,
     LossConfig,
     _cos_rows_with_grads,
     _dist_rows_with_grads,
@@ -159,6 +160,20 @@ class TestRsGradients:
         _, _, d_per_real = rs_loss_with_grads(fake, c, 6, cfg)
         assert np.allclose(d_per_real, d_c / 6.0)
 
+    @pytest.mark.parametrize("real_count", [0, -2, 2.5, True, np.float64(3.0)])
+    def test_bad_real_count_raises(self, real_count):
+        # 0 gave an infinite gradient, -2 flipped the gen-real gradient's sign
+        fake = Rng(1).normal(size=(3, 4)) + 1.0
+        with pytest.raises(ValueError, match="real_count"):
+            rs_loss_with_grads(fake, np.ones(4), real_count, LossConfig())
+
+    @pytest.mark.parametrize("real_count", [None, 1, np.int64(1)])
+    def test_real_count_none_or_one_is_the_centroid_gradient(self, real_count):
+        fake = Rng(1).normal(size=(3, 4)) + 1.0
+        _, _, d_c = rs_loss_with_grads(fake, np.ones(4), None, LossConfig())
+        _, _, d_real = rs_loss_with_grads(fake, np.ones(4), real_count, LossConfig())
+        assert np.array_equal(d_real, d_c)
+
 
 def rs_trials():
     """300 (fake, c) cases, with a zero-norm fake row and, in every other, post-ReLU zeros."""
@@ -175,22 +190,51 @@ def rs_trials():
         yield fake, c
 
 
+def row_helper(metric, c):
+    if metric == "cosine":
+        return lambda f: _cos_rows_with_grads(f, c, np.linalg.norm(c))
+    return lambda f: _dist_rows_with_grads(f, c)
+
+
+def term_scales(metric, fake, c):
+    """Bounds on the size of each row's RS terms: its value, and per coordinate its two gradients.
+
+    Cosine, with ' marking an EPS_COS-padded norm: |cos| <= 1; d cos / d f is
+    c / (|f|' |c|') - dot f / (|f| |f|'^2 |c|'), and d cos / d c is
+    f / (|f|' |c|') - cos c / (|c| |c|'), each part bounded as |dot| <= |f| |c|.
+    L2: the distance, and the unit vector (f - c) / |f - c| for both gradients.
+    """
+    if metric == "cosine":
+        nf = np.linalg.norm(fake, axis=1)[:, None]
+        nc = np.linalg.norm(c)
+        nf_eps, nc_eps = nf + EPS_COS, nc + EPS_COS
+        d_f = np.abs(c) / (nf_eps * nc_eps) + nc * np.abs(fake) / (nf_eps**2 * nc_eps)
+        d_c = np.abs(fake) / (nf_eps * nc_eps) + np.abs(c) / (nc * nc_eps)
+        return np.ones(len(fake)), d_f, d_c
+    diff = fake - c
+    dist = np.linalg.norm(diff, axis=1)
+    unit = np.abs(diff) / dist[:, None]
+    return dist, unit, unit
+
+
 class TestSampleWiseRsMatchesPerRowLoop:
     """Both RS granularities run one row helper; each row of it is the one-row call."""
 
     @pytest.mark.parametrize("metric", ["cosine", "l2"])
     def test_bit_identical_including_zero_norm_rows(self, metric):
+        # each row's gradient is the one-row call's bits; the sum and the centroid gradient
+        # are the one-row calls' totals up to the rounding of an m-term sum, a few ulp of
+        # the terms' size
         for fake, c in rs_trials():
-            if metric == "cosine":
-                rows = lambda f, c=c: _cos_rows_with_grads(f, c, np.linalg.norm(c))
-            else:
-                rows = lambda f, c=c: _dist_rows_with_grads(f, c)
-            vals, d_f, d_c = rows(fake)
-            for j in range(len(fake)):
-                v, d_fj, d_cj = rows(fake[j : j + 1])
-                assert vals[j] == v[0]
+            rows = row_helper(metric, c)
+            total, d_f, d_c = rows(fake)
+            ones = [rows(fake[j : j + 1]) for j in range(len(fake))]
+            for j, (_, d_fj, _) in enumerate(ones):
                 assert np.array_equal(d_f[j], d_fj[0])
-                assert np.array_equal(d_c[j], d_cj[0])
+            value_scale, _, d_c_scale = term_scales(metric, fake, c)
+            ulp = 2 * len(fake) * np.finfo(float).eps
+            assert abs(total - sum(v for v, _, _ in ones)) <= ulp * value_scale.sum()
+            assert np.all(np.abs(d_c - sum(d for _, _, d in ones)) <= ulp * d_c_scale.sum(axis=0))
 
     @pytest.mark.parametrize("metric", ["cosine", "l2"])
     def test_centroid_based_is_sample_wise_on_fake_centroid(self, metric):
@@ -206,3 +250,41 @@ class TestSampleWiseRsMatchesPerRowLoop:
             # every fake row gets 1/m of the centroid's gradient
             assert np.array_equal(d_fake, np.repeat(want_cf / m, m, axis=0))
             assert np.array_equal(d_real, want_real)
+
+
+def per_row_rs(metric, fake, c):
+    """Each row's RS term and its gradients w.r.t. that row and c, written out term by term.
+
+    The row helper's formulas before its closed form: (m,) values, (m, d)
+    row gradients and (m, d) centroid gradients.
+    """
+    if metric == "cosine":
+        nf = np.linalg.norm(fake, axis=1)
+        nc = np.linalg.norm(c)
+        nf_eps, nc_eps = nf + EPS_COS, nc + EPS_COS
+        denom = nf_eps * nc_eps
+        dot = fake @ c
+        f_unit = np.divide(fake, nf[:, None], out=np.zeros(fake.shape), where=nf[:, None] > 0)
+        d_f = c / denom[:, None] - dot[:, None] * f_unit / (nf_eps**2 * nc_eps)[:, None]
+        d_c = fake / denom[:, None] - dot[:, None] * (c / nc) / (nf_eps * nc_eps**2)[:, None]
+        return dot / denom, d_f, d_c
+    diff = fake - c
+    dist = np.sqrt(np.sum(diff * diff, axis=1) + 1e-12)
+    d_f = diff / dist[:, None]
+    return -dist, -d_f, d_f
+
+
+@pytest.mark.parametrize("cfg", ALL_RS_CONFIGS, ids=lambda c: f"{c.rs_metric}-{c.rs_granularity}")
+def test_rs_matches_the_per_row_formula(cfg):
+    # the same maths rounded another way: a few ulp of each term, plus a sum's rounding
+    for fake, c in rs_trials():
+        m = len(fake)
+        rows = fake.mean(axis=0, keepdims=True) if cfg.rs_granularity == "centroid_based" else fake
+        vals, d_rows, d_c_rows = per_row_rs(cfg.rs_metric, rows, c)
+        value, d_fake, d_real = rs_loss_with_grads(fake, c, 6, cfg)
+        value_scale, d_f_scale, d_c_scale = term_scales(cfg.rs_metric, rows, c)
+        tol = (len(rows) + 8) * 2 * np.finfo(float).eps
+        assert abs(value - vals.mean()) <= tol * value_scale.mean()
+        assert np.all(np.abs(d_fake - d_rows / m) <= tol * d_f_scale / m)
+        want_real = d_c_rows.sum(axis=0) / len(rows) / 6
+        assert np.all(np.abs(d_real - want_real) <= tol * d_c_scale.sum(axis=0) / len(rows) / 6)

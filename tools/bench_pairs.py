@@ -52,7 +52,8 @@ def parse_output(text):
     timed pass's raw walls, as numbers: `run walls s` and `reference walls s`
     as lists under run_walls_s and reference_walls_s, and `raw wall run_s.p50
     <s> setup_s <s>` as a dict under raw_wall. They let an outlying pass be
-    traced to its runs or to the reference loop; summarize does not read them.
+    traced to its runs or to the reference loop; summarize reads the run walls
+    (see wall_spread).
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -81,6 +82,16 @@ def quartiles(values, digits=5):
     return [round(q1, digits), round(q2, digits), round(q3, digits)]
 
 
+def wall_spread(parsed):
+    """max/median of a timed pass's raw run walls; None for a pass that printed none.
+
+    A pass whose runs shared the machine with other work reads well above 1,
+    even where its trimmed run_s.p50 looks ordinary.
+    """
+    walls = parsed.get("run_walls_s")
+    return max(walls) / statistics.median(walls) if walls else None
+
+
 def summarize(pairs, directions):
     """Per metric: both sides' quartiles, the paired ratio, and the change's wins and ties.
 
@@ -90,6 +101,11 @@ def summarize(pairs, directions):
     count for it. change_over_parent_median is the median over pairs of
     change/parent, rounded; pairs whose parent value is 0 have no ratio, and
     with none left it is None.
+
+    When passes printed their run walls, raw_wall_spread gives per side the
+    quartiles of each pass's wall_spread, and widest_pass the workload seed
+    (pair["workload_seed"], None without one), side and wall_spread of the
+    widest pass, so a contended pass can be found without reading every pair.
     """
     if not pairs:
         raise ValueError("no pairs to summarize")
@@ -124,6 +140,21 @@ def summarize(pairs, directions):
             "ties": ties,
             "pairs": len(values["parent"]),
         }
+    spreads = {side: [] for side in SIDES}
+    widest = None
+    for pair in pairs:
+        for side in SIDES:
+            spread = wall_spread(pair[side])
+            if spread is None:
+                continue
+            spreads[side].append(spread)
+            if widest is None or spread > widest["max_over_median"]:
+                widest = {"workload_seed": pair.get("workload_seed"), "side": side,
+                          "max_over_median": spread}
+    if widest is not None:
+        summary["raw_wall_spread"] = {side: quartiles(v) for side, v in spreads.items() if v}
+        widest["max_over_median"] = round(widest["max_over_median"], 5)
+        summary["widest_pass"] = widest
     summary["fingerprints_equal_in_every_pair"] = all(
         pair["parent"].get("fingerprint") == pair["change"].get("fingerprint") for pair in pairs
     )
