@@ -46,11 +46,11 @@ class BatchLossBreakdown:
 def ce_loss_batch(y_p, labels, split=None):
     """Mean CE over a non-empty batch plus d(mean CE)/d y_p per sample.
 
-    labels must be 0 or 1, of any dtype (bool, int or float give the same
-    bits); a stream carries no other label. Then q = (y - 1) + y_p is exactly
-    y_p on a label-1 row and exactly -(1 - y_p) on a label-0 row, so each
-    row's CE term is -log|q| and its gradient -1/q, the bits of the textbook
-    terms -y log y_p - (1 - y) log(1 - y_p).
+    labels must be 0 or 1 (1 for fake), of any dtype: bool, int and float give
+    the same bits; a stream carries no other label. Then q = (y - 1) + y_p is
+    exactly y_p on a label-1 row and exactly -(1 - y_p) on a label-0 row, so
+    each row's CE term is -log|q| and its gradient -1/q, the bits of the
+    textbook terms -y log y_p - (1 - y) log(1 - y_p).
 
     With split, rows [:split] and [split:] are two batches that share one pass
     over the per-row terms. The result is then (mean CE of rows [:split], mean
@@ -97,8 +97,7 @@ def _cos_rows_with_grads(fake, c, nc):
     nf = np.sqrt(np.vecdot(fake, fake))
     nf_eps = nf + EPS_COS
     nc_eps = nc + EPS_COS
-    a = nf_eps * nc_eps
-    np.divide(1.0, a, out=a)
+    a = 1.0 / (nf_eps * nc_eps)
     dot = np.vecdot(fake, c)
     b = np.zeros(len(fake))
     np.divide(dot, nf * nf_eps**2 * nc_eps, out=b, where=nf > 0)
