@@ -13,7 +13,9 @@ the two (see count_changes).
 The output has the shape of the BENCH_*.json files at the repository root:
 per-pair results, and per metric the parent's and the change's quartiles, the
 median over pairs of change/parent (a paired statistic, so a drift in machine
-speed cancels) and the change's wins. Standard library only; each pass runs in
+speed cancels) and the change's wins, and per workload the spread of each
+pass's raw run walls with the widest pass named, so a pass that shared the
+machine with other work shows. Standard library only; each pass runs in
 its own interpreter from the root of its checkout, and one that outlives
 pass_timeout(--seconds) is stopped and fails naming its command.
 """
