@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from genreplay.losses import (
+    _L2_SMOOTH,
     EPS_COS,
     LossConfig,
     _cos_rows_with_grads,
@@ -218,7 +219,7 @@ def term_scales(metric, fake, c):
 
 
 class TestSampleWiseRsMatchesPerRowLoop:
-    """Both RS granularities run one row helper; each row of it is the one-row call."""
+    """Both RS granularities run one row helper; each row's gradient is the one-row call's."""
 
     @pytest.mark.parametrize("metric", ["cosine", "l2"])
     def test_bit_identical_including_zero_norm_rows(self, metric):
@@ -269,7 +270,7 @@ def per_row_rs(metric, fake, c):
         d_c = fake / denom[:, None] - dot[:, None] * (c / nc) / (nf_eps * nc_eps**2)[:, None]
         return dot / denom, d_f, d_c
     diff = fake - c
-    dist = np.sqrt(np.sum(diff * diff, axis=1) + 1e-12)
+    dist = np.sqrt(np.sum(diff * diff, axis=1) + _L2_SMOOTH)
     d_f = diff / dist[:, None]
     return -dist, -d_f, d_f
 
