@@ -56,6 +56,11 @@ _VERB_KEYS = {"run": "strategy", "compare": "strategies", "ablate": "grid"}
 _TOP_KEYS = set(_SECTION_KEYS) | set(_VERB_KEYS.values()) | {"seeds", "out_dir"}
 
 
+def _config_verbs(raw):
+    """The verbs whose section the parsed config raw holds, in _VERB_KEYS order; ["run"] when none."""
+    return [verb for verb, key in _VERB_KEYS.items() if key in raw] or ["run"]
+
+
 def _check_keys(section, mapping, allowed):
     if not isinstance(mapping, dict):
         raise ConfigError(f"config section {section!r} must be an object")
@@ -231,7 +236,7 @@ def load_config(path, verb, seeds_override=None, out_override=None):
 
     if verb == "validate":
         # check the config for every verb whose section it has
-        verbs = [v for v, key in _VERB_KEYS.items() if key in raw] or ["run"]
+        verbs = _config_verbs(raw)
     else:
         verbs = [verb]
     for v in verbs:

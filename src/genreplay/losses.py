@@ -149,7 +149,7 @@ def rs_loss_with_grads(fake_features, real_centroid, real_count, cfg):
     m = fake.shape[0]
     centroid_based = cfg.rs_granularity == "centroid_based"
     # centroid-based: the fake side is one row, its centroid
-    rows = fake.sum(axis=0, keepdims=True) / m if centroid_based else fake
+    rows = centroid(fake)[None] if centroid_based else fake
     if cfg.rs_metric == "cosine":
         # np.linalg.norm's formula for a 1-d float array
         nc = np.sqrt(c @ c)

@@ -31,8 +31,7 @@ class Signature:
 
 def signature_similarity(a, b):
     """Cosine of two signature vectors; 0 if either carries no artifact."""
-    va = np.asarray(a.vector, dtype=float)
-    vb = np.asarray(b.vector, dtype=float)
+    va, vb = a.vector, b.vector
     if va.shape != vb.shape:
         raise ValueError("signature dimensions differ")
     if a.strength == 0.0 or b.strength == 0.0:

@@ -3,6 +3,7 @@
 import json
 import re
 import subprocess
+import sys
 from pathlib import Path
 
 import bench_pairs
@@ -264,7 +265,7 @@ def test_summary_of_no_pairs_raises():
 
 @pytest.mark.parametrize("stdout", ["", "fingerprint abc\nnot json\n"])
 def test_unparsable_pass_names_checkout_workload_and_seed(monkeypatch, stdout):
-    def fake_run(cmd, cwd, capture_output, text, timeout):
+    def fake_run(cmd, cwd, env, capture_output, text, timeout):
         return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
@@ -358,7 +359,7 @@ def test_traced_workload_records_its_count_changes(monkeypatch, tmp_path):
 def test_pass_timeout_follows_seconds(monkeypatch, trace, seconds):
     seen = {}
 
-    def fake_run(cmd, cwd, capture_output, text, timeout):
+    def fake_run(cmd, cwd, env, capture_output, text, timeout):
         seen["timeout"] = timeout
         return subprocess.CompletedProcess(cmd, 0, stdout=canned_output(0.5, 2000.0), stderr="")
 
@@ -377,3 +378,14 @@ def test_hung_pass_is_stopped_and_names_its_command(monkeypatch, tmp_path):
     )
     with pytest.raises(RuntimeError, match=message):
         bench_pairs.run_pass(tmp_path, "no_replay", 21, 30, trace=0)
+
+
+def test_imports_only_the_standard_library():
+    # tools/traffic.py must not import genreplay before its tracer starts, so the helpers the
+    # pair tools share stay importable without the package or numpy
+    code = ("import sys; before = set(sys.modules) | {'bench_pairs'}; import bench_pairs; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.partition('.')[0] not in sys.stdlib_module_names))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "tools", capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "[]\n"

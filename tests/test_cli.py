@@ -304,6 +304,13 @@ class TestValidateVerb:
         assert main(["validate", "--config", write_config(tmp_path)]) == 0
         assert "config OK" in capsys.readouterr().out
 
+    def test_config_verbs_follow_the_sections_in_verb_order(self):
+        # validate checks each of these; tools/sweep_pairs.py and tools/traffic.py run the first
+        assert genreplay.cli._config_verbs({"grid": {}, "strategy": {}}) == ["run", "ablate"]
+        assert genreplay.cli._config_verbs({"grid": {}}) == ["ablate"]
+        assert genreplay.cli._config_verbs({"strategies": []}) == ["compare"]
+        assert genreplay.cli._config_verbs({}) == ["run"]
+
     def test_compare_config_also_validates(self, tmp_path, capsys):
         cfg = json.loads(Path(write_config(tmp_path)).read_text())
         del cfg["strategy"]

@@ -1,6 +1,10 @@
-"""tools/sweep_pairs.py: the paired summary on stub timings, the tree comparison, and one real pair."""
+"""tools/sweep_pairs.py: the paired summary on stub timings, the tree comparison, each child's
+environment and time limit, and one real pair."""
 
 import json
+import re
+import subprocess
+import time
 from pathlib import Path
 
 import pytest
@@ -57,14 +61,6 @@ def test_compare_trees_names_each_differing_or_missing_file(tmp_path):
     }
 
 
-def test_verb_keys_follow_the_cli():
-    assert sweep_pairs.VERB_KEYS == genreplay.cli._VERB_KEYS
-    assert sweep_pairs.config_verb({"grid": {}, "strategy": {}}) == "run"
-    assert sweep_pairs.config_verb({"grid": {}}) == "ablate"
-    assert sweep_pairs.config_verb({"strategies": []}) == "compare"
-    assert sweep_pairs.config_verb({}) == "run"
-
-
 def test_two_pairs_of_one_checkout_write_identical_trees(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
@@ -88,8 +84,8 @@ def test_two_pairs_of_one_checkout_write_identical_trees(tmp_path):
     assert result["summary"]["cpu_s"]["pairs"] == 2
 
 
+# the shared --seeds and --out checks are pinned by tests/test_bench_pairs.py; one case shows them here
 @pytest.mark.parametrize("argv, message", [
-    (["--seeds", "3-"], "--seeds '3-' is neither"),
     (["--seeds", "5-1"], "names no seed"),
     (["--pairs", "0"], "--pairs must be >= 1, got 0"),
 ])
@@ -101,3 +97,45 @@ def test_bad_arguments_exit_2_naming_them(tmp_path, capsys, argv, message):
         sweep_pairs.main([tok for item in base.items() for tok in item])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_each_child_gets_one_blas_thread_and_its_own_checkouts_src(monkeypatch, tmp_path):
+    children = []
+
+    def fake_run(cmd, cwd, env, capture_output, text, timeout):
+        children.append((cwd, env))
+        return subprocess.CompletedProcess(cmd, 0, stdout="", stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    for var in genreplay.cli._BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "4")
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path / "elsewhere"))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"strategies": ["lower_bound", "adaptive"]}))
+    checkouts = {side: tmp_path / side for side in ("parent", "change")}
+    argv = ["--parent", str(checkouts["parent"]), "--change", str(checkouts["change"]),
+            "--config", str(config), "--seeds", "1", "--pairs", "2", "--out", str(tmp_path / "sweep.json")]
+    assert sweep_pairs.main(argv) == 0
+    assert len(genreplay.cli._BLAS_THREAD_VARS) == 3 and len(children) == 4
+    for cwd, env in children:
+        assert {var: env[var] for var in genreplay.cli._BLAS_THREAD_VARS} == dict.fromkeys(
+            genreplay.cli._BLAS_THREAD_VARS, "1"
+        )
+        assert env["PYTHONPATH"] == str(Path(cwd) / "src") and Path(cwd) in checkouts.values()
+
+
+def test_hung_child_is_stopped_and_names_its_command(monkeypatch, tmp_path):
+    checkout = tmp_path / "checkout"
+    (checkout / "src" / "genreplay").mkdir(parents=True)
+    (checkout / "src" / "genreplay" / "__init__.py").write_text("")
+    (checkout / "src" / "genreplay" / "cli.py").write_text("import time\ntime.sleep(60)\n")
+    monkeypatch.setattr(sweep_pairs, "CHILD_TIMEOUT_S", 0.5)
+    config, work = tmp_path / "cfg.json", tmp_path / "work"
+    message = (
+        rf"^\S+ -m genreplay\.cli compare --config {re.escape(str(config))} --seeds 1,2 --jobs 1 "
+        rf"--out {re.escape(str(work / 'out'))} in {re.escape(str(checkout))} did not finish within 0\.5 s$"
+    )
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=message):
+        sweep_pairs.run_side(checkout, "compare", config, [1, 2], work)
+    assert time.perf_counter() - start < 30

@@ -94,15 +94,32 @@ def wall_spread(parsed):
     return max(walls) / statistics.median(walls) if walls else None
 
 
+def paired_summary(values, better, unit):
+    """One metric's quartiles on both sides, paired ratio, and the change's wins and ties.
+
+    values is a non-empty list of (parent value, change value), one per pair; better is "higher"
+    or "lower". change_over_parent_median is the median of change/parent over the pairs whose
+    parent value is not 0, rounded; None when there are none.
+    """
+    ratios = [change / parent for parent, change in values if parent]
+    return {
+        "unit": unit,
+        "parent_q1_median_q3": quartiles([parent for parent, _ in values]),
+        "change_q1_median_q3": quartiles([change for _, change in values]),
+        "change_over_parent_median": round(statistics.median(ratios), 5) if ratios else None,
+        "change_wins": sum(c != p and (c < p) == (better == "lower") for p, c in values),
+        "ties": sum(c == p for p, c in values),
+        "pairs": len(values),
+    }
+
+
 def summarize(pairs, directions):
-    """Per metric: both sides' quartiles, the paired ratio, and the change's wins and ties.
+    """Per metric, its paired_summary; and the pairs' wall spreads, fingerprints and failures.
 
     pairs is a non-empty list of {"parent": parsed, "change": parsed} (see
     parse_output); directions maps a metric name to "higher" or "lower", the
     better side. A pair where either side has no value for a metric does not
-    count for it. change_over_parent_median is the median over pairs of
-    change/parent, rounded; pairs whose parent value is 0 have no ratio, and
-    with none left it is None.
+    count for it.
 
     When passes printed their run walls, raw_wall_spread gives per side the
     quartiles of each pass's wall_spread, and widest_pass the workload seed
@@ -113,35 +130,11 @@ def summarize(pairs, directions):
         raise ValueError("no pairs to summarize")
     summary = {}
     for name, better in directions.items():
-        values = {side: [] for side in SIDES}
-        ratios = []
-        unit = None
-        wins = ties = 0
-        for pair in pairs:
-            metric = {side: pair[side]["result"]["metrics"].get(name) for side in SIDES}
-            if any(m is None or m["value"] is None for m in metric.values()):
-                continue
-            parent, change = metric["parent"]["value"], metric["change"]["value"]
-            unit = metric["parent"]["unit"]
-            values["parent"].append(parent)
-            values["change"].append(change)
-            if parent:
-                ratios.append(change / parent)
-            if change == parent:
-                ties += 1
-            elif (change < parent) == (better == "lower"):
-                wins += 1
-        if not values["parent"]:
-            continue
-        summary[name] = {
-            "unit": unit,
-            "parent_q1_median_q3": quartiles(values["parent"]),
-            "change_q1_median_q3": quartiles(values["change"]),
-            "change_over_parent_median": round(statistics.median(ratios), 5) if ratios else None,
-            "change_wins": wins,
-            "ties": ties,
-            "pairs": len(values["parent"]),
-        }
+        both = [[pair[side]["result"]["metrics"].get(name) for side in SIDES] for pair in pairs]
+        both = [sides for sides in both if all(m is not None and m["value"] is not None for m in sides)]
+        if both:
+            values = [(parent["value"], change["value"]) for parent, change in both]
+            summary[name] = paired_summary(values, better, both[0][0]["unit"])
     spreads = {side: [] for side in SIDES}
     widest = None
     for pair in pairs:
@@ -198,6 +191,20 @@ def pass_timeout(seconds):
     return 10 * seconds + 300
 
 
+def run_child(cmd, checkout, timeout, env=None):
+    """The CompletedProcess of cmd, run from the root of checkout with its output captured as text.
+
+    A child past timeout seconds is stopped; that, or a non-zero exit, raises RuntimeError naming cmd.
+    """
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} did not finish within {timeout:g} s") from None
+    if proc.returncode:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
+    return proc
+
+
 def run_pass(checkout, workload, seed, seconds, trace):
     """One bench/run.py pass in checkout, parsed; a timed pass (trace 0) runs for seconds.
 
@@ -210,15 +217,7 @@ def run_pass(checkout, workload, seed, seconds, trace):
     ]
     if not trace:
         cmd += ["--seconds", str(seconds)]
-    timeout = pass_timeout(seconds)
-    try:
-        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        raise RuntimeError(
-            f"{' '.join(cmd)} in {checkout} did not finish within {timeout:g} s"
-        ) from None
-    if proc.returncode:
-        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
+    proc = run_child(cmd, checkout, pass_timeout(seconds))
     try:
         return parse_output(proc.stdout)
     except ValueError as exc:
@@ -228,17 +227,44 @@ def run_pass(checkout, workload, seed, seconds, trace):
         ) from exc
 
 
-def timed_pairs(checkouts, workload, seeds, seconds, log):
-    pairs = []
-    for k, seed in enumerate(seeds):
+def alternating_pairs(keys, run_side):
+    """Yield per key {"first": side, "parent": run_side("parent", key), "change": ...}; the first
+    side flips from pair to pair, and each pair comes as soon as both its sides ran, so the caller
+    can read what they left behind before the next pair starts.
+    """
+    for k, key in enumerate(keys):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
-        pair = {"workload_seed": seed, "first": order[0]}
+        pair = {"first": order[0]}
         for side in order:
-            pair[side] = run_pass(checkouts[side], workload, seed, seconds, trace=0)
-            log(f"{workload} seed {seed} {side}: run_s.p50 "
-                f"{pair[side]['result']['metrics']['run_s.p50']['value']:.4f}")
-        pairs.append(pair)
-    return pairs
+            pair[side] = run_side(side, key)
+        yield pair
+
+
+def timed_pairs(checkouts, workload, seeds, seconds, log):
+    def run(side, seed):
+        parsed = run_pass(checkouts[side], workload, seed, seconds, trace=0)
+        log(f"{workload} seed {seed} {side}: run_s.p50 {parsed['result']['metrics']['run_s.p50']['value']:.4f}")
+        return parsed
+
+    return [{"workload_seed": seed, **pair} for seed, pair in zip(seeds, alternating_pairs(seeds, run))]
+
+
+def check_pair_args(parser, args):
+    """The resolved --parent and --change checkouts by side, parse_seeds(args.seeds) and Path(args.out).
+
+    parser.error (exit 2) when --seeds names no seed or --out is not a file path in an existing
+    directory; the tools write their file as they go, so that must fail before any child runs.
+    """
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if not seeds:
+        parser.error(f"--seeds {args.seeds!r} names no seed")
+    out_path = Path(args.out)
+    if out_path.is_dir() or not out_path.parent.is_dir():
+        parser.error(f"--out {args.out!r} is not a file path in an existing directory")
+    return {side: Path(getattr(args, side)).resolve() for side in SIDES}, seeds, out_path
 
 
 def _strip(parsed):
@@ -262,19 +288,7 @@ def main(argv=None):
     for workload in workloads:
         if workloads.count(workload) > 1:
             parser.error(f"--workloads names {workload!r} more than once")
-    try:
-        seeds = parse_seeds(args.seeds)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if not seeds:
-        parser.error(f"--seeds {args.seeds!r} names no seed")
-    # the file is written after each workload's pairs and after each traced pass, so a
-    # path it cannot be written at must fail now
-    out_path = Path(args.out)
-    if out_path.is_dir() or not out_path.parent.is_dir():
-        parser.error(f"--out {args.out!r} is not a file path in an existing directory")
-
-    checkouts = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+    checkouts, seeds, out_path = check_pair_args(parser, args)
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     known = [w["name"] for w in spec["workloads"]]
     for workload in workloads:

@@ -10,9 +10,11 @@ src/ on PYTHONPATH and one BLAS thread; which side goes first flips from pair
 to pair, so a drift in machine speed falls on both sides alike. Both sides read
 the same config file. Per side the file gives the quartiles of the child's CPU
 time (user plus system) and wall time, and per metric the median over pairs of
-change/parent and the change's wins (see bench_pairs.summarize). It also says
-whether, in each pair, the two sides wrote byte-identical `--out` trees and
-stdout; that is reported, not required. Standard library only.
+change/parent and the change's wins (see bench_pairs.paired_summary). It also
+says whether, in each pair, the two sides wrote byte-identical `--out` trees
+and stdout; that is reported, not required. A child past CHILD_TIMEOUT_S is
+stopped and fails naming its command. Standard library, plus this checkout's
+genreplay.cli, which owns the verb rule and the BLAS thread variables.
 """
 
 import argparse
@@ -20,7 +22,7 @@ import hashlib
 import json
 import os
 import resource
-import subprocess
+import shutil
 import sys
 import tempfile
 import time
@@ -29,16 +31,13 @@ from pathlib import Path
 # a script's own directory is on sys.path, so its sibling tool imports as a module
 import bench_pairs
 
-SIDES = bench_pairs.SIDES
-# the section that names each verb's strategies, in the order the CLI tries them (cli._VERB_KEYS)
-VERB_KEYS = {"run": "strategy", "compare": "strategies", "ablate": "grid"}
-DIRECTIONS = {"cpu_s": "lower", "wall_s": "lower"}
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from genreplay import cli  # noqa: E402
 
-
-def config_verb(config):
-    """The verb whose section the config (a parsed JSON object) holds first; "run" when none."""
-    return next((verb for verb, key in VERB_KEYS.items() if key in config), "run")
+# How long one child may run: the largest shipped config, configs/alpha_curve_safe.json, took
+# 18 s of wall time at --seeds 1-10 --jobs 1 on a 2-vCPU host (Python 3.11.7, numpy 2.4.6), so an
+# hour leaves a wide margin for slower or busier hosts and longer seed lists, and still ends a hang.
+CHILD_TIMEOUT_S = 3600
 
 
 def tree_files(root):
@@ -64,7 +63,8 @@ def run_side(checkout, verb, config, seeds, workdir):
     """One child run of verb in checkout, writing workdir/out and workdir/stdout.txt.
 
     Returns {"cpu_s", "wall_s"}: the child's user plus system CPU time and its
-    wall time. A child that exits non-zero raises RuntimeError with its stderr.
+    wall time. A child that exits non-zero or outlives CHILD_TIMEOUT_S raises
+    RuntimeError naming it (see bench_pairs.run_child).
     """
     workdir.mkdir(parents=True)
     cmd = [
@@ -72,35 +72,28 @@ def run_side(checkout, verb, config, seeds, workdir):
         "--seeds", ",".join(map(str, seeds)), "--jobs", "1", "--out", str(workdir / "out"),
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
-    env.update({var: "1" for var in BLAS_THREAD_VARS})
+    env.update(dict.fromkeys(cli._BLAS_THREAD_VARS, "1"))
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    proc = bench_pairs.run_child(cmd, checkout, CHILD_TIMEOUT_S, env)
     wall = time.perf_counter() - start
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    if proc.returncode:
-        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     (workdir / "stdout.txt").write_text(proc.stdout)
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     return {"cpu_s": cpu, "wall_s": wall}
 
 
-def as_parsed(timing):
-    """A side's timing in the shape bench_pairs.summarize reads."""
-    metrics = {name: {"value": value, "unit": "s"} for name, value in timing.items()}
-    return {"result": {"metrics": metrics, "failed": 0}}
-
-
 def summarize(pairs):
-    """Per metric, both sides' quartiles, the paired change/parent median and the change's wins;
-    and whether every pair's two trees were byte-identical.
+    """Per metric its bench_pairs.paired_summary, and whether every pair's trees were byte-identical.
 
     pairs is a non-empty list of {"parent": timing, "change": timing, "trees": compare_trees(...)}.
     """
-    summary = bench_pairs.summarize(
-        [{side: as_parsed(pair[side]) for side in SIDES} for pair in pairs], DIRECTIONS
-    )
-    del summary["fingerprints_equal_in_every_pair"], summary["failed"]
+    summary = {
+        name: bench_pairs.paired_summary(
+            [(pair["parent"][name], pair["change"][name]) for pair in pairs], "lower", "s"
+        )
+        for name in ("cpu_s", "wall_s")
+    }
     summary["trees_identical_in_every_pair"] = all(pair["trees"]["identical"] for pair in pairs)
     return summary
 
@@ -114,35 +107,28 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    try:
-        seeds = bench_pairs.parse_seeds(args.seeds)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if not seeds:
-        parser.error(f"--seeds {args.seeds!r} names no seed")
+    checkouts, seeds, out_path = bench_pairs.check_pair_args(parser, args)
     if args.pairs < 1:
         parser.error(f"--pairs must be >= 1, got {args.pairs}")
-    out_path = Path(args.out)
-    if out_path.is_dir() or not out_path.parent.is_dir():
-        parser.error(f"--out {args.out!r} is not a file path in an existing directory")
     config = Path(args.config).resolve()
     try:
-        verb = config_verb(json.loads(config.read_text()))
+        verb = cli._config_verbs(json.loads(config.read_text()))[0]
     except (OSError, ValueError) as exc:
         parser.error(f"--config {args.config!r}: {exc}")
-    checkouts = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
 
     pairs = []
-    for k in range(args.pairs):
-        order = SIDES if k % 2 == 0 else SIDES[::-1]
-        pair = {"first": order[0]}
-        with tempfile.TemporaryDirectory(prefix="sweep-pairs-") as tmp:
-            for side in order:
-                pair[side] = run_side(checkouts[side], verb, config, seeds, Path(tmp) / side)
-                print(f"pair {k} {side}: cpu {pair[side]['cpu_s']:.2f} s, wall {pair[side]['wall_s']:.2f} s",
-                      file=sys.stderr, flush=True)
-            pair["trees"] = compare_trees(Path(tmp) / "parent", Path(tmp) / "change")
-        pairs.append(pair)
+    with tempfile.TemporaryDirectory(prefix="sweep-pairs-") as tmp:
+        def run(side, k):
+            timing = run_side(checkouts[side], verb, config, seeds, Path(tmp) / str(k) / side)
+            print(f"pair {k} {side}: cpu {timing['cpu_s']:.2f} s, wall {timing['wall_s']:.2f} s",
+                  file=sys.stderr, flush=True)
+            return timing
+
+        for k, pair in enumerate(bench_pairs.alternating_pairs(range(args.pairs), run)):
+            pair["trees"] = compare_trees(Path(tmp) / str(k) / "parent", Path(tmp) / str(k) / "change")
+            # one config's trees can run to megabytes; keep only the running pair's
+            shutil.rmtree(Path(tmp) / str(k))
+            pairs.append(pair)
 
     out = {
         "what": "one config's verb run by the parent commit's and this change's checkouts, one "

@@ -147,8 +147,7 @@ def run_traffic(tmp):
     import genreplay.cli
 
     for config in sorted((ROOT / "configs").glob("*.json")):
-        raw = json.loads(config.read_text())
-        verb = next(v for v, key in genreplay.cli._VERB_KEYS.items() if key in raw)
+        verb = genreplay.cli._config_verbs(json.loads(config.read_text()))[0]
         out = os.path.join(tmp, config.stem)
         argv = [verb, "--config", str(config), "--seeds", "1", "--jobs", "1", "--out", out]
         with contextlib.redirect_stdout(io.StringIO()) as stdout:
